@@ -1,6 +1,8 @@
 #include "ckpt/reduction.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "util/rng.hpp"
 
@@ -66,6 +68,47 @@ void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
   }
 }
 
+namespace {
+constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+uint64_t load64(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+uint64_t mix_word(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+// One block's hash, built like xxHash64: four independent lanes take 32
+// bytes per step, the remainder goes in a word and then a byte at a time,
+// and a final avalanche spreads every input bit over the result. The lanes
+// are seeded with the block's length. For fixed other input every step is a
+// bijection of the running state, so flipping any single byte always
+// changes the hash.
+uint64_t hash_block(const unsigned char* p, uint64_t len) {
+  const unsigned char* const end = p + len;
+  uint64_t lane[4] = {len + kP1 + kP2, len + kP2, len, len - kP1};
+  for (; end - p >= 32; p += 32)
+    for (int l = 0; l < 4; ++l) lane[l] = mix_word(lane[l], load64(p + 8 * l));
+  uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+               std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  for (; end - p >= 8; p += 8) h = std::rotl(h ^ mix_word(0, load64(p)), 27) * kP1 + kP4;
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
+}  // namespace
+
 std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
                                   uint32_t block_bytes) {
   const uint32_t bb = block_bytes ? block_bytes : 4096;
@@ -73,10 +116,7 @@ std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
   std::vector<uint64_t> hashes((n + bb - 1) / bb);
   for (size_t b = 0; b < hashes.size(); ++b) {
     const uint64_t off = static_cast<uint64_t>(b) * bb;
-    const uint64_t len = std::min<uint64_t>(bb, n - off);
-    util::Fnv1a64 h;
-    h.update(bytes.data() + off, len);
-    hashes[b] = h.digest();
+    hashes[b] = hash_block(bytes.data() + off, std::min<uint64_t>(bb, n - off));
   }
   return hashes;
 }

@@ -9,7 +9,7 @@
 // the pre-reduction pipeline):
 //
 //   * Content-addressed block deltas: a capture is split into fixed-size
-//     blocks, each block FNV-hashed, and only blocks whose hash changed
+//     blocks, each block hashed, and only blocks whose hash changed
 //     since the previous epoch's capture are stored. Restore walks the
 //     base-plus-deltas chain; a configurable full-capture stride bounds the
 //     chain so retention (and restore reads) can't grow without bound.
@@ -80,9 +80,12 @@ std::vector<unsigned char> make_state(const StateModelConfig& cfg, int rank);
 void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
                   int rank, uint64_t epoch);
 
-/// Per-block FNV-1a hashes of `bytes` at `block_bytes` granularity (the last
+/// Per-block 64-bit hashes of `bytes` at `block_bytes` granularity (the last
 /// block hashes its real, possibly short, length — so a size change at the
-/// tail reads as a changed block).
+/// tail reads as a changed block). Only equality is meaningful: a changed
+/// block's hash differs from its predecessor's, and any single changed byte
+/// is guaranteed to show. Values depend on the host's byte order, so they
+/// are never persisted or compared across processes.
 std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
                                   uint32_t block_bytes);
 

@@ -1,6 +1,7 @@
 #include "ckpt/store.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/assert.hpp"
 #include "util/codec.hpp"
@@ -126,7 +127,8 @@ const StoredSnapshot& Store::at_epoch(int rank, uint64_t epoch) const {
   return r->snaps.at(epoch);
 }
 
-std::vector<unsigned char> Store::decode_payload(const StoredSnapshot& s) {
+std::span<const unsigned char> Store::decode_payload(
+    const StoredSnapshot& s, std::vector<unsigned char>& buf) {
   if (!s.compressed) return s.enc;
   // Delta payload size: full blocks plus a possibly-short tail block.
   uint64_t out_n = s.raw_size;
@@ -137,7 +139,11 @@ std::vector<unsigned char> Store::decode_payload(const StoredSnapshot& s) {
       out_n += std::min<uint64_t>(s.block_bytes, s.raw_size - off);
     }
   }
-  return util::codec::lz_decompress(s.enc, out_n);
+  buf.resize(out_n);
+  const bool ok =
+      util::codec::lz_decompress(s.enc.data(), s.enc.size(), buf.data(), out_n);
+  SPBC_ASSERT_MSG(ok, "corrupt stored snapshot at epoch " << s.epoch);
+  return buf;
 }
 
 const std::vector<unsigned char>& Store::materialize(
@@ -148,23 +154,25 @@ const std::vector<unsigned char>& Store::materialize(
   SPBC_ASSERT_MSG(base.full(), "chain base epoch " << head.chain_base
                                                    << " of rank " << rank
                                                    << " is not a full capture");
-  scratch = decode_payload(base);
+  if (base.compressed)
+    decode_payload(base, scratch);  // decodes straight into scratch
+  else
+    scratch = base.enc;
   // Roll the deltas forward, base + 1 .. epoch. Every element must still be
   // stored: prune_epochs_below never removes a live chain's interior.
+  std::vector<unsigned char> buf;  // shared by every compressed delta
   for (uint64_t e = head.chain_base + 1; e <= epoch; ++e) {
     const StoredSnapshot& d = at_epoch(rank, e);
     SPBC_ASSERT_MSG(d.chain_base == head.chain_base,
                     "broken delta chain at epoch " << e << " of rank " << rank);
-    const std::vector<unsigned char> payload = decode_payload(d);
+    const std::span<const unsigned char> payload = decode_payload(d, buf);
     scratch.resize(d.raw_size);
     uint64_t src = 0;
     for (uint32_t b : d.changed) {
       const uint64_t off = static_cast<uint64_t>(b) * d.block_bytes;
       const uint64_t len = std::min<uint64_t>(d.block_bytes, d.raw_size - off);
       SPBC_ASSERT(src + len <= payload.size());
-      std::copy(payload.begin() + static_cast<long>(src),
-                payload.begin() + static_cast<long>(src + len),
-                scratch.begin() + static_cast<long>(off));
+      std::memcpy(scratch.data() + off, payload.data() + src, len);
       src += len;
     }
   }

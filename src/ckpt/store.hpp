@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ckpt/reduction.hpp"
@@ -266,8 +267,10 @@ class Store {
                : nullptr;
   }
   static void release_captures(Row& r, uint64_t bytes);
-  /// Decoded payload of one stored snapshot (no chain walk).
-  static std::vector<unsigned char> decode_payload(const StoredSnapshot& s);
+  /// Decoded payload of one stored snapshot (no chain walk): the stored
+  /// bytes themselves when uncompressed, else decoded into `buf`.
+  static std::span<const unsigned char> decode_payload(
+      const StoredSnapshot& s, std::vector<unsigned char>& buf);
 
   uint64_t sum_rows(uint64_t Row::*field) const {
     uint64_t total = 0;

@@ -1,6 +1,8 @@
 #include "util/codec.hpp"
 
+#include <bit>
 #include <cstring>
+#include <memory>
 
 #include "util/assert.hpp"
 
@@ -20,35 +22,92 @@ uint32_t hash4(const unsigned char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void put_len(std::vector<unsigned char>& out, size_t extra) {
-  // 255-coded continuation of a nibble that saturated at 15.
-  while (extra >= 255) {
-    out.push_back(255);
-    extra -= 255;
-  }
-  out.push_back(static_cast<unsigned char>(extra));
+uint64_t load64(const unsigned char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
 }
 
-void emit(std::vector<unsigned char>& out, const unsigned char* lit,
-          size_t nlit, size_t match_len, size_t offset) {
+/// Number of leading equal bytes (in memory order) of two words whose XOR
+/// is `x != 0`.
+size_t equal_prefix_bytes(uint64_t x) {
+  if constexpr (std::endian::native == std::endian::little)
+    return static_cast<size_t>(std::countr_zero(x)) / 8;
+  else
+    return static_cast<size_t>(std::countl_zero(x)) / 8;
+}
+
+/// Length of the common prefix of `a[0..)` and `b[0..)`, at most `limit`
+/// bytes: eight bytes per step, then byte by byte near the input's end.
+size_t match_length(const unsigned char* a, const unsigned char* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t x = load64(a + len) ^ load64(b + len);
+    if (x != 0) return len + equal_prefix_bytes(x);
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+unsigned char* put_len(unsigned char* op, size_t extra) {
+  // 255-coded continuation of a nibble that saturated at 15.
+  while (extra >= 255) {
+    *op++ = 255;
+    extra -= 255;
+  }
+  *op++ = static_cast<unsigned char>(extra);
+  return op;
+}
+
+unsigned char* emit(unsigned char* op, const unsigned char* lit, size_t nlit,
+                    size_t match_len, size_t offset) {
   const size_t lit_nib = nlit < 15 ? nlit : 15;
   const size_t match_nib =
       match_len == 0 ? 0 : (match_len - kMinMatch < 15 ? match_len - kMinMatch : 15);
-  out.push_back(static_cast<unsigned char>((lit_nib << 4) | match_nib));
-  if (lit_nib == 15) put_len(out, nlit - 15);
-  out.insert(out.end(), lit, lit + nlit);
-  if (match_len == 0) return;  // final literal-only token
-  out.push_back(static_cast<unsigned char>(offset & 0xff));
-  out.push_back(static_cast<unsigned char>((offset >> 8) & 0xff));
-  if (match_nib == 15) put_len(out, match_len - kMinMatch - 15);
+  *op++ = static_cast<unsigned char>((lit_nib << 4) | match_nib);
+  if (lit_nib == 15) op = put_len(op, nlit - 15);
+  std::memcpy(op, lit, nlit);
+  op += nlit;
+  if (match_len == 0) return op;  // final literal-only token
+  *op++ = static_cast<unsigned char>(offset & 0xff);
+  *op++ = static_cast<unsigned char>((offset >> 8) & 0xff);
+  if (match_nib == 15) op = put_len(op, match_len - kMinMatch - 15);
+  return op;
+}
+
+/// Per-thread encode buffer, grown to the largest request and reused: the
+/// threaded shard executor may compress on several threads at once.
+unsigned char* encode_buffer(size_t bytes) {
+  thread_local std::unique_ptr<unsigned char[]> buf;
+  thread_local size_t cap = 0;
+  if (cap < bytes) {
+    buf.reset(new unsigned char[bytes]);
+    cap = bytes;
+  }
+  return buf.get();
+}
+
+/// Adds a 255-coded length continuation to `len`; false when the stream
+/// ends before the terminating byte.
+bool get_len(const unsigned char* enc, size_t n, size_t& ip, size_t& len) {
+  unsigned char c;
+  do {
+    if (ip >= n) return false;
+    c = enc[ip++];
+    len += c;
+  } while (c == 255);
+  return true;
 }
 
 }  // namespace
 
 std::vector<unsigned char> lz_compress(const unsigned char* data, size_t n) {
-  std::vector<unsigned char> out;
-  if (n == 0) return out;
-  out.reserve(n / 2 + 16);
+  if (n == 0) return {};
+  // Worst case, no match at all: one token, at most n/255 + 1 length bytes
+  // and n literals. A match token never costs more than the bytes it covers.
+  unsigned char* const out = encode_buffer(n + n / 255 + 16);
+  unsigned char* op = out;
   uint32_t table[1u << kHashBits];
   std::memset(table, 0xff, sizeof(table));  // 0xffffffff = empty slot
   size_t lit_start = 0;
@@ -65,65 +124,57 @@ std::vector<unsigned char> lz_compress(const unsigned char* data, size_t n) {
       ++pos;
       continue;
     }
-    size_t len = kMinMatch;
-    while (pos + len < n && data[cand + len] == data[pos + len]) ++len;
-    emit(out, data + lit_start, pos - lit_start, len, pos - cand);
+    const size_t len =
+        kMinMatch + match_length(data + cand + kMinMatch, data + pos + kMinMatch,
+                                 n - pos - kMinMatch);
+    op = emit(op, data + lit_start, pos - lit_start, len, pos - cand);
     pos += len;
     lit_start = pos;
   }
-  if (lit_start < n) emit(out, data + lit_start, n - lit_start, 0, 0);
-  return out;
+  if (lit_start < n) op = emit(op, data + lit_start, n - lit_start, 0, 0);
+  return std::vector<unsigned char>(out, op);
 }
 
-void lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
+bool lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
                    size_t out_n) {
   size_t ip = 0;
   size_t op = 0;
   while (ip < n) {
     const unsigned char token = enc[ip++];
     size_t nlit = token >> 4;
-    if (nlit == 15) {
-      unsigned char c;
-      do {
-        SPBC_ASSERT_MSG(ip < n, "codec: truncated literal length");
-        c = enc[ip++];
-        nlit += c;
-      } while (c == 255);
-    }
-    SPBC_ASSERT_MSG(ip + nlit <= n && op + nlit <= out_n,
-                    "codec: literal run overruns the stream");
+    if (nlit == 15 && !get_len(enc, n, ip, nlit)) return false;
+    if (nlit > n - ip || nlit > out_n - op) return false;  // literal overrun
     std::memcpy(out + op, enc + ip, nlit);
     ip += nlit;
     op += nlit;
     if ((token & 0x0f) == 0 && ip == n) break;  // final literal-only token
-    SPBC_ASSERT_MSG(ip + 2 <= n, "codec: truncated match offset");
+    if (n - ip < 2) return false;                // truncated match offset
     const size_t offset = static_cast<size_t>(enc[ip]) |
                           (static_cast<size_t>(enc[ip + 1]) << 8);
     ip += 2;
     size_t mlen = (token & 0x0f) + kMinMatch;
-    if ((token & 0x0f) == 15) {
-      unsigned char c;
-      do {
-        SPBC_ASSERT_MSG(ip < n, "codec: truncated match length");
-        c = enc[ip++];
-        mlen += c;
-      } while (c == 255);
+    if ((token & 0x0f) == 15 && !get_len(enc, n, ip, mlen)) return false;
+    if (offset == 0 || offset > op || mlen > out_n - op) return false;
+    unsigned char* const dst = out + op;
+    if (offset >= mlen) {
+      std::memcpy(dst, dst - offset, mlen);
+    } else if (offset == 1) {
+      std::memset(dst, dst[-1], mlen);  // a constant run
+    } else {
+      // Self-overlapping match: each byte may read one this match wrote.
+      const unsigned char* src = dst - offset;
+      for (size_t i = 0; i < mlen; ++i) dst[i] = src[i];
     }
-    SPBC_ASSERT_MSG(offset >= 1 && offset <= op && op + mlen <= out_n,
-                    "codec: match overruns the output");
-    // Byte-by-byte: matches may self-overlap (offset < mlen encodes a run).
-    for (size_t i = 0; i < mlen; ++i) {
-      out[op] = out[op - offset];
-      ++op;
-    }
+    op += mlen;
   }
-  SPBC_ASSERT_MSG(op == out_n, "codec: decoded size mismatch");
+  return op == out_n;
 }
 
 std::vector<unsigned char> lz_decompress(const std::vector<unsigned char>& enc,
                                          size_t out_n) {
   std::vector<unsigned char> out(out_n);
-  lz_decompress(enc.data(), enc.size(), out.data(), out_n);
+  const bool ok = lz_decompress(enc.data(), enc.size(), out.data(), out_n);
+  SPBC_ASSERT_MSG(ok, "codec: malformed stream or decoded size mismatch");
   return out;
 }
 

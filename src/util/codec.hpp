@@ -5,8 +5,9 @@
 // match finder, 64 KiB window, minimum match 4). Long constant runs — the
 // dominant shape of slowly-evolving HPC state — degenerate into
 // self-overlapping matches, so the codec doubles as an RLE. No entropy
-// stage, no external dependencies, no heap state between calls: the output
-// is a pure function of the input bytes, which is what the checkpoint
+// stage, no external dependencies, and no state between calls beyond a
+// reused per-thread scratch buffer: the output is a pure function of the
+// input bytes, which is what the checkpoint
 // pipeline's determinism discipline requires (the same logical snapshot must
 // encode to the same fragment bytes on every shard/thread layout, or scrub
 // digests and the shadow-codec oracle would disagree across runs).
@@ -39,12 +40,17 @@ inline std::vector<unsigned char> lz_compress(
   return lz_compress(data.data(), data.size());
 }
 
-/// Inverse of lz_compress. `out_n` must be the exact raw size recorded at
-/// compression time; a malformed stream or size mismatch asserts (encoded
-/// checkpoint blobs are internal state, never untrusted input).
-void lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
+/// Inverse of lz_compress into `out[0..out_n)`, where `out_n` is the exact
+/// raw size recorded at compression time. Returns false, never reading or
+/// writing outside either buffer, when the stream is damaged: a truncated
+/// length or offset, an offset of 0 or beyond the bytes decoded so far, a
+/// run past either buffer, or a decoded size other than `out_n`. On false
+/// the contents of `out` are unspecified.
+bool lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
                    size_t out_n);
 
+/// Checked form for blobs the program wrote itself: a damaged stream
+/// asserts.
 std::vector<unsigned char> lz_decompress(const std::vector<unsigned char>& enc,
                                          size_t out_n);
 

@@ -203,8 +203,8 @@ class ShadowCodec {
 
   /// Rebuilds (rank, epoch)'s wire blob from live residency and decodes it
   /// back to the logical payload; false when the surviving symbols cannot
-  /// determine it (the caller asserts this never happens while the scheme
-  /// claims liveness).
+  /// determine it or the rebuilt blob does not decode (the caller asserts
+  /// this never happens while the scheme claims liveness).
   bool reconstruct(int rank, uint64_t epoch, std::vector<uint8_t>* out) const {
     std::vector<uint8_t> enc;
     switch (red_.kind) {
@@ -293,8 +293,9 @@ class ShadowCodec {
     std::vector<uint8_t> payload;
     if (b.compressed) {
       payload.resize(b.payload_len);
-      util::codec::lz_decompress(enc.data(), enc.size(), payload.data(),
-                                 payload.size());
+      if (!util::codec::lz_decompress(enc.data(), enc.size(), payload.data(),
+                                      payload.size()))
+        return false;
     } else {
       payload = enc;
     }

@@ -1,12 +1,17 @@
 // Tests: checkpoint data reduction (DESIGN.md §15) — the deterministic
-// LZ/RLE codec, the synthetic block-mutation state model, content-addressed
+// LZ/RLE codec (pinned token stream, damaged-input rejection), the block
+// hash, the synthetic block-mutation state model, content-addressed
 // delta captures in ckpt::Store (chains, the full-capture stride bound,
 // chain-clamped pruning, rename semantics), chain-aware staging
 // recoverability, and end-to-end scenario identity with reduction enabled.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ckpt/reduction.hpp"
@@ -74,6 +79,177 @@ TEST(Codec, DeterministicEncoding) {
   EXPECT_EQ(util::codec::lz_compress(data), util::codec::lz_compress(data));
 }
 
+// Inputs of the pinned token stream: synthetic state, long constant runs,
+// uniform noise, and short-period patterns (self-overlapping matches).
+std::vector<unsigned char> golden_input(int which) {
+  std::vector<unsigned char> data;
+  switch (which) {
+    case 0:
+      data.resize(65539);
+      ckpt::fill_synth_block(data.data(), data.size(), 0x5eed);
+      break;
+    case 1:
+      data.assign(30000, 0xAB);
+      data.insert(data.end(), 20000, 0x00);
+      data.insert(data.end(), 20001, 0x11);
+      break;
+    case 2: {
+      util::Pcg32 rng(3, 9);
+      data.resize(50000);
+      for (unsigned char& b : data) b = static_cast<unsigned char>(rng.next_bounded(256));
+      break;
+    }
+    default: {
+      util::Pcg32 rng(21, 4);
+      while (data.size() < 20011) {
+        const uint32_t period = 1 + rng.next_bounded(9);
+        const uint32_t len = 4 + rng.next_bounded(40);
+        unsigned char pat[9];
+        for (uint32_t j = 0; j < period; ++j)
+          pat[j] = static_cast<unsigned char>(rng.next_u32());
+        for (uint32_t j = 0; j < len; ++j) data.push_back(pat[j % period]);
+      }
+      break;
+    }
+  }
+  return data;
+}
+
+TEST(Codec, TokenStreamIsPinned) {
+  // Encoded sizes feed staging and the control plane, so any change to the
+  // token stream moves virtual-time results. Size and FNV-1a digest of each
+  // golden_input's encoding, as the byte-serial encoder produced them.
+  struct Golden {
+    size_t raw, enc;
+    uint64_t digest;
+  };
+  const Golden want[] = {{65539, 9510, 0x66a2aff4cd0b843aull},
+                         {70001, 288, 0xf57210bc7c336270ull},
+                         {50000, 50198, 0xe85ed912a7f351c7ull},
+                         {20022, 6990, 0xf4946a54d0697b11ull}};
+  for (int w = 0; w < 4; ++w) {
+    const std::vector<unsigned char> raw = golden_input(w);
+    const std::vector<unsigned char> enc = util::codec::lz_compress(raw);
+    util::Fnv1a64 h;
+    h.update(enc.data(), enc.size());
+    EXPECT_EQ(raw.size(), want[w].raw) << "input " << w;
+    EXPECT_EQ(enc.size(), want[w].enc) << "input " << w;
+    EXPECT_EQ(h.digest(), want[w].digest) << "input " << w;
+    // The store keeps blobs for many epochs: no spare capacity.
+    EXPECT_EQ(enc.capacity(), enc.size()) << "input " << w;
+    EXPECT_EQ(util::codec::lz_decompress(enc, raw.size()), raw) << "input " << w;
+  }
+}
+
+TEST(Codec, RoundTripsShortOffsetOverlaps) {
+  // A period-p run encodes as a match at offset p. The decoder fills offset
+  // 1, copies offsets of at least the match length in one go, and copies
+  // the rest byte by byte; lengths straddle 8 and 16 bytes.
+  util::Pcg32 rng(5, 5);
+  for (uint32_t period = 1; period <= 9; ++period) {
+    for (uint32_t mlen : {6u, 7u, 8u, 9u, 15u, 16u, 17u, 18u, 19u, 300u}) {
+      std::vector<unsigned char> data;
+      for (int rep = 0; rep < 3; ++rep) {
+        for (int i = 0; i < 5; ++i) data.push_back(static_cast<unsigned char>(rng.next_u32()));
+        unsigned char pat[9];
+        for (uint32_t j = 0; j < period; ++j)
+          pat[j] = static_cast<unsigned char>(rng.next_u32());
+        for (uint32_t j = 0; j < period + mlen; ++j) data.push_back(pat[j % period]);
+      }
+      EXPECT_EQ(roundtrip(data), data) << "period " << period << " length " << mlen;
+    }
+  }
+}
+
+// The token format decoded a byte at a time with every check spelled out:
+// the reference the fast decoder must agree with on damaged input.
+bool reference_decode(const std::vector<unsigned char>& enc, size_t out_n,
+                      std::vector<unsigned char>* out) {
+  out->clear();
+  out->reserve(out_n);
+  size_t ip = 0;
+  auto extend = [&](size_t& len) {
+    for (;;) {
+      if (ip >= enc.size()) return false;
+      const unsigned char c = enc[ip++];
+      len += c;
+      if (c != 255) return true;
+    }
+  };
+  while (ip < enc.size()) {
+    const unsigned char token = enc[ip++];
+    size_t nlit = token >> 4;
+    if (nlit == 15 && !extend(nlit)) return false;
+    for (size_t i = 0; i < nlit; ++i) {
+      if (ip >= enc.size() || out->size() >= out_n) return false;
+      out->push_back(enc[ip++]);
+    }
+    if ((token & 0x0f) == 0 && ip == enc.size()) break;
+    if (enc.size() - ip < 2) return false;
+    const size_t offset = enc[ip] | (static_cast<size_t>(enc[ip + 1]) << 8);
+    ip += 2;
+    size_t mlen = (token & 0x0f) + 4;
+    if ((token & 0x0f) == 15 && !extend(mlen)) return false;
+    if (offset == 0 || offset > out->size()) return false;
+    for (size_t i = 0; i < mlen; ++i) {
+      if (out->size() >= out_n) return false;
+      const unsigned char c = (*out)[out->size() - offset];
+      out->push_back(c);
+    }
+  }
+  return out->size() == out_n;
+}
+
+TEST(Codec, DecoderRejectsDamagedStreams) {
+  // 20,000 seeded mutations of real encodings: truncations, byte flips, and
+  // both. Each must be rejected or decode exactly as the reference does.
+  // Guard bytes around the output catch a stray write; the stream sits in
+  // an exact-size heap block so a sanitizer build catches a stray read.
+  constexpr size_t kGuard = 32;
+  constexpr unsigned char kFill = 0xA5;
+  util::Pcg32 rng(12, 20);
+  int accepted = 0, rejected = 0;
+  for (int input = 0; input < 40; ++input) {
+    std::vector<unsigned char> raw(64 + rng.next_bounded(4096));
+    ckpt::fill_synth_block(raw.data(), raw.size(), rng.next_u64());
+    const std::vector<unsigned char> enc = util::codec::lz_compress(raw);
+    for (int m = 0; m < 500; ++m) {
+      std::vector<unsigned char> bad = enc;
+      const uint32_t kind = rng.next_bounded(3);  // 0 cut, 1 flip, 2 both
+      if (kind != 1) bad.resize(rng.next_bounded(static_cast<uint32_t>(enc.size())));
+      if (kind != 0 && !bad.empty()) {
+        const uint32_t flips = 1 + rng.next_bounded(3);
+        for (uint32_t f = 0; f < flips; ++f)
+          bad[rng.next_bounded(static_cast<uint32_t>(bad.size()))] ^=
+              static_cast<unsigned char>(1 + rng.next_bounded(255));
+      }
+      const std::unique_ptr<unsigned char[]> in(new unsigned char[bad.size()]);
+      std::copy(bad.begin(), bad.end(), in.get());
+      std::vector<unsigned char> out(raw.size() + 2 * kGuard, kFill);
+      const bool ok = util::codec::lz_decompress(in.get(), bad.size(),
+                                                 out.data() + kGuard, raw.size());
+      const std::string where =
+          "input " + std::to_string(input) + " mutation " + std::to_string(m);
+      for (size_t i = 0; i < kGuard; ++i) {
+        ASSERT_EQ(out[i], kFill) << "write before the output, " << where;
+        ASSERT_EQ(out[kGuard + raw.size() + i], kFill)
+            << "write past the output, " << where;
+      }
+      std::vector<unsigned char> want;
+      ASSERT_EQ(ok, reference_decode(bad, raw.size(), &want)) << where;
+      if (!ok) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin() + kGuard)) << where;
+    }
+  }
+  // A flipped literal byte still decodes; most other damage is caught.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, accepted);
+}
+
 TEST(StateModel, PureInSeedRankEpoch) {
   ckpt::StateModelConfig cfg;
   cfg.bytes = 8192;
@@ -110,6 +286,53 @@ TEST(StateModel, HashBlocksSeesTailChanges) {
   ASSERT_EQ(ha.size(), 4u);
   EXPECT_EQ(ha[0], hb[0]);
   EXPECT_NE(ha[3], hb[3]);
+}
+
+TEST(StateModel, HashBlocksSeesEverySingleByteFlip) {
+  // A 1 KiB block and a 45-byte tail (one 32-byte stripe, one word and five
+  // single bytes), over synthetic and all-zero content.
+  for (const bool zeros : {false, true}) {
+    std::vector<unsigned char> base(1024 + 45, 0);
+    if (!zeros) ckpt::fill_synth_block(base.data(), base.size(), 99);
+    const std::vector<uint64_t> h0 = ckpt::hash_blocks(base, 1024);
+    ASSERT_EQ(h0.size(), 2u);
+    for (size_t i = 0; i < base.size(); ++i) {
+      for (const unsigned char mask : {0x01, 0x80, 0xff}) {
+        std::vector<unsigned char> v = base;
+        v[i] ^= mask;
+        const std::vector<uint64_t> h = ckpt::hash_blocks(v, 1024);
+        const size_t blk = i / 1024;
+        EXPECT_NE(h[blk], h0[blk]) << "byte " << i << " mask " << int{mask};
+        EXPECT_EQ(h[1 - blk], h0[1 - blk]) << "byte " << i;
+      }
+    }
+  }
+}
+
+TEST(StateModel, HashBlocksChangedSetMatchesByteCompare) {
+  // The changed-block set the store derives from hashes must be exactly the
+  // set a byte-wise comparison finds, epoch after epoch.
+  ckpt::StateModelConfig cfg;
+  cfg.bytes = 64 * 1024 + 300;  // short tail block
+  cfg.block_bytes = 1024;
+  cfg.mutation_rate = 0.05;
+  cfg.seed = 17;
+  std::vector<unsigned char> prev = ckpt::make_state(cfg, 2);
+  std::vector<uint64_t> prev_h = ckpt::hash_blocks(prev, cfg.block_bytes);
+  for (uint64_t e = 1; e <= 200; ++e) {
+    std::vector<unsigned char> cur = prev;
+    ckpt::evolve_state(cur, cfg, 2, e);
+    const std::vector<uint64_t> h = ckpt::hash_blocks(cur, cfg.block_bytes);
+    ASSERT_EQ(h.size(), prev_h.size());
+    for (size_t b = 0; b < h.size(); ++b) {
+      const size_t off = b * cfg.block_bytes;
+      const size_t len = std::min<size_t>(cfg.block_bytes, cur.size() - off);
+      const bool changed = std::memcmp(prev.data() + off, cur.data() + off, len) != 0;
+      ASSERT_EQ(h[b] != prev_h[b], changed) << "epoch " << e << " block " << b;
+    }
+    prev = std::move(cur);
+    prev_h = h;
+  }
 }
 
 // Store with delta + compression on: saves a per-epoch evolving payload and
