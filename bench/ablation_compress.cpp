@@ -15,6 +15,9 @@
 //
 // CI gates (exit 1 on violation):
 //   * delta+compress cuts PARTNER+PFS bytes >= 2x vs raw, same scheme;
+//   * delta alone stores >= 2x fewer bytes than the raw captures: the
+//     synthetic state leads each capture, so its unchanged blocks must diff
+//     out even with the sender log growing behind it;
 //   * every variant's failure run completes with checksums identical to its
 //     failure-free run (zero false restore successes);
 //   * the delta+compress run is bit-identical across engine shard layouts
@@ -147,6 +150,17 @@ int main(int argc, char** argv) {
       std::printf("bytes gate: no delta captures were taken FAIL\n");
       gates_ok = false;
     }
+  } else {
+    gates_ok = false;
+  }
+  if (out.count("delta")) {
+    const VariantOutcome& d = out["delta"];
+    const double red =
+        d.stored ? static_cast<double>(d.raw) / static_cast<double>(d.stored) : 0.0;
+    const bool delta_ok = red >= 2.0;
+    std::printf("delta gate: delta alone stores %.2fx below raw (need >= 2.0) %s\n",
+                red, delta_ok ? "OK" : "FAIL");
+    gates_ok = gates_ok && delta_ok;
   } else {
     gates_ok = false;
   }

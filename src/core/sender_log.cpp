@@ -40,7 +40,7 @@ uint64_t SenderLog::gc_received(int dst, int ctx, const mpi::SeqWindow& captured
 void SenderLog::serialize(util::ByteWriter& w) const {
   w.put<uint64_t>(entries_.size());
   for (const auto& e : entries_) {
-    w.put(e.env);
+    mpi::put_canonical_envelope(w, e.env);
     w.put<uint64_t>(e.payload.bytes);
     w.put<uint64_t>(e.payload.hash);
     w.put_vector(e.payload.data);

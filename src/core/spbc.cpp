@@ -336,7 +336,7 @@ void SpbcProtocol::flood_wave_marker(int me, uint64_t epoch, int learned_from) {
   if (cs.marker_fwd >= epoch) return;
   cs.marker_fwd = epoch;
   const int cluster = machine_->cluster_of(me);
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   const int k = static_cast<int>(members.size());
   const int idx = static_cast<int>(
       std::lower_bound(members.begin(), members.end(), me) - members.begin());
@@ -359,12 +359,24 @@ void SpbcProtocol::flood_wave_marker(int me, uint64_t epoch, int learned_from) {
 void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   const int me = rank.rank();
   const int cluster = machine_->cluster_of(me);
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   auto& cs = ckpt_[static_cast<size_t>(me)];
   const uint64_t epoch = cs.snap_epoch + 1;
 
   // --- the cut: capture local state, no coordination, no parking ---------
   util::ByteWriter w;
+  if (cfg_.state_model.bytes > 0) {
+    // Synthetic evolving state: mutate a deterministic subset of blocks for
+    // this epoch, then capture the buffer. Keyed by (seed, rank, epoch)
+    // only, so re-execution after a rollback regenerates identical state —
+    // and identical delta chains. It leads the capture, raw (its length is
+    // fixed by the state model): at offset 0 its blocks stay aligned from
+    // epoch to epoch, so the growing log and runtime state behind it cannot
+    // shift them and unchanged blocks hash equal (DESIGN.md §15).
+    std::vector<unsigned char>& buf = synth_state_[static_cast<size_t>(me)];
+    ckpt::evolve_state(buf, cfg_.state_model, me, epoch);
+    w.put_raw(buf.data(), buf.size());
+  }
   w.put<uint64_t>(epoch);
   w.put<uint64_t>(cs.calls);
   rank.serialize_runtime(w);
@@ -372,15 +384,6 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   util::ByteWriter app;
   rank.serialize_app(app);
   w.put_bytes(app.bytes().data(), app.size());
-  if (cfg_.state_model.bytes > 0) {
-    // Synthetic evolving state: mutate a deterministic subset of blocks for
-    // this epoch, then capture the buffer. Keyed by (seed, rank, epoch)
-    // only, so re-execution after a rollback regenerates identical state —
-    // and identical delta chains.
-    std::vector<unsigned char>& buf = synth_state_[static_cast<size_t>(me)];
-    ckpt::evolve_state(buf, cfg_.state_model, me, epoch);
-    w.put_bytes(buf.data(), buf.size());
-  }
 
   ckpt::Snapshot snap;
   snap.taken_at = machine_->engine().now();
@@ -493,7 +496,7 @@ void SpbcProtocol::try_forward_aggregate(int member, uint64_t epoch) {
     cs.agg.erase(it);  // stale state from a superseded wave
     return;
   }
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   const int k = static_cast<int>(members.size());
   const int idx = static_cast<int>(
       std::lower_bound(members.begin(), members.end(), member) - members.begin());
@@ -548,7 +551,7 @@ void SpbcProtocol::commit_epoch(
   // destroys those copies needs an older, flushed epoch to fall back to.
   wave.committed = epoch;
   control_.on_commit();  // a re-plan point for the interval controller
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   uint64_t floor = epoch;
   if (staging_.async()) {
     for (int m : members) floor = std::min(floor, staging_.pfs_frontier(m));
@@ -679,7 +682,7 @@ void SpbcProtocol::on_failure(int victim_rank) {
   // (killed, restored, fibers not yet respawned) needs no further action —
   // the victim is already dead and the pending respawn covers everyone.
   if (restart_pending_.count(cluster)) return;
-  const std::vector<int> members = machine_->ranks_in_cluster(cluster);
+  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   const sim::Time failure_time =
       machine_->engine().now() - machine_->config().failure_detection_delay;
   ++rollbacks_;
@@ -919,6 +922,11 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   std::vector<unsigned char> scratch;
   const std::vector<unsigned char>& bytes = store_.materialize(r, epoch, scratch);
   util::ByteReader reader(bytes);
+  if (cfg_.state_model.bytes > 0) {
+    std::vector<unsigned char>& buf = synth_state_[static_cast<size_t>(r)];
+    buf.resize(cfg_.state_model.bytes);
+    reader.get_raw(buf.data(), buf.size());
+  }
   const uint64_t snap_epoch = reader.get<uint64_t>();
   SPBC_ASSERT_MSG(snap_epoch == epoch, "snapshot/epoch mismatch for rank " << r);
   cs.epoch = epoch;
@@ -937,8 +945,6 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   rank.restore_runtime(reader);
   logs_[static_cast<size_t>(r)].restore(reader);
   machine_->set_pending_app_state(r, reader.get_bytes());
-  if (cfg_.state_model.bytes > 0)
-    synth_state_[static_cast<size_t>(r)] = reader.get_bytes();
   SPBC_ASSERT_MSG(reader.exhausted(), "trailing bytes in snapshot of rank " << r);
 }
 
@@ -1350,6 +1356,7 @@ void SpbcProtocol::try_flip_migration() {
   const uint64_t pin = migration_.pin_b;
   if (wave_of(a).committed < boundary || wave_of(b).committed < pin) return;
   if (!cluster_quiescent(a) || !cluster_quiescent(b)) return;
+  // Copies: the flip below migrates ranks between the two lists.
   const std::vector<int> a_members = machine_->ranks_in_cluster(a);
   const std::vector<int> b_members = machine_->ranks_in_cluster(b);
   if (staging_.enabled()) {

@@ -28,6 +28,7 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
       active_recovery_idx_(1, -1),
       pending_app_state_(static_cast<size_t>(cfg.nranks)) {
   SPBC_ASSERT(protocol_);
+  rebuild_members();
   traffic_.reset(cfg.nranks);
   engine_.set_abort_on_deadlock(cfg.abort_on_deadlock);
   // Elastic rebinds mutate machine-global maps from serial recovery events;
@@ -69,7 +70,9 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
   protocol_->attach(*this);
 }
 
-Machine::~Machine() = default;
+// Parked rank fibers unwind while the ranks and the protocol they reference
+// are still alive.
+Machine::~Machine() { engine_.unwind_parked(); }
 
 Rank& Machine::rank(int r) {
   SPBC_ASSERT(r >= 0 && r < cfg_.nranks);
@@ -80,6 +83,7 @@ void Machine::set_cluster_of(std::vector<int> cluster_of) {
   SPBC_ASSERT(static_cast<int>(cluster_of.size()) == cfg_.nranks);
   cluster_of_ = std::move(cluster_of);
   nclusters_ = *std::max_element(cluster_of_.begin(), cluster_of_.end()) + 1;
+  rebuild_members();
   // Node colocation sanity: ranks on the same node must share a cluster
   // (Section 6.1 — containment inside a node is meaningless).
   if (cfg_.enforce_node_colocation) {
@@ -140,11 +144,15 @@ int Machine::cluster_of(int rank) const {
   return cluster_of_[static_cast<size_t>(rank)];
 }
 
-std::vector<int> Machine::ranks_in_cluster(int cluster) const {
-  std::vector<int> out;
+const std::vector<int>& Machine::ranks_in_cluster(int cluster) const {
+  SPBC_ASSERT(cluster >= 0 && cluster < nclusters_);
+  return members_[static_cast<size_t>(cluster)];
+}
+
+void Machine::rebuild_members() {
+  members_.assign(static_cast<size_t>(nclusters_), {});
   for (int r = 0; r < cfg_.nranks; ++r)
-    if (cluster_of_[static_cast<size_t>(r)] == cluster) out.push_back(r);
-  return out;
+    members_[static_cast<size_t>(cluster_of_[static_cast<size_t>(r)])].push_back(r);
 }
 
 void Machine::launch(AppFn app) {
@@ -474,6 +482,11 @@ void Machine::retire_node(int node) {
 void Machine::migrate_rank(int r, int cluster) {
   SPBC_ASSERT(r >= 0 && r < cfg_.nranks);
   SPBC_ASSERT(cluster >= 0 && cluster < nclusters_);
+  std::vector<int>& from =
+      members_[static_cast<size_t>(cluster_of_[static_cast<size_t>(r)])];
+  from.erase(std::lower_bound(from.begin(), from.end(), r));
+  std::vector<int>& to = members_[static_cast<size_t>(cluster)];
+  to.insert(std::lower_bound(to.begin(), to.end(), r), r);
   cluster_of_[static_cast<size_t>(r)] = cluster;
 }
 

@@ -207,7 +207,10 @@ class Machine {
   void set_cluster_of(std::vector<int> cluster_of);
   int cluster_of(int rank) const;
   int nclusters() const { return nclusters_; }
-  std::vector<int> ranks_in_cluster(int cluster) const;
+  /// Ascending world ranks of `cluster`. The list is kept up to date by
+  /// set_cluster_of and migrate_rank, which invalidate held references'
+  /// contents: copy it to keep it across a migration.
+  const std::vector<int>& ranks_in_cluster(int cluster) const;
 
   // ---- execution -------------------------------------------------------
   /// Spawns all rank fibers running `app`.
@@ -336,6 +339,7 @@ class Machine {
   void handle_control(int dst, const ControlMsg& msg);
   void record_traffic(const Envelope& env);
   void note_intra_send_landed(int src);
+  void rebuild_members();
   /// Event-routing shard of a rank: the cluster map frozen at
   /// set_cluster_of (migrations must not move a rank's events between
   /// shards mid-run — event order would depend on migration timing).
@@ -358,6 +362,8 @@ class Machine {
   std::vector<std::vector<std::function<void()>>> intra_drain_watchers_;
   std::vector<int> cluster_of_;
   int nclusters_ = 1;
+  // cluster -> ascending member ranks, mirroring cluster_of_.
+  std::vector<std::vector<int>> members_;
   // Frozen rank -> shard snapshot (see shard_of); empty until set_cluster_of.
   std::vector<int> shard_of_rank_;
   // Dynamic rank -> physical node binding (see node_of).

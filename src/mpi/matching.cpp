@@ -144,7 +144,7 @@ void MatchEngine::serialize(util::ByteWriter& w) const {
   w.put<uint64_t>(ready);
   for (const auto& um : unexpected_) {
     if (!um.payload_ready) continue;
-    w.put(um.env);
+    put_canonical_envelope(w, um.env);
     w.put<uint64_t>(um.payload.bytes);
     w.put<uint64_t>(um.payload.hash);
     w.put_vector(um.payload.data);

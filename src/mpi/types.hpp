@@ -7,6 +7,7 @@
 // stamps a (pattern_id, iteration_id) tuple used by the id-based matching of
 // Section 4.3.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -90,6 +91,25 @@ struct Envelope {
                             // intra-cluster checkpoint wave (see DESIGN.md)
   bool replayed = false;  // re-sent from a sender log during recovery
 };
+
+/// Writes `env` in its canonical checkpoint form, read back with
+/// ByteReader::get<Envelope>: sizeof(Envelope) bytes with `uid` and `lclock`
+/// written as 0 and the tail padding zeroed. Both fields depend on the
+/// engine's shard layout — `uid` is a process-wide counter and `lclock`
+/// follows the (time, shard, seq) tie order — so writing them would make
+/// capture bytes, and the delta chains and encoded sizes built on them,
+/// differ between layouts that run the same trajectory.
+inline void put_canonical_envelope(util::ByteWriter& w, const Envelope& env) {
+  // The fields up to `replayed` carry no padding (4 ints, then 8-byte
+  // members), so only the tail needs zeroing. The size is part of every
+  // capture's length and thus of staging costs: keep it.
+  static_assert(sizeof(Envelope) == 80 && offsetof(Envelope, replayed) == 72);
+  static_assert(offsetof(Envelope, lclock) == offsetof(Envelope, uid) + 8);
+  unsigned char raw[sizeof(Envelope)] = {};
+  std::memcpy(raw, &env, offsetof(Envelope, replayed) + sizeof(bool));
+  std::memset(raw + offsetof(Envelope, uid), 0, sizeof env.uid + sizeof env.lclock);
+  w.put_raw(raw, sizeof raw);
+}
 
 /// Status returned by probe/recv operations.
 struct Status {

@@ -283,6 +283,16 @@ void Engine::kill(TaskId id) {
   schedule_resume(id);  // wake it so the FiberKilled unwind runs promptly
 }
 
+void Engine::unwind_parked() {
+  for (Task& t : tasks_) {
+    if (!t.fiber || t.fiber->state() != Fiber::State::kParked) continue;
+    t.fiber->kill();
+    t.fiber->resume();  // FiberKilled is thrown at the park
+    SPBC_ASSERT(t.fiber->finished());
+    t.fiber.reset();
+  }
+}
+
 bool Engine::task_finished(TaskId id) const {
   SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
   const Task& task = tasks_[static_cast<size_t>(id)];

@@ -136,6 +136,13 @@ class Engine {
 
   bool task_finished(TaskId id) const;
 
+  /// Teardown (outside run()): kills every parked task and resumes it so
+  /// its frames unwind and their destructors run, then frees its stack. A
+  /// run that ends with tasks still parked (a deadlock, a bounded run)
+  /// would otherwise leak whatever those frames own. Tasks that never
+  /// started are left alone: they own nothing yet.
+  void unwind_parked();
+
   /// The task id of the fiber currently executing (fiber-side only).
   TaskId current_task() const;
 

@@ -5,6 +5,9 @@
 #if SPBC_TSAN
 #include <sanitizer/tsan_interface.h>
 #endif
+#if SPBC_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace spbc::sim {
 
@@ -27,6 +30,10 @@ unsigned char* StackPool::acquire() {
   if (!free_.empty()) {
     s = free_.back().release();
     free_.pop_back();
+#if SPBC_ASAN
+    // A fiber destroyed while parked leaves its frames' scope poison behind.
+    ASAN_UNPOISON_MEMORY_REGION(s, stack_size_);
+#endif
   } else {
     // Default-initialized: pages stay untouched until the fiber's call chain
     // actually reaches them.
@@ -77,10 +84,9 @@ void Fiber::init_context(size_t stack_size) {
 }
 
 Fiber::~Fiber() {
-  // A fiber must not be destroyed while running; parked fibers are destroyed
-  // only after a kill+resume cycle or at engine teardown (their stacks just
-  // go away; destructors of parked frames do not run, which engine teardown
-  // accepts for simulation-owned fibers that hold no external resources).
+  // A fiber must not be destroyed while running. A parked fiber destroyed
+  // without a kill+resume cycle (Engine::unwind_parked) just loses its
+  // stack: the destructors of its frames do not run.
 #if SPBC_TSAN
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
@@ -93,6 +99,10 @@ Fiber::~Fiber() {
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* self = reinterpret_cast<Fiber*>((static_cast<uintptr_t>(hi) << 32) |
                                         static_cast<uintptr_t>(lo));
+#if SPBC_ASAN
+  __sanitizer_finish_switch_fiber(nullptr, &self->asan_sched_bottom_,
+                                  &self->asan_sched_size_);
+#endif
   self->run_body();
   // Mark finished and return control to the scheduler forever.
   self->state_ = State::kFinished;
@@ -100,6 +110,11 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
     g_current_fiber = nullptr;
 #if SPBC_TSAN
     __tsan_switch_to_fiber(self->tsan_sched_fiber_, 0);
+#endif
+#if SPBC_ASAN
+    // nullptr: this stack is done, its fake frames can go.
+    __sanitizer_start_switch_fiber(nullptr, self->asan_sched_bottom_,
+                                   self->asan_sched_size_);
 #endif
     swapcontext(&self->ctx_, &self->sched_ctx_);
     // A finished fiber should never be resumed, but tolerate it.
@@ -123,7 +138,15 @@ void Fiber::resume() {
   tsan_sched_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
+#if SPBC_ASAN
+  void* sched_fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&sched_fake_stack, ctx_.uc_stack.ss_sp,
+                                 ctx_.uc_stack.ss_size);
+#endif
   int rc = swapcontext(&sched_ctx_, &ctx_);
+#if SPBC_ASAN
+  __sanitizer_finish_switch_fiber(sched_fake_stack, nullptr, nullptr);
+#endif
   SPBC_ASSERT(rc == 0);
   g_current_fiber = nullptr;
 }
@@ -135,7 +158,15 @@ void Fiber::yield() {
 #if SPBC_TSAN
   __tsan_switch_to_fiber(tsan_sched_fiber_, 0);
 #endif
+#if SPBC_ASAN
+  __sanitizer_start_switch_fiber(&asan_fake_stack_, asan_sched_bottom_,
+                                 asan_sched_size_);
+#endif
   int rc = swapcontext(&ctx_, &sched_ctx_);
+#if SPBC_ASAN
+  __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_sched_bottom_,
+                                  &asan_sched_size_);
+#endif
   SPBC_ASSERT(rc == 0);
   g_current_fiber = this;
   state_ = State::kRunning;

@@ -32,6 +32,14 @@
 #endif
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SPBC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SPBC_ASAN 1
+#endif
+#endif
+
 namespace spbc::sim {
 
 /// Thrown inside a fiber when the engine kills it (failure injection).
@@ -119,6 +127,14 @@ class Fiber {
 #if SPBC_TSAN
   void* tsan_fiber_ = nullptr;
   void* tsan_sched_fiber_ = nullptr;
+#endif
+#if SPBC_ASAN
+  // ASan must know which stack runs: it unpoisons the current stack on a
+  // throw (the FiberKilled unwind), and a fiber stack it does not know
+  // keeps stale scope poison that a later frame trips over.
+  void* asan_fake_stack_ = nullptr;
+  const void* asan_sched_bottom_ = nullptr;
+  size_t asan_sched_size_ = 0;
 #endif
 };
 

@@ -3,7 +3,8 @@
 //
 // Checkpoints must capture both application state (registered by the workload)
 // and runtime state (channel seqnums, unexpected queues, logs). A simple
-// length-prefixed byte stream is sufficient and keeps restore bit-exact.
+// length-prefixed byte stream is sufficient and keeps restore bit-exact;
+// fixed-size regions go raw (put_raw / get_raw).
 
 #include <cstdint>
 #include <cstring>
@@ -27,6 +28,12 @@ class ByteWriter {
 
   void put_bytes(const void* data, size_t len) {
     put<uint64_t>(len);
+    put_raw(data, len);
+  }
+
+  /// Appends `len` bytes with no length prefix: the reader must know the
+  /// length (a fixed-size region).
+  void put_raw(const void* data, size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
     buf_.insert(buf_.end(), p, p + len);
   }
@@ -74,6 +81,13 @@ class ByteReader {
                                    buf_.begin() + static_cast<long>(pos_ + len));
     pos_ += len;
     return out;
+  }
+
+  /// Reads `len` bytes written by ByteWriter::put_raw into `dst`.
+  void get_raw(void* dst, size_t len) {
+    SPBC_ASSERT(pos_ + len <= buf_.size());
+    if (len > 0) std::memcpy(dst, buf_.data() + pos_, len);
+    pos_ += len;
   }
 
   template <typename T>

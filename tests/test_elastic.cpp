@@ -209,6 +209,13 @@ TEST(Elastic, RepartitionerMigratesUnderDrift) {
     if (rig.machine->cluster_of(r) != initial[static_cast<size_t>(r)])
       moved = true;
   EXPECT_TRUE(moved);
+  // The cached member lists followed the migrations.
+  for (int c = 0; c < rig.machine->nclusters(); ++c) {
+    std::vector<int> members;
+    for (int r = 0; r < n; ++r)
+      if (rig.machine->cluster_of(r) == c) members.push_back(r);
+    EXPECT_EQ(rig.machine->ranks_in_cluster(c), members) << "cluster " << c;
+  }
 }
 
 // Determinism across shard layouts: the elastic trajectory (hot-swap,

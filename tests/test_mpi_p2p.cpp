@@ -268,6 +268,25 @@ TEST(P2P, UnmatchedRecvDeadlocks) {
   EXPECT_FALSE(res.completed);
 }
 
+// A rank still parked when the machine goes away unwinds: what its frames
+// own is released, not leaked with its stack.
+TEST(P2P, TeardownUnwindsParkedRanks) {
+  MachineConfig cfg = small_cfg(2);
+  cfg.abort_on_deadlock = false;
+  auto owned = std::make_shared<int>(0);
+  {
+    auto m = make_machine(cfg);
+    m->launch([&owned](Rank& r) {
+      if (r.rank() != 1) return;
+      std::shared_ptr<int> held = owned;
+      r.recv(0, 1, r.world());  // never sent
+    });
+    EXPECT_TRUE(m->run().deadlocked);
+    EXPECT_EQ(owned.use_count(), 2);
+  }
+  EXPECT_EQ(owned.use_count(), 1);
+}
+
 TEST(P2P, OpCounterAdvances) {
   auto m = make_machine(small_cfg(2));
   uint64_t ops0 = 0;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.hpp"
 #include "ckpt/reduction.hpp"
 #include "ckpt/staging.hpp"
 #include "ckpt/store.hpp"
@@ -510,6 +511,85 @@ TEST(StagingChain, RecoverabilitySpansTheChain) {
   EXPECT_EQ(*succeeded, 1);
 }
 
+// The state the model gives `rank` after its cut of `epoch` (epoch 0 = the
+// initial image).
+std::vector<unsigned char> expected_state(const ckpt::StateModelConfig& sm,
+                                          int rank, uint64_t epoch) {
+  std::vector<unsigned char> buf = ckpt::make_state(sm, rank);
+  for (uint64_t e = 1; e <= epoch; ++e) ckpt::evolve_state(buf, sm, rank, e);
+  return buf;
+}
+
+uint64_t fnv1a(const std::vector<unsigned char>& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// SPBC with two probes: a digest of every capture as it is cut (decoded
+// back from the store, so the digest is of the capture's raw bytes), and
+// the synthetic state of every rank as it respawns from a rollback.
+class CaptureProbe : public core::SpbcProtocol {
+ public:
+  using SpbcProtocol::SpbcProtocol;
+
+  struct Restored {
+    int rank;
+    uint64_t epoch;
+    bool delta;  // the restored capture decoded through a delta chain
+    std::vector<unsigned char> state;
+  };
+
+  bool maybe_checkpoint(mpi::Rank& rank) override {
+    if (!SpbcProtocol::maybe_checkpoint(rank)) return false;
+    const int r = rank.rank();
+    const uint64_t epoch = snapshot_epoch(r);
+    std::vector<unsigned char> scratch;
+    digests[{r, epoch}] = fnv1a(store().materialize(r, epoch, scratch));
+    return true;
+  }
+
+  void on_rank_start(mpi::Rank& rank, bool restarted) override {
+    SpbcProtocol::on_rank_start(rank, restarted);
+    if (restarted) {
+      const int r = rank.rank();
+      const uint64_t epoch = snapshot_epoch(r);
+      const bool delta = epoch > 0 && !store().at_epoch(r, epoch).full();
+      restored.push_back({r, epoch, delta, synthetic_state(r)});
+    }
+  }
+
+  std::map<std::pair<int, uint64_t>, uint64_t> digests;
+  std::vector<Restored> restored;
+};
+
+struct ProbedRun {
+  std::unique_ptr<mpi::Machine> machine;
+  sim::Time elapsed = 0;
+  CaptureProbe& probe() const {
+    return dynamic_cast<CaptureProbe&>(machine->protocol());
+  }
+};
+
+// Runs `cfg`'s app under a CaptureProbe with the harness's cluster map,
+// failing `victim` at time `t` for each (t, victim) of `failures`; the
+// machine is kept so its protocol can be inspected.
+ProbedRun run_probed(const harness::ScenarioConfig& cfg,
+                     const std::vector<std::pair<sim::Time, int>>& failures = {}) {
+  mpi::MachineConfig mc = cfg.machine;
+  mc.nranks = cfg.nranks;
+  mc.ranks_per_node = cfg.ranks_per_node;
+  auto m = std::make_unique<mpi::Machine>(mc, std::make_unique<CaptureProbe>(cfg.spbc));
+  m->set_cluster_of(harness::compute_cluster_map(cfg));
+  const apps::AppInfo& info = apps::find_app(cfg.app);
+  const apps::AppConfig app_cfg = cfg.app_cfg;
+  m->launch([&info, app_cfg](mpi::Rank& r) { info.main(r, app_cfg); });
+  for (const auto& [t, victim] : failures) m->inject_failure(t, victim);
+  const mpi::RunResult rr = m->run();
+  EXPECT_TRUE(rr.completed);
+  return {std::move(m), rr.finish_time};
+}
+
 // End-to-end: reduction on (delta + compression + evolving synthetic state),
 // a mid-run failure, validate-mode checksums. The recovered run must land on
 // exactly the failure-free checksums — the reduction pipeline may not change
@@ -537,7 +617,14 @@ TEST(ReductionE2E, FailureRunMatchesFailureFreeChecksums) {
   harness::ScenarioResult ff = harness::run_failure_free(cfg);
   ASSERT_TRUE(ff.run.completed);
   ASSERT_FALSE(ff.checksums.empty());
-  EXPECT_GT(ff.delta_snapshots, 0u);
+  // Every capture whose chain is not due a full one is a delta: the
+  // synthetic state leads each capture, so the sender log growing behind it
+  // does not dirty its blocks.
+  const uint64_t epochs = cfg.app_cfg.iters / cfg.spbc.checkpoint_every;
+  const uint64_t fulls =
+      (epochs + cfg.spbc.reduction.full_stride - 1) / cfg.spbc.reduction.full_stride;
+  EXPECT_EQ(ff.checkpoints, cfg.nranks * epochs);
+  EXPECT_EQ(ff.delta_snapshots, cfg.nranks * (epochs - fulls));
   EXPECT_LT(ff.ckpt_stored_bytes, ff.ckpt_raw_bytes);
 
   harness::ScenarioResult fr = harness::run_with_failure(cfg, ff.elapsed, 0.6);
@@ -579,6 +666,76 @@ TEST(ReductionE2E, ShardLayoutInvariant) {
   EXPECT_EQ(serial.ckpt_stored_bytes, sharded.ckpt_stored_bytes);
   EXPECT_EQ(serial.delta_snapshots, sharded.delta_snapshots);
   EXPECT_EQ(serial.bytes_pfs_written, sharded.bytes_pfs_written);
+
+  // Equal sizes can hide different bytes: every (rank, epoch) capture must
+  // be byte-identical across the layouts.
+  cfg.machine.engine_shards = 1;
+  const ProbedRun serial_probed = run_probed(cfg);
+  cfg.machine.engine_shards = 0;
+  const ProbedRun sharded_probed = run_probed(cfg);
+  const auto& serial_digests = serial_probed.probe().digests;
+  EXPECT_EQ(serial_digests.size(), serial.checkpoints);
+  EXPECT_EQ(serial_digests, sharded_probed.probe().digests);
+}
+
+// The synthetic state is not covered by app checksums, so check it
+// directly: every capture the store retains leads with the model's state
+// for its (rank, epoch), and every rollback restores exactly that state —
+// through delta chains as well as full captures.
+TEST(ReductionE2E, RestoredSyntheticStateMatchesStateModel) {
+  harness::ScenarioConfig cfg;
+  cfg.app = "MiniGhost";
+  cfg.nranks = 16;
+  cfg.ranks_per_node = 4;
+  cfg.nclusters = 4;
+  cfg.app_cfg.iters = 12;
+  cfg.spbc.checkpoint_every = 2;
+  cfg.spbc.storage = ckpt::StorageLevel::kPfs;
+  cfg.spbc.async_staging = true;
+  cfg.spbc.reduction.delta = true;
+  cfg.spbc.reduction.block_bytes = 256;
+  cfg.spbc.reduction.full_stride = 4;
+  cfg.spbc.reduction.compress = true;
+  cfg.spbc.state_model.bytes = 4096;
+  cfg.spbc.state_model.block_bytes = 256;
+  cfg.spbc.state_model.mutation_rate = 0.2;
+  cfg.spbc.state_model.seed = 5;
+  const ckpt::StateModelConfig& sm = cfg.spbc.state_model;
+
+  const ProbedRun ff = run_probed(cfg);
+  const CaptureProbe& ffp = ff.probe();
+  uint64_t retained = 0;
+  uint64_t retained_deltas = 0;
+  for (int r = 0; r < cfg.nranks; ++r) {
+    for (uint64_t e = 1; e <= ffp.snapshot_epoch(r); ++e) {
+      if (!ffp.store().has_epoch(r, e)) continue;
+      std::vector<unsigned char> scratch;
+      const std::vector<unsigned char>& bytes = ffp.store().materialize(r, e, scratch);
+      ASSERT_GE(bytes.size(), sm.bytes);
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + static_cast<long>(sm.bytes),
+                             expected_state(sm, r, e).begin()))
+          << "rank " << r << " epoch " << e;
+      ++retained;
+      if (!ffp.store().at_epoch(r, e).full()) ++retained_deltas;
+    }
+  }
+  EXPECT_GT(retained, 0u);
+  EXPECT_GT(retained_deltas, 0u);
+
+  // Four failure runs, each failing a different rank at a later time.
+  uint64_t restores = 0;
+  uint64_t delta_restores = 0;
+  for (int i = 0; i < 4; ++i) {
+    const ProbedRun fr = run_probed(cfg, {{ff.elapsed * (0.3 + 0.15 * i), i * 5}});
+    for (const CaptureProbe::Restored& rs : fr.probe().restored) {
+      EXPECT_TRUE(rs.state == expected_state(sm, rs.rank, rs.epoch))
+          << "rank " << rs.rank << " restored epoch " << rs.epoch;
+      ++restores;
+      if (rs.delta) ++delta_restores;
+    }
+  }
+  EXPECT_GT(restores, 0u);
+  EXPECT_GT(delta_restores, 0u);
 }
 
 }  // namespace
