@@ -9,6 +9,58 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
+// spbc_switch_stack(void** save_sp, void* to_sp): saves the callee-saved
+// registers and the FP control state on the current stack, stores rsp into
+// *save_sp, switches to to_sp and restores the same frame from there (see the
+// contract in fiber.hpp). The saved frame, from to_sp upwards:
+//   +0 MXCSR (4 bytes), x87 control word (2), pad (2)
+//   +8 r15  +16 r14  +24 r13  +32 r12  +40 rbx  +48 rbp  +56 return address
+//
+// spbc_fiber_entry: a fresh fiber's first switch returns here, with `this`
+// in r12 and &Fiber::trampoline in r13.
+asm(R"(
+  .text
+  .globl spbc_switch_stack
+  .hidden spbc_switch_stack
+  .type spbc_switch_stack, @function
+  .p2align 4
+spbc_switch_stack:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size spbc_switch_stack, .-spbc_switch_stack
+
+  .globl spbc_fiber_entry
+  .hidden spbc_fiber_entry
+  .type spbc_fiber_entry, @function
+  .p2align 4
+spbc_fiber_entry:
+  movq %r12, %rdi
+  jmpq *%r13
+  .size spbc_fiber_entry, .-spbc_fiber_entry
+)");
+
+extern "C" void spbc_switch_stack(void** save_sp, void* to_sp);
+extern "C" void spbc_fiber_entry();
+
 namespace spbc::sim {
 
 namespace {
@@ -56,28 +108,41 @@ void StackPool::release(unsigned char* stack) {
 // ---------------------------------------------------------------------------
 
 Fiber::Fiber(std::function<void()> body, StackPool& pool)
-    : body_(std::move(body)), pool_(&pool), stack_(pool.acquire()) {
-  init_context(pool.stack_size());
+    : body_(std::move(body)),
+      pool_(&pool),
+      stack_(pool.acquire()),
+      stack_size_(pool.stack_size()) {
+  init_context();
 }
 
 Fiber::Fiber(std::function<void()> body, size_t stack_size)
-    : body_(std::move(body)), stack_(new unsigned char[stack_size]) {
+    : body_(std::move(body)),
+      stack_(new unsigned char[stack_size]),
+      stack_size_(stack_size) {
   SPBC_ASSERT(stack_size >= 16 * 1024);
-  init_context(stack_size);
+  init_context();
 }
 
-void Fiber::init_context(size_t stack_size) {
-  int rc = getcontext(&ctx_);
-  SPBC_ASSERT_MSG(rc == 0, "getcontext failed");
-  ctx_.uc_stack.ss_sp = stack_;
-  ctx_.uc_stack.ss_size = stack_size;
-  ctx_.uc_link = nullptr;  // trampoline never falls through; it yields forever
-  // makecontext only passes ints; split the this-pointer into two 32-bit
-  // halves (the portable idiom for 64-bit pointers).
-  auto self = reinterpret_cast<uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              static_cast<unsigned>(self >> 32),
-              static_cast<unsigned>(self & 0xffffffffu));
+void Fiber::init_context() {
+  // The frame spbc_switch_stack pops on the first switch in, built at the
+  // 16-byte-aligned stack top. Its `ret` lands on spbc_fiber_entry, which
+  // jumps to trampoline with rsp at top - 8: the fake return address 0.
+  auto top =
+      (reinterpret_cast<uintptr_t>(stack_) + stack_size_) & ~uintptr_t{15};
+  auto* slot = reinterpret_cast<uint64_t*>(top);
+  slot[-1] = 0;  // fake return address: backtraces stop here
+  slot[-2] = reinterpret_cast<uint64_t>(&spbc_fiber_entry);
+  slot[-3] = 0;                                               // rbp
+  slot[-4] = 0;                                               // rbx
+  slot[-5] = reinterpret_cast<uint64_t>(this);                // r12
+  slot[-6] = reinterpret_cast<uint64_t>(&Fiber::trampoline);  // r13
+  slot[-7] = 0;                                               // r14
+  slot[-8] = 0;                                               // r15
+  uint32_t mxcsr;
+  uint16_t x87cw;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87cw));
+  slot[-9] = mxcsr | (uint64_t{x87cw} << 32);
+  sp_ = &slot[-9];
 #if SPBC_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -96,9 +161,7 @@ Fiber::~Fiber() {
     delete[] stack_;
 }
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>((static_cast<uintptr_t>(hi) << 32) |
-                                        static_cast<uintptr_t>(lo));
+void Fiber::trampoline(Fiber* self) {
 #if SPBC_ASAN
   __sanitizer_finish_switch_fiber(nullptr, &self->asan_sched_bottom_,
                                   &self->asan_sched_size_);
@@ -116,7 +179,7 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
     __sanitizer_start_switch_fiber(nullptr, self->asan_sched_bottom_,
                                    self->asan_sched_size_);
 #endif
-    swapcontext(&self->ctx_, &self->sched_ctx_);
+    spbc_switch_stack(&self->sp_, self->sched_sp_);
     // A finished fiber should never be resumed, but tolerate it.
   }
 }
@@ -140,14 +203,12 @@ void Fiber::resume() {
 #endif
 #if SPBC_ASAN
   void* sched_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&sched_fake_stack, ctx_.uc_stack.ss_sp,
-                                 ctx_.uc_stack.ss_size);
+  __sanitizer_start_switch_fiber(&sched_fake_stack, stack_, stack_size_);
 #endif
-  int rc = swapcontext(&sched_ctx_, &ctx_);
+  spbc_switch_stack(&sched_sp_, sp_);
 #if SPBC_ASAN
   __sanitizer_finish_switch_fiber(sched_fake_stack, nullptr, nullptr);
 #endif
-  SPBC_ASSERT(rc == 0);
   g_current_fiber = nullptr;
 }
 
@@ -162,12 +223,11 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&asan_fake_stack_, asan_sched_bottom_,
                                  asan_sched_size_);
 #endif
-  int rc = swapcontext(&ctx_, &sched_ctx_);
+  spbc_switch_stack(&sp_, sched_sp_);
 #if SPBC_ASAN
   __sanitizer_finish_switch_fiber(asan_fake_stack_, &asan_sched_bottom_,
                                   &asan_sched_size_);
 #endif
-  SPBC_ASSERT(rc == 0);
   g_current_fiber = this;
   state_ = State::kRunning;
   if (kill_requested_) throw FiberKilled{};

@@ -1,11 +1,30 @@
 #pragma once
-// Stackful cooperative fibers built on ucontext, with pooled stacks.
+// Stackful cooperative fibers with pooled stacks, switched by a small
+// hand-written x86-64 stack switch (sim/fiber.cpp).
 //
 // Each simulated MPI rank runs as one fiber with its own stack, so workload
 // code is written as ordinary blocking MPI-style code (no co_await, no state
 // machines). At any moment either the scheduler or exactly one fiber is
 // running *per OS thread*; the sharded engine keeps every fiber pinned to
 // the thread that owns its shard, which keeps the simulation deterministic.
+//
+// Switch contract. `spbc_switch_stack(&save_sp, to_sp)` is an ordinary SysV
+// call, so the compiler already spills every caller-saved register around
+// it. The switch pushes only the callee-saved registers (rbp, rbx, r12-r15)
+// plus one 8-byte slot holding MXCSR and the x87 control word (rounding
+// mode, exception masks, precision), stores rsp into `save_sp`, loads
+// `to_sp`, and restores in reverse. It makes no syscall: the signal mask is
+// neither saved nor restored, since the simulator never changes it.
+// A fresh fiber's stack is laid out by hand so that the first switch into it
+// "returns" into a two-instruction entry stub, which jumps to the trampoline
+// with rsp + 8 16-byte aligned, as the ABI requires at function entry. The
+// slot above the stub holds a fake return address of 0, so unwinders and
+// debugger backtraces stop at the trampoline. The initial FP control word is
+// the creating thread's.
+//
+// x86-64 Linux is the only target; a port is about 20 lines of assembly.
+// CET user shadow stacks (off by default on Linux) are not supported: the
+// switch `ret`s to an address the shadow stack never saw.
 //
 // Stacks come from a StackPool: at 100k-rank scale one stack per rank is the
 // dominant allocation, so finished/killed fibers return their stack to the
@@ -17,7 +36,9 @@
 // Failure injection kills a fiber by resuming it with a kill flag; the next
 // yield point throws FiberKilled, unwinding the stack so RAII cleanup runs.
 
-#include <ucontext.h>
+#if !defined(__x86_64__)
+#error "sim::Fiber's stack switch is x86-64 only; a port is ~20 lines of asm"
+#endif
 
 #include <cstdint>
 #include <functional>
@@ -113,15 +134,16 @@ class Fiber {
   static Fiber* current();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
-  void init_context(size_t stack_size);
+  static void trampoline(Fiber* self);
+  void init_context();
   void run_body();
 
   std::function<void()> body_;
   StackPool* pool_ = nullptr;    // non-null: stack_ belongs to the pool
   unsigned char* stack_ = nullptr;
-  ucontext_t ctx_{};
-  ucontext_t sched_ctx_{};
+  size_t stack_size_;
+  void* sp_ = nullptr;        // fiber's saved stack pointer while switched out
+  void* sched_sp_ = nullptr;  // scheduler's saved stack pointer while it runs
   State state_ = State::kReady;
   bool kill_requested_ = false;
 #if SPBC_TSAN

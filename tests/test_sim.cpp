@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fiber.hpp"
 #include "sim/topology.hpp"
 
 namespace spbc::sim {
@@ -154,6 +160,148 @@ TEST(Engine, ManyFibersScale) {
   }
   e.run();
   EXPECT_EQ(finished, 512);
+}
+
+constexpr size_t kFiberStack = 64 * 1024;
+
+// Divides through volatile operands, so the SSE unit rounds 1/3 at run time
+// under the calling context's MXCSR rounding mode.
+__attribute__((noinline)) double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(Fiber, FloatControlStateIsPerFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  double upward = 0;
+  double upward_after_resume = 0;
+  int mode_after_resume = -1;
+  Fiber f(
+      [&] {
+        std::fesetround(FE_UPWARD);
+        upward = one_third();
+        Fiber::current()->yield();
+        mode_after_resume = std::fegetround();
+        upward_after_resume = one_third();
+        std::fesetround(FE_TONEAREST);
+      },
+      kFiberStack);
+  f.resume();
+  // The scheduler keeps its own rounding mode, in x87 and in SSE.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one_third(), nearest);
+  f.resume();
+  ASSERT_TRUE(f.finished());
+  EXPECT_GT(upward, nearest);
+  EXPECT_EQ(mode_after_resume, FE_UPWARD);
+  EXPECT_EQ(upward_after_resume, upward);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+// The compiler places an alignas(16) local assuming the ABI's 16-byte stack
+// alignment at function entry, so a misaligned fiber stack shows here. The
+// volatile pointer keeps the optimizer from folding the check to true.
+__attribute__((noinline)) bool aligned_local_is_aligned() {
+  alignas(16) unsigned char local[16];
+  void* volatile addr = local;
+  return reinterpret_cast<uintptr_t>(addr) % 16 == 0;
+}
+
+TEST(Fiber, StackAlignedAtEntryAndAfterResume) {
+  std::vector<bool> aligned;
+  Fiber f(
+      [&] {
+        aligned.push_back(aligned_local_is_aligned());
+        for (int i = 0; i < 4; ++i) {
+          Fiber::current()->yield();
+          aligned.push_back(aligned_local_is_aligned());
+        }
+      },
+      kFiberStack);
+  while (!f.finished()) f.resume();
+  EXPECT_EQ(aligned, std::vector<bool>(5, true));
+}
+
+TEST(Fiber, ExceptionsUnwindInsideFiberAcrossYields) {
+  struct Sentinel {
+    bool* flag;
+    ~Sentinel() { *flag = true; }
+  };
+  bool caught = false;
+  bool destroyed = false;
+  bool ran_after_kill = false;
+  Fiber f(
+      [&] {
+        Sentinel s{&destroyed};
+        try {
+          Fiber::current()->yield();
+          throw std::runtime_error("inside fiber");
+        } catch (const std::runtime_error& e) {
+          caught = std::string(e.what()) == "inside fiber";
+        }
+        Fiber::current()->yield();  // killed here
+        ran_after_kill = true;
+      },
+      kFiberStack);
+  f.resume();
+  EXPECT_FALSE(caught);
+  f.resume();
+  EXPECT_TRUE(caught);
+  EXPECT_FALSE(destroyed);
+  f.kill();
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_TRUE(destroyed);
+  EXPECT_FALSE(ran_after_kill);
+}
+
+TEST(Fiber, LocalsSurviveInterleavedSwitches) {
+  constexpr int kFibers = 8;
+  constexpr uint64_t kYields = 100000;
+  struct Sums {
+    uint64_t s1, s2, s3, s4, s5;
+  };
+  std::vector<Sums> out(kFibers, Sums{0, 0, 0, 0, 0});
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&out, i] {
+          // Five sums, the counter and the id stay live across every yield,
+          // more values than there are callee-saved registers.
+          const uint64_t id = static_cast<uint64_t>(i);
+          uint64_t s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0;
+          for (uint64_t k = 1; k <= kYields; ++k) {
+            s1 += k;
+            s2 += (id + 1) * k;
+            s3 += k * k;
+            s4 += id + 1;
+            s5 += 2 * k + id;
+            Fiber::current()->yield();
+          }
+          out[i] = Sums{s1, s2, s3, s4, s5};
+        },
+        kFiberStack));
+  }
+  // Round-robin, so each fiber resumes after seven others ran.
+  for (bool any = true; any;) {
+    any = false;
+    for (auto& f : fibers) {
+      if (f->finished()) continue;
+      f->resume();
+      any = true;
+    }
+  }
+  const uint64_t n = kYields;
+  for (int i = 0; i < kFibers; ++i) {
+    const uint64_t id = static_cast<uint64_t>(i);
+    EXPECT_EQ(out[i].s1, n * (n + 1) / 2) << "fiber " << i;
+    EXPECT_EQ(out[i].s2, (id + 1) * n * (n + 1) / 2) << "fiber " << i;
+    EXPECT_EQ(out[i].s3, n * (n + 1) * (2 * n + 1) / 6) << "fiber " << i;
+    EXPECT_EQ(out[i].s4, (id + 1) * n) << "fiber " << i;
+    EXPECT_EQ(out[i].s5, n * (n + 1) + id * n) << "fiber " << i;
+  }
 }
 
 TEST(Topology, NodeMapping) {
