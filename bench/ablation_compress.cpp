@@ -165,33 +165,31 @@ int main(int argc, char** argv) {
     gates_ok = false;
   }
 
-  // Shard-layout bit-identity at full reduction: shards=2 vs per-cluster,
-  // the documented gate pair (the legacy engine_shards=1 jitter stream is
-  // exempt from cross-layout identity, DESIGN.md §12).
+  // Shard-layout bit-identity at full reduction: one event queue (the
+  // default layout) vs one queue per cluster (DESIGN.md §12).
   {
     harness::ScenarioConfig cfg = base;
     cfg.spbc.reduction.delta = true;
     cfg.spbc.reduction.compress = true;
-    cfg.machine.engine_shards = 2;
-    harness::ScenarioResult serial = harness::run_failure_free(cfg);
+    cfg.machine.engine_shards = 1;
+    harness::ScenarioResult one = harness::run_failure_free(cfg);
     cfg.machine.engine_shards = 0;  // one shard per cluster
-    harness::ScenarioResult sharded = harness::run_failure_free(cfg);
-    const bool shard_ok = serial.run.completed && sharded.run.completed &&
-                          serial.checksums == sharded.checksums &&
-                          serial.ckpt_stored_bytes ==
-                              sharded.ckpt_stored_bytes &&
-                          serial.delta_snapshots == sharded.delta_snapshots;
+    harness::ScenarioResult per = harness::run_failure_free(cfg);
+    const bool shard_ok = one.run.completed && per.run.completed &&
+                          one.checksums == per.checksums &&
+                          one.ckpt_stored_bytes == per.ckpt_stored_bytes &&
+                          one.delta_snapshots == per.delta_snapshots;
     std::printf("shard gate: delta+compress bit-identical across layouts %s "
                 "(checksums %s, raw %llu vs %llu, stored %llu vs %llu, "
                 "deltas %llu vs %llu)\n",
                 shard_ok ? "OK" : "FAIL",
-                serial.checksums == sharded.checksums ? "equal" : "DIFFER",
-                static_cast<unsigned long long>(serial.ckpt_raw_bytes),
-                static_cast<unsigned long long>(sharded.ckpt_raw_bytes),
-                static_cast<unsigned long long>(serial.ckpt_stored_bytes),
-                static_cast<unsigned long long>(sharded.ckpt_stored_bytes),
-                static_cast<unsigned long long>(serial.delta_snapshots),
-                static_cast<unsigned long long>(sharded.delta_snapshots));
+                one.checksums == per.checksums ? "equal" : "DIFFER",
+                static_cast<unsigned long long>(one.ckpt_raw_bytes),
+                static_cast<unsigned long long>(per.ckpt_raw_bytes),
+                static_cast<unsigned long long>(one.ckpt_stored_bytes),
+                static_cast<unsigned long long>(per.ckpt_stored_bytes),
+                static_cast<unsigned long long>(one.delta_snapshots),
+                static_cast<unsigned long long>(per.delta_snapshots));
     gates_ok = gates_ok && shard_ok;
   }
 

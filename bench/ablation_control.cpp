@@ -316,16 +316,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(controller.scrubs_repaired),
               static_cast<unsigned long long>(controller.corrupt_live));
 
-  // Bit-identity across resharded engines. Both runs use sharded plans
-  // (engine_shards=1 is the legacy single-queue engine with a shared jitter
-  // stream — exempt from the layout-invariance claim), and threads stay 1:
-  // the controller arm places cross-node fragments, which the threaded
-  // executor's exactness claim excludes (DESIGN.md §12).
-  Outcome det_a = run_one(ctrl, cluster_of, sched, t_base, /*shards=*/2);
+  // Bit-identity across execution layouts: one event queue (the default)
+  // vs one per cluster. Threads stay 1: the controller arm places
+  // cross-node fragments, which the threaded executor's exactness claim
+  // excludes (DESIGN.md §12).
+  Outcome det_a = run_one(ctrl, cluster_of, sched, t_base, /*shards=*/1);
   Outcome det_b = run_one(ctrl, cluster_of, sched, t_base, /*shards=*/0);
   const bool det_ok = det_a.ok && det_b.ok && det_a.finish == det_b.finish &&
                       det_a.checkpoints == det_b.checkpoints;
-  std::printf("| gate determinism: %s (shards=2 finish %.9g vs "
+  std::printf("| gate determinism: %s (shards=1 finish %.9g vs "
               "shards=per-cluster finish %.9g)\n",
               det_ok ? "pass" : "fail", det_a.finish, det_b.finish);
 

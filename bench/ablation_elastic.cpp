@@ -248,17 +248,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(spared.pfs_restores),
               static_cast<unsigned long long>(spared.epoch_fallbacks));
 
-  // Bit-identity across resharded engines (shards=1 is the legacy
-  // single-queue engine with a shared jitter stream — exempt from the
-  // layout-invariance claim; threads stay 1, required by the elastic rebind).
+  // Bit-identity across execution layouts: one event queue (the default)
+  // vs one per cluster. Threads stay 1, required by the elastic rebind.
   Outcome det_a = run_one(base, cluster_of, storm, t_base, o.spares,
-                          repart_period, /*shards=*/2);
+                          repart_period, /*shards=*/1);
   Outcome det_b = run_one(base, cluster_of, storm, t_base, o.spares,
                           repart_period, /*shards=*/0);
   const bool det_ok = det_a.ok && det_b.ok && det_a.finish == det_b.finish &&
                       det_a.checkpoints == det_b.checkpoints &&
                       det_a.spare_swaps == det_b.spare_swaps;
-  std::printf("| gate determinism: %s (shards=2 finish %.9g vs "
+  std::printf("| gate determinism: %s (shards=1 finish %.9g vs "
               "shards=per-cluster finish %.9g)\n",
               det_ok ? "pass" : "fail", det_a.finish, det_b.finish);
 

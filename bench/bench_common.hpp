@@ -43,10 +43,11 @@ struct BenchOpts {
   // recovery to win back.
   double compute_noise = 0.08;
   double net_jitter = 0.20;
-  // Engine sharding (--shards N, --threads N): 1 = the legacy single-queue
-  // engine; 0 = one exec shard per cluster; N = min(N, nclusters). Threads
-  // > 1 runs the conservative-lookahead parallel executor (requires
-  // node-colocated clusters). See DESIGN.md §12.
+  // Engine execution layout (--shards N, --threads N): 1 = every cluster's
+  // events on one queue; 0 = one exec shard per cluster; N = min(N,
+  // nclusters). Every value runs the same trajectory. Threads > 1 runs the
+  // conservative-lookahead parallel executor (requires node-colocated
+  // clusters and more than one exec shard). See DESIGN.md §12.
   int shards = 1;
   int threads = 1;
   // --agg-rollbacks: aggregated cluster rollback announces (one message per

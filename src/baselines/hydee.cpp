@@ -12,11 +12,10 @@ HydeeProtocol::HydeeProtocol(HydeeConfig cfg)
 core::Replayer::Gate HydeeProtocol::make_gate(int /*rank*/) {
   return [this](const mpi::Envelope& env, std::function<void()> proceed) {
     // Request travels to the coordinator.
-    machine_->engine().after(hcfg_.coordinator_latency,
-                             [this, env, proceed = std::move(proceed)]() mutable {
-                               coordinator_enqueue(
-                                   PendingGrant{env.lclock, env.uid, std::move(proceed)});
-                             });
+    PendingGrant g{env.lclock, env.src, std::move(proceed)};
+    machine_->engine().after_serial(
+        hcfg_.coordinator_latency,
+        [this, g = std::move(g)]() mutable { coordinator_enqueue(std::move(g)); });
   };
 }
 
@@ -40,14 +39,14 @@ void HydeeProtocol::try_grant() {
   sim::Time start = std::max(now, busy_until_);
   busy_until_ = start + hcfg_.service_time;
   sim::Time grant_arrival = busy_until_ + hcfg_.coordinator_latency;
-  machine_->engine().at(grant_arrival,
-                        [proceed = std::move(g.proceed)] { proceed(); });
+  machine_->engine().at_on(machine_->shard_of(g.replayer), grant_arrival,
+                           [proceed = std::move(g.proceed)] { proceed(); });
 }
 
 void HydeeProtocol::on_replay_delivered(const mpi::Envelope& /*env*/) {
   // Acknowledgement flies back to the coordinator, which then releases the
   // next causally ordered replay.
-  machine_->engine().after(hcfg_.coordinator_latency, [this] {
+  machine_->engine().after_serial(hcfg_.coordinator_latency, [this] {
     chain_busy_ = false;
     try_grant();
   });

@@ -64,16 +64,20 @@ class HydeeProtocol : public core::SpbcProtocol {
   void on_replay_delivered(const mpi::Envelope& env) override;
 
  private:
+  // Ordered by (lclock, replayer); equal keys keep their arrival order at
+  // the coordinator, so the order never depends on worker threads.
   struct PendingGrant {
     uint64_t lclock;
-    uint64_t uid;
+    int replayer;  // env.src: the grant is delivered on its shard
     std::function<void()> proceed;
     bool operator<(const PendingGrant& o) const {
       if (lclock != o.lclock) return lclock < o.lclock;
-      return uid < o.uid;
+      return replayer < o.replayer;
     }
   };
 
+  // The coordinator's state is machine-global, so both run in serial
+  // context (coordinator_latency exceeds the engine lookahead).
   void coordinator_enqueue(PendingGrant g);
   void try_grant();
 

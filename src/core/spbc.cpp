@@ -170,8 +170,8 @@ void SpbcProtocol::on_cluster_map(int nclusters) {
 }
 
 SpbcProtocol::ClusterWave& SpbcProtocol::wave_of(int cluster) {
-  // Lazy growth only happens when no cluster map was installed (legacy
-  // single-threaded runs); sharded runs pre-size via on_cluster_map.
+  // Lazy growth only happens when no cluster map was installed (one
+  // cluster, one key shard); set_cluster_of pre-sizes via on_cluster_map.
   if (static_cast<size_t>(cluster) >= waves_.size())
     waves_.resize(static_cast<size_t>(cluster) + 1);
   return waves_[static_cast<size_t>(cluster)];

@@ -97,38 +97,29 @@ void Machine::set_cluster_of(std::vector<int> cluster_of) {
   }
   active_recovery_idx_.assign(static_cast<size_t>(nclusters_), -1);
 
-  // Shard plan. engine_shards == 1 keeps the legacy single-queue engine
-  // (byte-identical trajectories). Anything else keys events by cluster:
-  // logical shards are always one-per-cluster so the event order depends
-  // only on the cluster map, and engine_shards merely caps how many physical
-  // queues (and so how much thread parallelism) back them.
-  if (cfg_.engine_shards != 1) {
-    int exec = cfg_.engine_shards == 0
-                   ? nclusters_
-                   : std::min(cfg_.engine_shards, nclusters_);
-    engine_.set_shard_plan(nclusters_, exec);
-    // Cross-cluster messages take at least one network latency: inter-node
-    // when clusters are node-colocated, else the intra-node floor. An
-    // elastic machine gets the floor even when the initial map is colocated:
-    // a shrunk restart can later pack two clusters onto one surviving node,
-    // and their same-node cross-shard traffic then rides the intra path.
-    const bool can_retire =
-        cfg_.spare_nodes > 0 ||
-        cfg_.default_failure_kind == FailureKind::kNodePermanent;
-    engine_.set_lookahead(cfg_.enforce_node_colocation && !can_retire
-                              ? cfg_.net.inter_latency
-                              : cfg_.net.intra_latency);
-    // The shared jitter RNG stream would make jitter values depend on the
-    // global submit interleaving; sharded runs use the per-channel
-    // counter-hash draw instead (order-independent, so identical for every
-    // exec-shard/thread layout).
-    net_.set_deterministic_jitter(true);
-    if (cfg_.engine_threads > 1) {
-      SPBC_ASSERT_MSG(cfg_.enforce_node_colocation,
-                      "threaded shard executor requires node-colocated "
-                      "clusters (per-node NIC state is shard-owned)");
-      engine_.set_threads(cfg_.engine_threads);
-    }
+  // Shard plan: logical shards are always one-per-cluster so the event order
+  // depends only on the cluster map, and engine_shards merely caps how many
+  // physical queues (and so how much thread parallelism) back them.
+  const int exec = cfg_.engine_shards == 0
+                       ? nclusters_
+                       : std::min(cfg_.engine_shards, nclusters_);
+  engine_.set_shard_plan(nclusters_, exec);
+  // Cross-cluster messages take at least one network latency: inter-node
+  // when clusters are node-colocated, else the intra-node floor. An
+  // elastic machine gets the floor even when the initial map is colocated:
+  // a shrunk restart can later pack two clusters onto one surviving node,
+  // and their same-node cross-shard traffic then rides the intra path.
+  const bool can_retire =
+      cfg_.spare_nodes > 0 ||
+      cfg_.default_failure_kind == FailureKind::kNodePermanent;
+  engine_.set_lookahead(cfg_.enforce_node_colocation && !can_retire
+                            ? cfg_.net.inter_latency
+                            : cfg_.net.intra_latency);
+  if (cfg_.engine_threads > 1) {
+    SPBC_ASSERT_MSG(cfg_.enforce_node_colocation,
+                    "threaded shard executor requires node-colocated "
+                    "clusters (per-node NIC state is shard-owned)");
+    engine_.set_threads(cfg_.engine_threads);
   }
   // Freeze the rank -> shard snapshot: later cluster migrations (streaming
   // repartitioner) keep a rank's events on its original shard, so the event
@@ -186,8 +177,7 @@ void Machine::inject_failure(sim::Time t, int victim_rank, FailureKind kind) {
   SPBC_ASSERT(victim_rank >= 0 && victim_rank < cfg_.nranks);
   // Serial event: the crash freezes every rank's progress and mutates
   // machine-global state (incarnations, liveness), so it runs alone at the
-  // global barrier. In the legacy single-queue plan this degrades to a
-  // normal event with an unchanged ordering key.
+  // global barrier.
   engine_.at_serial(t, [this, victim_rank, kind] {
     // Freeze everyone's progress at the crash instant: the victim's cluster
     // peers keep running until detection, but the lost-work window (and so
@@ -251,24 +241,26 @@ void Machine::transport_send(Rank& /*sender*/, const Envelope& env, Payload payl
     n->payload = std::move(payload);
     n->inc = incarnation_[static_cast<size_t>(env.dst)];
     n->src_inc = incarnation_[static_cast<size_t>(env.src)];
-    n->intra = intra;
-    net_.submit(net::Transfer{env.src, env.dst, env.bytes + kHeaderBytes},
-                [this, n] {
-                  const Envelope env = n->env;
-                  if (n->intra &&
-                      incarnation_[static_cast<size_t>(env.src)] == n->src_inc) {
-                    note_intra_send_landed(env.src);
-                  }
-                  if (incarnation_[static_cast<size_t>(env.dst)] != n->inc ||
-                      !alive_[static_cast<size_t>(env.dst)]) {
-                    dropped_in_flight_.fetch_add(1, std::memory_order_relaxed);
-                    msg_pool_.release(n);
-                    return;
-                  }
-                  Payload pl = std::move(n->payload);
-                  msg_pool_.release(n);
-                  deliver_data(env.dst, env, std::move(pl), true, 0);
-                });
+    const bool same_shard = shard_of(env.src) == shard_of(env.dst);
+    n->intra = intra && same_shard;
+    const sim::Time arrival = net_.submit(
+        net::Transfer{env.src, env.dst, env.bytes + kHeaderBytes}, [this, n] {
+          const Envelope env = n->env;
+          if (n->intra &&
+              incarnation_[static_cast<size_t>(env.src)] == n->src_inc) {
+            note_intra_send_landed(env.src);
+          }
+          if (incarnation_[static_cast<size_t>(env.dst)] != n->inc ||
+              !alive_[static_cast<size_t>(env.dst)]) {
+            dropped_in_flight_.fetch_add(1, std::memory_order_relaxed);
+            msg_pool_.release(n);
+            return;
+          }
+          Payload pl = std::move(n->payload);
+          msg_pool_.release(n);
+          deliver_data(env.dst, env, std::move(pl), true, 0);
+        });
+    if (intra && !same_shard) note_intra_send_landed_at(env.src, arrival);
     on_complete();
   } else {
     // Rendezvous: RTS -> (match) -> CTS -> payload. The send completes when
@@ -346,27 +338,28 @@ void Machine::handle_control(int dst, const ControlMsg& msg) {
       n->payload = std::move(pr.payload);
       n->inc = incarnation_[static_cast<size_t>(env.dst)];
       n->src_inc = incarnation_[static_cast<size_t>(env.src)];
-      n->intra = intra;
+      const bool same_shard = shard_of(env.src) == shard_of(env.dst);
+      n->intra = intra && same_shard;
       n->req = msg.sender_req;
-      net_.submit(net::Transfer{env.src, env.dst, env.bytes + kHeaderBytes},
-                  [this, n] {
-                    const Envelope env = n->env;
-                    if (n->intra && incarnation_[static_cast<size_t>(
-                                        env.src)] == n->src_inc) {
-                      note_intra_send_landed(env.src);
-                    }
-                    if (incarnation_[static_cast<size_t>(env.dst)] != n->inc ||
-                        !alive_[static_cast<size_t>(env.dst)]) {
-                      dropped_in_flight_.fetch_add(1,
-                                                   std::memory_order_relaxed);
-                      msg_pool_.release(n);
-                      return;
-                    }
-                    Payload pl = std::move(n->payload);
-                    uint64_t req_id = n->req;
-                    msg_pool_.release(n);
-                    rank(env.dst).deliver_payload(env, std::move(pl), req_id);
-                  });
+      const sim::Time arrival = net_.submit(
+          net::Transfer{env.src, env.dst, env.bytes + kHeaderBytes}, [this, n] {
+            const Envelope env = n->env;
+            if (n->intra &&
+                incarnation_[static_cast<size_t>(env.src)] == n->src_inc) {
+              note_intra_send_landed(env.src);
+            }
+            if (incarnation_[static_cast<size_t>(env.dst)] != n->inc ||
+                !alive_[static_cast<size_t>(env.dst)]) {
+              dropped_in_flight_.fetch_add(1, std::memory_order_relaxed);
+              msg_pool_.release(n);
+              return;
+            }
+            Payload pl = std::move(n->payload);
+            uint64_t req_id = n->req;
+            msg_pool_.release(n);
+            rank(env.dst).deliver_payload(env, std::move(pl), req_id);
+          });
+      if (intra && !same_shard) note_intra_send_landed_at(env.src, arrival);
       if (pr.on_complete) pr.on_complete();
       break;
     }
@@ -398,12 +391,8 @@ void Machine::replay_send(int src, const Envelope& env, const Payload& payload,
   n->inc = incarnation_[static_cast<size_t>(env.dst)];
   // The completion mutates the *sender's* replayer and channel state
   // (replay_pending, pacing window, waking the sender's fiber), while the
-  // arrival event runs on the destination's shard. Sharded plans schedule
-  // the completion back on the calling (sender's) shard at the arrival
-  // time; the legacy engine keeps the historical inline call from the
-  // arrival event (byte-identical trajectories for pinned rows).
-  const bool split_completion = engine_.sharded();
-  n->on_complete = split_completion ? nullptr : std::move(on_complete);
+  // arrival event runs on the destination's shard: schedule it back on the
+  // calling (sender's) shard at the arrival time.
   sim::Time arrival =
       net_.submit(net::Transfer{src, env.dst, env.bytes + kHeaderBytes},
                   [this, n] {
@@ -412,12 +401,9 @@ void Machine::replay_send(int src, const Envelope& env, const Payload& payload,
                         alive_[static_cast<size_t>(renv.dst)]) {
                       deliver_data(renv.dst, renv, std::move(n->payload), true, 0);
                     }
-                    auto done = std::move(n->on_complete);
-                    n->on_complete = nullptr;
                     msg_pool_.release(n);
-                    if (done) done();
                   });
-  if (split_completion && on_complete) engine_.at(arrival, std::move(on_complete));
+  if (on_complete) engine_.at(arrival, std::move(on_complete));
 }
 
 // ---------------------------------------------------------------------------
@@ -604,6 +590,17 @@ void Machine::note_intra_send_landed(int src) {
     intra_drain_watchers_[static_cast<size_t>(src)].clear();
     for (auto& fn : fns) fn();
   }
+}
+
+void Machine::note_intra_send_landed_at(int src, sim::Time t) {
+  // Only a migrated rank has an intra-cluster peer on another shard. The
+  // arrival event runs on the destination's shard, so the sender's count is
+  // settled by its own shard at the same instant instead.
+  const uint32_t inc = incarnation_[static_cast<size_t>(src)];
+  engine_.at_on(shard_of(src), t, [this, src, inc] {
+    if (incarnation_[static_cast<size_t>(src)] == inc)
+      note_intra_send_landed(src);
+  });
 }
 
 void Machine::notify_when_intra_drained(int r, std::function<void()> fn) {

@@ -92,15 +92,15 @@ struct MachineConfig {
   // eventual-delivery guarantee (markers are a hint; nothing blocks on
   // them). Off by default for the same pinned-row reason as above.
   bool tree_ckpt_markers = false;
-  // Sharded event engine (100k-rank ablations). 1 = legacy single event
-  // queue, byte-identical to the pre-shard engine. Any other value keys the
-  // engine by cluster (one logical shard per cluster, fixed by the workload)
-  // and uses this many physical queues: 0 = one per cluster, N = at most N.
-  // Event order is a function of the cluster map only — every engine_shards
-  // != 1 setting produces the same trajectory. Requires set_cluster_of().
+  // Event-engine execution layout. The engine is always keyed by cluster (one
+  // logical shard per cluster, fixed by the workload); this is only how many
+  // physical queues back those keys: 0 = one per cluster, N = at most N.
+  // Event order is a function of the cluster map only — every value
+  // produces the same trajectory.
   int engine_shards = 1;
-  // Worker threads for the sharded executor (conservative lookahead windows).
-  // > 1 requires engine_shards != 1 and node-colocated clusters.
+  // Worker threads for the conservative-lookahead executor. > 1 requires
+  // node-colocated clusters and only runs in parallel with more than one
+  // physical queue (engine_shards != 1).
   int engine_threads = 1;
   // Straggler / slow-node skew (hostile workload matrix; DESIGN.md §16):
   // every compute block on a straggler node is stretched by straggler_factor.
@@ -211,6 +211,13 @@ class Machine {
   /// set_cluster_of and migrate_rank, which invalidate held references'
   /// contents: copy it to keep it across a migration.
   const std::vector<int>& ranks_in_cluster(int cluster) const;
+  /// Event-routing key shard of a rank: the cluster map frozen at
+  /// set_cluster_of (migrations must not move a rank's events between
+  /// shards mid-run — event order would depend on migration timing).
+  int shard_of(int rank) const {
+    return shard_of_rank_.empty() ? cluster_of(rank)
+                                  : shard_of_rank_[static_cast<size_t>(rank)];
+  }
 
   // ---- execution -------------------------------------------------------
   /// Spawns all rank fibers running `app`.
@@ -339,14 +346,10 @@ class Machine {
   void handle_control(int dst, const ControlMsg& msg);
   void record_traffic(const Envelope& env);
   void note_intra_send_landed(int src);
+  /// note_intra_send_landed(src) at time t on src's own shard (a migrated
+  /// rank's intra-cluster send landing on another shard).
+  void note_intra_send_landed_at(int src, sim::Time t);
   void rebuild_members();
-  /// Event-routing shard of a rank: the cluster map frozen at
-  /// set_cluster_of (migrations must not move a rank's events between
-  /// shards mid-run — event order would depend on migration timing).
-  int shard_of(int rank) const {
-    return shard_of_rank_.empty() ? cluster_of(rank)
-                                  : shard_of_rank_[static_cast<size_t>(rank)];
-  }
 
   MachineConfig cfg_;
   sim::Engine engine_;
@@ -400,10 +403,9 @@ class Machine {
   struct MsgNode {
     Envelope env;
     Payload payload;
-    std::function<void()> on_complete;  // replay path only
     uint32_t inc = 0;      // destination incarnation at submit
     uint32_t src_inc = 0;  // sender incarnation at submit
-    bool intra = false;
+    bool intra = false;  // the arrival event settles the sender's intra count
     uint64_t req = 0;  // rendezvous request id (payload leg)
   };
   struct CtrlNode {

@@ -20,7 +20,6 @@ Network::Network(sim::Engine& engine, const sim::Topology& topo, NetworkParams p
     : engine_(engine),
       topo_(topo),
       params_(params),
-      jitter_rng_(params.jitter_seed, 0x6e65747764ULL),
       chan_rows_(static_cast<size_t>(topo.nranks())),
       nic_free_at_(static_cast<size_t>(topo.total_nodes()), sim::kTimeZero) {}
 
@@ -87,18 +86,13 @@ sim::Time Network::submit_routed(const Transfer& t, int route_rank,
   sim::Time now = engine_.now();
   sim::Time lat = latency(t.src_rank, t.dst_rank);
   if (params_.jitter_frac > 0.0) {
-    double u;
-    if (deterministic_jitter_) {
-      // Draw from the channel's own counted stream: independent of the
-      // global submit interleaving, so identical across shard/thread layouts.
-      uint64_t h = mix64(params_.jitter_seed ^
-                         mix64((static_cast<uint64_t>(t.src_rank) << 32) ^
-                               static_cast<uint64_t>(t.dst_rank) ^
-                               (static_cast<uint64_t>(chan.submits) << 20)));
-      u = static_cast<double>(h >> 11) * 0x1.0p-53;
-    } else {
-      u = jitter_rng_.next_double();
-    }
+    // Draw from the channel's own counted stream: independent of the global
+    // submit interleaving, so identical across shard/thread layouts.
+    uint64_t h = mix64(params_.jitter_seed ^
+                       mix64((static_cast<uint64_t>(t.src_rank) << 32) ^
+                             static_cast<uint64_t>(t.dst_rank) ^
+                             (static_cast<uint64_t>(chan.submits) << 20)));
+    const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     lat *= 1.0 + params_.jitter_frac * u;
   }
   ++chan.submits;

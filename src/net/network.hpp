@@ -13,14 +13,13 @@
 // The channel-determinism checker runs the same application under different
 // jitter seeds and asserts identical per-channel send sequences.
 //
-// Sharded engine integration: arrivals are scheduled on the key shard owning
-// the *routing* rank (the destination by default), so delivery callbacks
-// mutate only that shard's state. Per-channel FIFO state lives in flat
-// per-source rows — owned by the sender's shard, so submits from concurrent
-// shard threads never share a row. With `deterministic jitter` enabled the
-// jitter draw is a counter-hash of the channel instead of a shared global
-// RNG stream, making it independent of cross-channel submit order (and so
-// identical for every shard/thread configuration).
+// Engine integration: arrivals are scheduled on the key shard owning the
+// *routing* rank (the destination by default), so delivery callbacks mutate
+// only that shard's state. Per-channel FIFO state lives in flat per-source
+// rows — owned by the sender's shard, so submits from concurrent shard
+// threads never share a row. The jitter draw is a counter-hash of the
+// channel and its submit count, independent of cross-channel submit order
+// (and so identical for every shard/thread configuration).
 
 #include <atomic>
 #include <cstdint>
@@ -30,7 +29,6 @@
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "sim/topology.hpp"
-#include "util/rng.hpp"
 
 namespace spbc::net {
 
@@ -88,7 +86,7 @@ class Network {
   const sim::Topology& topology() const { return topo_; }
 
   /// Rank -> key shard map for arrival routing (the machine wires its
-  /// cluster map here). Unset = everything on shard 0 (legacy engine).
+  /// cluster map here). Unset = everything on shard 0.
   void set_shard_of(std::function<int(int)> shard_of) {
     shard_of_ = std::move(shard_of);
   }
@@ -101,11 +99,6 @@ class Network {
   void set_node_of(std::function<int(int)> node_of) {
     node_of_ = std::move(node_of);
   }
-
-  /// Order-independent jitter draws (counter-hash per channel instead of the
-  /// shared RNG stream). Required for sharded/threaded runs; changes jitter
-  /// values — legacy single-shard runs keep the original stream.
-  void set_deterministic_jitter(bool v) { deterministic_jitter_ = v; }
 
   /// Submits a transfer; schedules on_arrival at the computed arrival time
   /// on the destination rank's shard. FIFO per (src,dst) is guaranteed
@@ -165,8 +158,6 @@ class Network {
   sim::Engine& engine_;
   sim::Topology topo_;
   NetworkParams params_;
-  util::Pcg32 jitter_rng_;
-  bool deterministic_jitter_ = false;
   std::function<int(int)> shard_of_;
   std::function<int(int)> node_of_;
 

@@ -72,34 +72,36 @@ Time Engine::now() const {
 // Scheduling
 // ---------------------------------------------------------------------------
 
-EventQueue::EventId Engine::schedule_event(int target_key, Time t,
-                                           std::function<void()> fn) {
-  SPBC_ASSERT(target_key >= 0 && target_key < key_shards());
+EventKey Engine::stamp_key(Time t, const char* what) {
   // The ordering key is stamped by the *scheduling* context's key shard (the
   // origin): its sequence counter is only ever advanced by the one thread
   // executing that shard, so keys are race-free and — because they never
   // mention exec shards or threads — identical for every execution layout.
   // Outside a run the world is stopped and a single thread schedules: stamp
   // origin 0 with its shared counter, so same-time events keep their global
-  // scheduling order — exactly the legacy single-queue tie-break (a wake
-  // queued on one shard and a kill on another resolve as they always did).
-  uint32_t origin;
-  if (tl.eng == this && (tl.serial || tl.exec >= 0))
-    origin = static_cast<uint32_t>(tl.key);
-  else
-    origin = 0u;
-  EventKey key{t, origin, key_seq_[origin]++};
-
-  if (sharded() && in_shard_event() && target_key != tl.key) {
+  // scheduling order (a wake queued on one shard and a kill on another
+  // resolve in the order they were scheduled).
+  const uint32_t origin = tl.eng == this && (tl.serial || tl.exec >= 0)
+                              ? static_cast<uint32_t>(tl.key)
+                              : 0u;
+  if (what != nullptr) {
     // Conservative-lookahead invariant, asserted in every mode so cheap
     // single-threaded runs validate what threaded windows rely on.
     Time tau = shards_[static_cast<size_t>(tl.exec)]->now;
     SPBC_ASSERT_MSG(t - tau >= lookahead_ - 1e-12 * (1.0 + std::abs(tau)),
-                    "cross-shard schedule inside lookahead window: t="
-                        << t << " now=" << tau << " lookahead=" << lookahead_);
+                    what << " inside lookahead window: t=" << t
+                         << " now=" << tau << " lookahead=" << lookahead_);
   }
+  return EventKey{t, origin, key_seq_[origin]++};
+}
 
-  size_t qidx = static_cast<size_t>(exec_of(target_key));
+EventQueue::EventId Engine::at_on(int key_shard, Time t,
+                                  std::function<void()> fn) {
+  SPBC_ASSERT(key_shard >= 0 && key_shard < key_shards());
+  const bool cross = in_shard_event() && key_shard != tl.key;
+  const EventKey key = stamp_key(t, cross ? "cross-shard schedule" : nullptr);
+  const auto owner = static_cast<uint32_t>(key_shard);
+  size_t qidx = static_cast<size_t>(exec_of(key_shard));
   ExecShard& sh = *shards_[qidx];
   if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
     // Another worker owns that queue right now: hand over via mailbox; the
@@ -107,71 +109,47 @@ EventQueue::EventId Engine::schedule_event(int target_key, Time t,
     EventQueue::EventId local = sh.queue.reserve_id();
     {
       std::lock_guard<std::mutex> g(sh.mbox_mu);
-      sh.mbox.push_back(Mail{false, local, key,
-                             static_cast<uint32_t>(target_key),
-                             std::move(fn)});
+      sh.mbox.push_back(Mail{false, local, key, owner, std::move(fn)});
     }
     return make_gid(qidx, local);
   }
   SPBC_ASSERT_MSG(t >= sh.now,
                   "scheduling into the past: t=" << t << " now=" << sh.now);
-  return make_gid(qidx, sh.queue.schedule_keyed(
-                            key, static_cast<uint32_t>(target_key),
-                            std::move(fn)));
+  return make_gid(qidx, sh.queue.schedule_keyed(key, owner, std::move(fn)));
 }
 
-EventQueue::EventId Engine::schedule_serial(Time t, std::function<void()> fn) {
-  uint32_t origin = (tl.eng == this && (tl.serial || tl.exec >= 0))
-                        ? static_cast<uint32_t>(tl.key)
-                        : 0u;
-  EventKey key{t, origin, key_seq_[origin]++};
-  if (sharded() && in_shard_event()) {
-    Time tau = shards_[static_cast<size_t>(tl.exec)]->now;
-    SPBC_ASSERT_MSG(t - tau >= lookahead_ - 1e-12 * (1.0 + std::abs(tau)),
-                    "serial schedule inside lookahead window: t="
-                        << t << " now=" << tau << " lookahead=" << lookahead_);
-  }
+EventQueue::EventId Engine::at_serial(Time t, std::function<void()> fn) {
+  const EventKey key =
+      stamp_key(t, in_shard_event() ? "serial schedule" : nullptr);
   if (tl.eng == this && tl.parallel) {
     EventQueue::EventId local = serial_q_.reserve_id();
     {
       std::lock_guard<std::mutex> g(serial_mbox_mu_);
-      serial_mbox_.push_back(Mail{false, local, key, origin, std::move(fn)});
+      serial_mbox_.push_back(Mail{false, local, key, key.shard, std::move(fn)});
     }
     return make_gid(shards_.size(), local);
   }
   SPBC_ASSERT_MSG(t >= global_now_,
                   "serial event in the past: t=" << t << " now=" << global_now_);
   return make_gid(shards_.size(),
-                  serial_q_.schedule_keyed(key, origin, std::move(fn)));
+                  serial_q_.schedule_keyed(key, key.shard, std::move(fn)));
 }
 
 EventQueue::EventId Engine::at(Time t, std::function<void()> fn) {
-  if (in_shard_event()) return schedule_event(tl.key, t, std::move(fn));
-  if (!sharded()) return schedule_event(0, t, std::move(fn));
+  if (in_shard_event()) return at_on(tl.key, t, std::move(fn));
   // Serial context or outside a run: events scheduled while the world is
   // stopped usually orchestrate global actions (failure injection, recovery
   // continuations) — keep them at the barrier.
-  return schedule_serial(t, std::move(fn));
-}
-
-EventQueue::EventId Engine::at_on(int key_shard, Time t,
-                                  std::function<void()> fn) {
-  if (!sharded()) return schedule_event(0, t, std::move(fn));
-  return schedule_event(key_shard, t, std::move(fn));
-}
-
-EventQueue::EventId Engine::at_serial(Time t, std::function<void()> fn) {
-  if (!sharded()) return schedule_event(0, t, std::move(fn));
-  return schedule_serial(t, std::move(fn));
+  return at_serial(t, std::move(fn));
 }
 
 void Engine::run_serial(std::function<void()> fn) {
-  if (!sharded() || !in_shard_event()) {
-    // Unsharded, already serial, or outside a run: the caller is alone.
+  if (!in_shard_event()) {
+    // Already serial or outside a run: the caller is alone.
     fn();
     return;
   }
-  schedule_serial(now() + lookahead_, std::move(fn));
+  at_serial(now() + lookahead_, std::move(fn));
 }
 
 void Engine::cancel(EventQueue::EventId id) {
@@ -205,7 +183,6 @@ Engine::TaskId Engine::spawn(std::function<void()> body) {
 Engine::TaskId Engine::spawn_on(int key_shard, std::function<void()> body) {
   SPBC_ASSERT_MSG(!(tl.eng == this && tl.parallel),
                   "spawn from a threaded window");
-  if (!sharded()) key_shard = 0;
   SPBC_ASSERT(key_shard >= 0 && key_shard < key_shards());
   TaskId id = static_cast<TaskId>(tasks_.size());
   tasks_.emplace_back();
@@ -221,7 +198,7 @@ void Engine::schedule_resume(TaskId id) {
   Task& task = tasks_[static_cast<size_t>(id)];
   if (task.scheduled) return;
   task.scheduled = true;
-  schedule_event(task.key_shard, now(), [this, id] { resume_task(id); });
+  at_on(task.key_shard, now(), [this, id] { resume_task(id); });
 }
 
 void Engine::resume_task(TaskId id) {
@@ -259,7 +236,7 @@ void Engine::unpark(TaskId id) {
   SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
   Task& task = tasks_[static_cast<size_t>(id)];
   if (!task.fiber || task.fiber->finished()) return;
-  if (sharded() && in_shard_event())
+  if (in_shard_event())
     SPBC_ASSERT_MSG(task.key_shard == tl.key,
                     "cross-shard unpark from shard context (route the event "
                     "to the task's shard or use a serial event): task "
@@ -275,7 +252,7 @@ void Engine::kill(TaskId id) {
   SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
   Task& task = tasks_[static_cast<size_t>(id)];
   if (!task.fiber || task.fiber->finished()) return;
-  if (sharded() && in_shard_event())
+  if (in_shard_event())
     SPBC_ASSERT_MSG(task.key_shard == tl.key,
                     "cross-shard kill from shard context (failure injection "
                     "must run in a serial event)");
@@ -360,7 +337,7 @@ Time Engine::run_merge(Time deadline, bool bounded) {
   for (;;) {
     if (stop_requested_.load(std::memory_order_relaxed)) break;
     // N-way merge: pop the globally smallest (time, shard, seq) key — the
-    // exact single-queue order, for any shard count.
+    // same order for any exec-shard count.
     bool have = false;
     EventKey bk{};
     int best = 0;
@@ -498,7 +475,7 @@ Time Engine::run_threaded() {
 }
 
 Time Engine::run() {
-  if (sharded() && threads_ > 1 && exec_shards() > 1) return run_threaded();
+  if (threads_ > 1 && exec_shards() > 1) return run_threaded();
   return run_merge(0.0, false);
 }
 

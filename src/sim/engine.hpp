@@ -1,7 +1,7 @@
 #pragma once
 // The discrete-event engine: virtual clocks, event queues, and all rank
-// fibers. By default it is the classic single-queue, single-threaded,
-// fully deterministic engine. For 100k-rank runs it shards by cluster:
+// fibers, keyed by cluster. A machine with no cluster map, or with one
+// cluster, is the one-key-shard case of the same engine:
 //
 //   * Key shards are *logical* shard ids — one per cluster — stamped into
 //     every event's (time, shard, seq) ordering key. They are a property of
@@ -12,8 +12,8 @@
 //     any exec width — and any worker-thread count — yields the same global
 //     event order, so fixed-seed results are bit-identical by construction.
 //
-// Single-threaded sharded runs pop the globally smallest key across all
-// queues (an N-way merge — exactly the single-queue order). The optional
+// Single-threaded runs pop the globally smallest key across all queues (an
+// N-way merge, the same order for every exec width). The optional
 // threaded executor runs windows of conservative PDES: the coordinator picks
 // W = min(global_min.t + lookahead, next_serial.t) and workers execute their
 // own shards' events with t < W in parallel. The lookahead invariant — an
@@ -57,14 +57,12 @@ class Engine {
   /// Installs the shard layout. Must be called before any task is spawned or
   /// event scheduled. key_shards is the number of logical shards (clusters);
   /// exec_shards the number of physical queues (<= key_shards; 0 = one per
-  /// key shard). key_shards == 1 is the legacy single-queue engine, byte-
-  /// identical to the pre-shard implementation.
+  /// key shard). A new engine has one key shard on one queue.
   void set_shard_plan(int key_shards, int exec_shards = 0);
   int key_shards() const { return static_cast<int>(key_seq_.size()); }
   int exec_shards() const { return static_cast<int>(shards_.size()); }
-  bool sharded() const { return key_shards() > 1; }
 
-  /// Worker threads for run(); <= 1 (or an unsharded plan) keeps the
+  /// Worker threads for run(); <= 1 (or a single exec shard) keeps the
   /// single-threaded merge loop. run_until() is always single-threaded.
   void set_threads(int n) { threads_ = n; }
   int threads() const { return threads_; }
@@ -93,18 +91,17 @@ class Engine {
   }
   /// Schedules a serial event: executes alone at a global barrier, with all
   /// shard clocks advanced to t. For failure injection / recovery
-  /// orchestration that touches many shards. In an unsharded plan this is
-  /// an ordinary event (legacy byte-identical order).
+  /// orchestration that touches many shards. From shard context, t must
+  /// respect the lookahead.
   EventQueue::EventId at_serial(Time t, std::function<void()> fn);
   EventQueue::EventId after_serial(Time dt, std::function<void()> fn) {
     return at_serial(now() + dt, std::move(fn));
   }
-  /// Runs `fn` in serial context: immediately when already serial (or in an
-  /// unsharded plan, where every event is effectively serial), else as a
-  /// serial event one lookahead from now — the earliest instant a shard
-  /// event may legally reach the global barrier. The deferral is applied in
-  /// every sharded mode (threaded or not) so trajectories stay independent
-  /// of the execution configuration.
+  /// Runs `fn` in serial context: immediately when already serial (or
+  /// outside a run), else as a serial event one lookahead from now — the
+  /// earliest instant a shard event may legally reach the global barrier.
+  /// The deferral is applied for every layout (threaded or not) so
+  /// trajectories stay independent of the execution configuration.
   void run_serial(std::function<void()> fn);
   void cancel(EventQueue::EventId id);
 
@@ -218,10 +215,10 @@ class Engine {
     return key_shard % static_cast<int>(shards_.size());
   }
   bool in_shard_event() const;  // shard-event/fiber context on this engine
+  /// Stamps the next (t, origin, seq) key of the calling context. A non-null
+  /// `what` asserts the lookahead from the calling shard's clock.
+  EventKey stamp_key(Time t, const char* what);
 
-  EventQueue::EventId schedule_event(int target_key, Time t,
-                                     std::function<void()> fn);
-  EventQueue::EventId schedule_serial(Time t, std::function<void()> fn);
   void schedule_resume(TaskId id);
   void resume_task(TaskId id);
   void exec_shard_one(int s, bool parallel);

@@ -7,8 +7,8 @@
 // or thread executes the event, merging any number of per-shard queues by
 // smallest key reproduces the exact same global order for every shard count —
 // the property the channel-determinism checker and every regression test
-// depend on. The legacy two-argument schedule() stamps (t, shard 0, local
-// counter), which is byte-identical to the old (time, insertion-order) rule.
+// depend on. The standalone two-argument schedule() stamps (t, shard 0, local
+// counter): plain (time, insertion-order).
 //
 // Cancellation is O(1): an open-addressed id->slot table finds the entry, its
 // slot is recycled immediately, and the stale heap item is dropped when it
@@ -45,8 +45,8 @@ class EventQueue {
   using EventFn = std::function<void()>;
   using EventId = uint64_t;
 
-  /// Schedules fn at absolute time t with key (t, 0, internal counter) — the
-  /// legacy single-queue insertion order. Returns an id usable with cancel().
+  /// Schedules fn at absolute time t with key (t, 0, internal counter) —
+  /// plain insertion order. Returns an id usable with cancel().
   EventId schedule(Time t, EventFn fn);
 
   /// Sharded-engine path: schedule with an explicit ordering key. `owner` is

@@ -312,7 +312,7 @@ ShardOut controller_run(int engine_shards, int engine_threads,
   mc.ranks_per_node = ppn;
   mc.seed = 7;
   mc.compute_noise_frac = 0.05;
-  mc.net.jitter_frac = 0.0;
+  mc.net.jitter_frac = 0.2;
   mc.engine_shards = engine_shards;
   mc.engine_threads = engine_threads;
 

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "ckpt/staging.hpp"
 #include "core/spbc.hpp"
@@ -183,44 +184,54 @@ TEST(Elastic, SecondFailureDuringRebuildReplans) {
 // Communication drift: an interleaved node-granular map leaves the ring's
 // cut twice as large as necessary. The streaming repartitioner must notice
 // from the live traffic matrix and migrate at least one node's membership
-// through the quiescence bridge — without disturbing the application.
+// through the quiescence bridge — without disturbing the application. A
+// migrated rank keeps its original event shard, so with one queue per
+// cluster its intra-cluster sends land on another queue: both layouts must
+// run, and run the same trajectory.
 TEST(Elastic, RepartitionerMigratesUnderDrift) {
   const int n = 8, iters = 14;
   auto expect = reference(n, iters);
-  std::map<int, uint64_t> sums;
-  MachineConfig cfg;
-  cfg.nranks = n;
-  cfg.ranks_per_node = 2;
-  cfg.abort_on_deadlock = false;
-  core::SpbcConfig scfg;
-  scfg.checkpoint_every = 2;
-  scfg.control.repartition_period = 2e-3;
-  // Nodes alternate clusters: half the ring's hops cross the cut.
-  Rig rig = make_rig(cfg, scfg, {0, 0, 1, 1, 0, 0, 1, 1});
-  rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
-  mpi::RunResult res = rig.machine->run();
-  ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
-  EXPECT_EQ(sums, expect);
-  EXPECT_GE(rig.protocol->control_plane().stats().repartitions, 1u);
-  // The flip really moved membership: some node's ranks changed cluster.
-  bool moved = false;
-  const std::vector<int> initial = {0, 0, 1, 1, 0, 0, 1, 1};
-  for (int r = 0; r < n; ++r)
-    if (rig.machine->cluster_of(r) != initial[static_cast<size_t>(r)])
-      moved = true;
-  EXPECT_TRUE(moved);
-  // The cached member lists followed the migrations.
-  for (int c = 0; c < rig.machine->nclusters(); ++c) {
-    std::vector<int> members;
+  sim::Time finish[2] = {0, 0};
+  for (int shards : {1, 0}) {
+    SCOPED_TRACE("engine_shards=" + std::to_string(shards));
+    std::map<int, uint64_t> sums;
+    MachineConfig cfg;
+    cfg.nranks = n;
+    cfg.ranks_per_node = 2;
+    cfg.abort_on_deadlock = false;
+    cfg.engine_shards = shards;
+    core::SpbcConfig scfg;
+    scfg.checkpoint_every = 2;
+    scfg.control.repartition_period = 2e-3;
+    // Nodes alternate clusters: half the ring's hops cross the cut.
+    Rig rig = make_rig(cfg, scfg, {0, 0, 1, 1, 0, 0, 1, 1});
+    rig.machine->launch([&sums](Rank& r) { workload(r, iters, &sums); });
+    mpi::RunResult res = rig.machine->run();
+    ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
+    finish[shards] = res.finish_time;
+    EXPECT_EQ(sums, expect);
+    EXPECT_GE(rig.protocol->control_plane().stats().repartitions, 1u);
+    // The flip really moved membership: some node's ranks changed cluster.
+    bool moved = false;
+    const std::vector<int> initial = {0, 0, 1, 1, 0, 0, 1, 1};
     for (int r = 0; r < n; ++r)
-      if (rig.machine->cluster_of(r) == c) members.push_back(r);
-    EXPECT_EQ(rig.machine->ranks_in_cluster(c), members) << "cluster " << c;
+      if (rig.machine->cluster_of(r) != initial[static_cast<size_t>(r)])
+        moved = true;
+    EXPECT_TRUE(moved);
+    // The cached member lists followed the migrations.
+    for (int c = 0; c < rig.machine->nclusters(); ++c) {
+      std::vector<int> members;
+      for (int r = 0; r < n; ++r)
+        if (rig.machine->cluster_of(r) == c) members.push_back(r);
+      EXPECT_EQ(rig.machine->ranks_in_cluster(c), members) << "cluster " << c;
+    }
   }
+  EXPECT_EQ(finish[0], finish[1]);
 }
 
 // Determinism across shard layouts: the elastic trajectory (hot-swap,
 // rebuild, recovery) is a function of the cluster map only — running the
-// same failure schedule with 2 physical shard queues vs one-per-cluster
+// same failure schedule with one physical shard queue vs one-per-cluster
 // must produce identical checksums, finish times, and swap counts.
 TEST(Elastic, DeterministicAcrossShardLayouts) {
   const int n = 8, iters = 8;
@@ -239,7 +250,7 @@ TEST(Elastic, DeterministicAcrossShardLayouts) {
   };
   std::map<int, uint64_t> sums_a, sums_b;
   uint64_t swaps_a = 0, swaps_b = 0;
-  const sim::Time t_a = run_with_shards(2, &sums_a, &swaps_a);
+  const sim::Time t_a = run_with_shards(1, &sums_a, &swaps_a);
   const sim::Time t_b = run_with_shards(0, &sums_b, &swaps_b);
   EXPECT_EQ(sums_a, sums_b);
   EXPECT_EQ(t_a, t_b);

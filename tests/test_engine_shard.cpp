@@ -2,9 +2,9 @@
 // for every execution configuration (key shards stamp the (time, shard, seq)
 // ordering key; exec shards and worker threads never appear in it), killed
 // fibers must release their pooled stacks, cross-shard kill/unpark races at
-// the same virtual time must resolve by the same key tie-break as the legacy
-// single-queue engine, and the event queue's lazy cancellation must stay
-// bounded by compaction.
+// the same virtual time must resolve by the same key tie-break on one queue
+// as on many, and the event queue's lazy cancellation must stay bounded by
+// compaction.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +27,7 @@ namespace {
 // ---- satellite: determinism across shard counts ---------------------------
 //
 // An ablation_mtbf-style run: SPBC protocol, injected failures, recoveries,
-// staged checkpoints. jitter_frac = 0 so the shards=1 run (which draws
-// jitter from the legacy Pcg32 stream) and sharded runs (counter-hash
-// jitter) see the same network; compute noise stays on (per-rank RNG,
-// engine-independent).
+// staged checkpoints, network jitter and compute noise on.
 
 struct MtbfOut {
   bool completed = false;
@@ -50,7 +47,7 @@ MtbfOut mtbf_run(int engine_shards, int engine_threads,
   mc.seed = 7;
   mc.record_send_trace = true;
   mc.compute_noise_frac = 0.05;
-  mc.net.jitter_frac = 0.0;
+  mc.net.jitter_frac = 0.2;
   mc.engine_shards = engine_shards;
   mc.engine_threads = engine_threads;
   // Scalable control plane (leader-aggregated rollback announces + binomial
@@ -175,9 +172,8 @@ TEST(ShardDeterminism, MtbfScenarioBitIdenticalWithScalableControlPlane) {
 // A rank parked on shard 1 has its wake event queued on that shard while a
 // serial kill (failure injection path) lands at the SAME virtual time. The
 // (time, shard, seq) tie-break must resolve the race identically in every
-// execution configuration — including the legacy single-queue engine, where
-// at_serial degrades to an ordinary event and at_on clamps to shard 0, but
-// both draw from the same per-origin seq counter, preserving the order.
+// execution configuration, a one-key-shard engine included: both events are
+// stamped from the same origin seq counter, preserving the order.
 
 std::vector<std::string> race_run(int key_shards, int exec_shards, int threads,
                                   bool wake_scheduled_first) {
@@ -232,7 +228,7 @@ std::vector<std::string> race_run(int key_shards, int exec_shards, int threads,
 
 TEST(ShardDeterminism, CrossShardKillUnparkTieBreak) {
   for (bool wake_first : {true, false}) {
-    // Legacy single-queue engine defines the expected resolution.
+    // The one-key-shard engine defines the expected resolution.
     const std::vector<std::string> ref = race_run(1, 1, 1, wake_first);
     struct Plan {
       int key, exec, threads;

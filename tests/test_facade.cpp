@@ -267,7 +267,7 @@ FacadeOut facade_run(const std::string& app, int engine_shards,
   mc.seed = 7;
   mc.record_send_trace = true;
   mc.compute_noise_frac = 0.05;
-  mc.net.jitter_frac = 0.0;
+  mc.net.jitter_frac = 0.2;
   mc.engine_shards = engine_shards;
   mc.engine_threads = engine_threads;
   // Hostile knobs: straggle a third of the nodes and burst every third

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/scenario.hpp"
 
 namespace spbc {
@@ -84,6 +86,47 @@ TEST(Hydee, RecoveryIsSlowerThanSpbc) {
   ASSERT_FALSE(hyd.recoveries.empty());
 
   EXPECT_GT(hyd.recoveries.front().rework(), spbc.recoveries.front().rework());
+}
+
+// The coordinator is machine-global: its queue runs in serial events and
+// each grant is delivered on the replaying rank's shard, so a jittered HydEE
+// recovery runs the same trajectory for every execution layout.
+TEST(Hydee, IdenticalAcrossShardLayouts) {
+  harness::ScenarioConfig cfg = nas_config("MG");
+  cfg.protocol = harness::ProtocolKind::kHydee;
+  // Validate mode deposits checksums into one shared map, which worker
+  // threads must not write; RecoveryProducesCorrectResults covers them.
+  cfg.app_cfg.validate = false;
+  cfg.machine.net.jitter_frac = 0.2;
+  cfg.machine.compute_noise_frac = 0.05;
+  harness::ScenarioResult ff = harness::run_failure_free(cfg);
+  ASSERT_TRUE(ff.run.completed);
+
+  auto run = [&](int shards, int threads) {
+    harness::ScenarioConfig c = cfg;
+    c.machine.engine_shards = shards;
+    c.machine.engine_threads = threads;
+    return harness::run_with_failure(c, ff.elapsed, 0.55);
+  };
+  const harness::ScenarioResult ref = run(1, 1);
+  ASSERT_TRUE(ref.run.completed);
+  ASSERT_EQ(ref.recoveries.size(), 1u);
+  EXPECT_TRUE(ref.recoveries.front().complete());
+  struct Plan {
+    int shards, threads;
+  };
+  for (const Plan& pl : {Plan{2, 1}, Plan{0, 1}, Plan{0, 4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(pl.shards) +
+                 " threads=" + std::to_string(pl.threads));
+    const harness::ScenarioResult got = run(pl.shards, pl.threads);
+    ASSERT_TRUE(got.run.completed);
+    EXPECT_EQ(got.elapsed, ref.elapsed);
+    ASSERT_EQ(got.recoveries.size(), ref.recoveries.size());
+    EXPECT_EQ(got.recoveries.front().restart_time,
+              ref.recoveries.front().restart_time);
+    EXPECT_EQ(got.recoveries.front().caught_up_time,
+              ref.recoveries.front().caught_up_time);
+  }
 }
 
 TEST(Hydee, NoPatternIdMatching) {
