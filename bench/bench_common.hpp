@@ -50,15 +50,6 @@ struct BenchOpts {
   // clusters and more than one exec shard). See DESIGN.md §12.
   int shards = 1;
   int threads = 1;
-  // --agg-rollbacks: aggregated cluster rollback announces (one message per
-  // outside rank from the cluster leader instead of the pairwise
-  // O(cluster x world) broadcast). Required for failure rows at 16k+ ranks.
-  bool agg_rollbacks = false;
-  // --tree-markers: flood checkpoint-wave markers over the binomial
-  // completion tree (O(members) per wave) instead of the all-to-all member
-  // broadcast (O(members^2)). Required past a few thousand ranks — the
-  // coordinated arm's wave spans every rank.
-  bool tree_markers = false;
   // Control-plane ablation knobs (ablation_control):
   // --mtbf-drift: calm-phase MTBF / storm-phase MTBF ratio of the drifting
   // failure process the self-tuning controller must track.
@@ -112,8 +103,6 @@ inline BenchOpts parse_opts(int argc, char** argv) {
   o.rs_m = static_cast<int>(cli.get_int("rs-m", o.rs_m));
   o.shards = static_cast<int>(cli.get_int("shards", o.shards));
   o.threads = static_cast<int>(cli.get_int("threads", o.threads));
-  o.agg_rollbacks = cli.get_flag("agg-rollbacks");
-  o.tree_markers = cli.get_flag("tree-markers");
   o.mtbf_drift = cli.get_double("mtbf-drift", o.mtbf_drift);
   o.scrub_period = cli.get_double("scrub-period", o.scrub_period);
   o.escalate = cli.get_flag("escalate");
@@ -156,8 +145,6 @@ inline harness::ScenarioConfig make_config(const BenchOpts& o, const std::string
   cfg.machine.net.jitter_seed = o.seed;
   cfg.machine.engine_shards = o.shards;
   cfg.machine.engine_threads = o.threads;
-  cfg.machine.aggregate_rollbacks = o.agg_rollbacks;
-  cfg.machine.tree_ckpt_markers = o.tree_markers;
   cfg.machine.spare_nodes = o.spares;
   cfg.spbc.control.repartition_period = o.repart_period;
   cfg.spbc.reduction.compress = o.compress;

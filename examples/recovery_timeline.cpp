@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
               r.failure_time - r.checkpoint_time);
   std::printf("t=%.4fs  cluster restarted (detection + restore delays)\n",
               r.restart_time);
-  std::printf("           Rollback(received-windows) -> all inter-cluster peers\n");
+  std::printf("           leader: Rollback(members' received-windows) -> every "
+              "rank outside the cluster\n");
   std::printf("           peers reply lastMessage + replay logs, window=50\n");
   for (const auto& [rank, t] : r.catch_up)
     std::printf("t=%.4fs  rank %d caught up\n", t, rank);

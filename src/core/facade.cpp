@@ -72,11 +72,16 @@ const char* spbc_error_string(int code) {
   }
 }
 
+// With no SPBC protocol attached (a native run, e.g. the tracing pass of
+// tool clustering), an adopted app must run unchanged: need/start/route/
+// complete/have_restart succeed as no-ops meaning "no checkpoint needed, no
+// restart state". Argument checks still come first.
+
 int spbc_need_checkpoint(mpi::Rank& rank, int* flag) {
   if (flag == nullptr) return SPBC_ERR_BAD_ARG;
   *flag = 0;
   SpbcProtocol* p = proto_of(rank);
-  if (p == nullptr) return SPBC_ERR_NO_PROTOCOL;
+  if (p == nullptr) return SPBC_SUCCESS;
   ensure_handlers(rank, p);
   *flag = p->need_checkpoint(rank) ? 1 : 0;
   return SPBC_SUCCESS;
@@ -84,7 +89,7 @@ int spbc_need_checkpoint(mpi::Rank& rank, int* flag) {
 
 int spbc_start(mpi::Rank& rank) {
   SpbcProtocol* p = proto_of(rank);
-  if (p == nullptr) return SPBC_ERR_NO_PROTOCOL;
+  if (p == nullptr) return SPBC_SUCCESS;
   ensure_handlers(rank, p);
   auto& fs = p->facade_state(rank.rank());
   if (fs.in_session) return SPBC_ERR_IN_SESSION;
@@ -99,7 +104,10 @@ int spbc_route(mpi::Rank& rank, const char* name, const void* data,
   if (name == nullptr || *name == '\0') return SPBC_ERR_BAD_ARG;
   if (data == nullptr && bytes != 0) return SPBC_ERR_BAD_ARG;
   SpbcProtocol* p = proto_of(rank);
-  if (p == nullptr) return SPBC_ERR_NO_PROTOCOL;
+  if (p == nullptr) {
+    if (routed_path != nullptr && path_len > 0) routed_path[0] = '\0';
+    return SPBC_SUCCESS;
+  }
   auto& fs = p->facade_state(rank.rank());
   if (!fs.in_session) return SPBC_ERR_NO_SESSION;
   const auto* src = static_cast<const unsigned char*>(data);
@@ -121,7 +129,7 @@ int spbc_route(mpi::Rank& rank, const char* name, const void* data,
 
 int spbc_complete(mpi::Rank& rank, int valid) {
   SpbcProtocol* p = proto_of(rank);
-  if (p == nullptr) return SPBC_ERR_NO_PROTOCOL;
+  if (p == nullptr) return SPBC_SUCCESS;
   auto& fs = p->facade_state(rank.rank());
   if (!fs.in_session) return SPBC_ERR_NO_SESSION;
   fs.in_session = false;
@@ -146,7 +154,7 @@ int spbc_have_restart(mpi::Rank& rank, int* flag) {
   if (flag == nullptr) return SPBC_ERR_BAD_ARG;
   *flag = 0;
   SpbcProtocol* p = proto_of(rank);
-  if (p == nullptr) return SPBC_ERR_NO_PROTOCOL;
+  if (p == nullptr) return SPBC_SUCCESS;
   ensure_handlers(rank, p);
   auto& fs = p->facade_state(rank.rank());
   // A sigma_0 rollback respawns with restarted=false and no pending app

@@ -48,8 +48,13 @@
 //
 // Misuse is rejected, never asserted: route/complete outside a session,
 // double start, unknown regions and short buffers return error codes
-// (spbc_error_string for messages). The facade is purely local — it adds
-// no communication and no cost beyond the snapshot the app asked for.
+// (spbc_error_string for messages). On a machine not running the SPBC
+// protocol (native runs) the app runs unchanged: every call but
+// spbc_restart_read succeeds as a no-op — no checkpoint needed, no restart
+// state, no session — and spbc_restart_read, reading state that was
+// reported absent, returns SPBC_ERR_NO_PROTOCOL. The facade is purely
+// local — it adds no communication and no cost beyond the snapshot the app
+// asked for.
 
 #include <cstdint>
 
@@ -59,7 +64,7 @@ namespace spbc::core {
 
 enum FacadeStatus : int {
   SPBC_SUCCESS = 0,
-  SPBC_ERR_NO_PROTOCOL = -1,  // machine's protocol is not SpbcProtocol
+  SPBC_ERR_NO_PROTOCOL = -1,  // restart read on a machine without SPBC
   SPBC_ERR_IN_SESSION = -2,   // spbc_start while a session is already open
   SPBC_ERR_NO_SESSION = -3,   // route/complete outside spbc_start..complete
   SPBC_ERR_BAD_ARG = -4,      // null name/flag/data with nonzero size

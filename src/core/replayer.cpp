@@ -12,42 +12,6 @@ void Replayer::configure(mpi::Machine* machine, int self_rank, int window) {
   SPBC_ASSERT(window_ >= 1);
 }
 
-void Replayer::enqueue_for_peer(
-    SenderLog& log, int dst,
-    const std::map<std::pair<int, int>, mpi::SeqWindow>& windows,
-    std::map<std::pair<int, uint64_t>, std::function<void()>> orphan_done) {
-  SPBC_ASSERT(machine_ != nullptr);
-  uint32_t inc = machine_->incarnation(dst);
-  auto& send_states = machine_->rank(self_);
-  size_t queued = 0;
-  for (auto& e : log.entries()) {
-    if (e.env.dst != dst) continue;
-    if (e.queued_for_inc == inc) continue;  // already queued for this recovery
-    int stream = send_states.stream_of(e.env.tag);
-    auto wit = windows.find({e.env.ctx, stream});
-    if (wit != windows.end() && wit->second.contains(e.env.seqnum)) {
-      // The peer received this one before its checkpoint; if an application
-      // request was orphaned on it (cannot be: a received payload completes
-      // the send), just release any stray callback.
-      auto oit = orphan_done.find({e.env.ctx, e.env.seqnum});
-      if (oit != orphan_done.end() && oit->second) oit->second();
-      continue;
-    }
-    e.queued_for_inc = inc;
-    Item item;
-    item.env = e.env;
-    item.payload = &e.payload;
-    auto oit = orphan_done.find({e.env.ctx, e.env.seqnum});
-    if (oit != orphan_done.end()) item.orphan_done = std::move(oit->second);
-    // Gate new application sends on this stream behind the replayed prefix
-    // (per-stream order must match the failure-free execution).
-    ++send_states.send_state(dst, e.env.ctx, e.env.tag).replay_pending;
-    queue_.push_back(std::move(item));
-    ++queued;
-  }
-  if (queued > 0) pump();
-}
-
 void Replayer::enqueue_for_cluster(
     SenderLog& log, const std::function<bool(int)>& in_cluster,
     const std::map<int, std::map<std::pair<int, int>, mpi::SeqWindow>>&

@@ -39,23 +39,14 @@ class Replayer {
   void configure(mpi::Machine* machine, int self_rank, int window);
   void set_gate(Gate gate) { gate_ = std::move(gate); }
 
-  /// Queues all not-yet-replayed log entries on channel (self -> dst, any
-  /// ctx) whose seqnum the destination does not hold, per the windows the
-  /// Rollback carried. `windows` maps (ctx, stream) -> received window
-  /// (missing key => empty window); the stream is -1 in MPI-only mode or the
-  /// message tag under seq_per_tag. `orphan_done` maps (ctx, seq) ->
-  /// completion callback for application send requests orphaned by the
-  /// peer's crash.
-  void enqueue_for_peer(SenderLog& log, int dst,
-                        const std::map<std::pair<int, int>, mpi::SeqWindow>& windows,
-                        std::map<std::pair<int, uint64_t>, std::function<void()>>
-                            orphan_done);
-
-  /// Batched enqueue_for_peer over every destination satisfying
-  /// `in_cluster`, in ONE pass over the log (per-peer calls rescan the
-  /// whole log per member — quadratic for an aggregated cluster rollback).
-  /// `windows_by_dst` / `orphans_by_dst` carry the per-member Rollback
-  /// payloads; a missing destination key means empty windows / no orphans.
+  /// Queues, in ONE pass over the log, every not-yet-replayed entry toward a
+  /// destination satisfying `in_cluster` whose seqnum that destination does
+  /// not hold, per the windows its cluster's Rollback carried.
+  /// `windows_by_dst` maps dst -> (ctx, stream) -> received window; the
+  /// stream is -1 in MPI-only mode or the message tag under seq_per_tag.
+  /// `orphans_by_dst` maps dst -> (ctx, seq) -> completion callback for
+  /// application send requests orphaned by the destination's crash. A
+  /// missing key means empty windows / no orphans.
   void enqueue_for_cluster(
       SenderLog& log, const std::function<bool(int)>& in_cluster,
       const std::map<int, std::map<std::pair<int, int>, mpi::SeqWindow>>&

@@ -324,13 +324,14 @@ bool SpbcProtocol::need_checkpoint(mpi::Rank& rank) {
 // the root broadcasts kCkptCommit when the aggregate covers every member.
 // No rank ever parks, so two clusters checkpointing concurrently cannot
 // form a cross-cluster circular wait through halo dependencies.
-// Tree-based marker dissemination (MachineConfig::tree_ckpt_markers). A
-// member floods a wave's epoch to its binomial-tree neighbors the first
-// time it learns of the wave — from its own cut (learned_from == -1) or
-// from a received marker (learned_from == the forwarding peer, skipped).
-// The marker_fwd guard caps every member at one forwarding round per epoch,
-// so a wave costs O(members) marker messages in total where the all-to-all
-// broadcast costs O(members^2).
+//
+// Marker dissemination: a member floods a wave's epoch to its binomial-tree
+// neighbors (the completion reduction's tree) the first time it learns of
+// the wave — from its own cut (learned_from == -1) or from a received marker
+// (learned_from == the forwarding peer, skipped). The marker_fwd guard caps
+// every member at one forwarding round per epoch, so a wave costs
+// O(members) marker messages; markers are a hint (nothing blocks on them),
+// so tree-latency delivery is safe.
 void SpbcProtocol::flood_wave_marker(int me, uint64_t epoch, int learned_from) {
   auto& cs = ckpt_[static_cast<size_t>(me)];
   if (cs.marker_fwd >= epoch) return;
@@ -359,7 +360,6 @@ void SpbcProtocol::flood_wave_marker(int me, uint64_t epoch, int learned_from) {
 void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   const int me = rank.rank();
   const int cluster = machine_->cluster_of(me);
-  const std::vector<int>& members = machine_->ranks_in_cluster(cluster);
   auto& cs = ckpt_[static_cast<size_t>(me)];
   const uint64_t epoch = cs.snap_epoch + 1;
 
@@ -442,19 +442,7 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   cs.snap_epoch = epoch;
 
   // Explicit markers so idle peers learn of the wave without data traffic.
-  if (machine_->config().tree_ckpt_markers) {
-    flood_wave_marker(me, epoch, /*learned_from=*/-1);
-  } else {
-    for (int m : members) {
-      if (m == me) continue;
-      mpi::ControlMsg msg;
-      msg.kind = mpi::ControlMsg::Kind::kCkptMarker;
-      msg.src = me;
-      msg.dst = m;
-      msg.words.push_back(epoch);
-      machine_->send_control(me, m, std::move(msg));
-    }
-  }
+  flood_wave_marker(me, epoch, /*learned_from=*/-1);
 
   // Storage cost is charged to the member's own fiber (the write itself is
   // not free) — but no cluster-wide rendezvous follows it.
@@ -785,21 +773,22 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
     for (int r : members) redeliver_captured(r, epoch);
     machine_->begin_recovery_record(cluster, failure_time, ckpt_time, targets);
     // Lines 19-20: announce the rollback with the restored received-windows.
-    if (machine_->config().aggregate_rollbacks) {
-      std::vector<int> outside;
-      outside.reserve(static_cast<size_t>(machine_->nranks()));
-      for (int s = 0; s < machine_->nranks(); ++s)
-        if (machine_->cluster_of(s) != cluster && !machine_->tombstoned(s))
-          outside.push_back(s);
-      send_cluster_rollback(cluster, members, outside);
-    } else {
-      // Peer sets are computed here, at announce time, not when the restore
-      // was planned: a peer tombstoned by an overlapping permanent failure at
-      // plan time may have respawned on a spare since and must still hear the
-      // rollback. Peers still tombstoned now are covered by their own
-      // cluster's overlapping-recovery re-announce below when they restart.
-      for (int r : members) send_rollbacks_from(r, rollback_peers_of(r));
-    }
+    // Section 3.1 defines a channel between every ordered pair of processes,
+    // so "all outgoing inter-cluster channels" (line 19) means every rank
+    // outside the cluster: restricting to channels the checkpoint has seen
+    // would lose messages a survivor sent on a brand-new channel while the
+    // cluster was down. The target set is computed here, at announce time,
+    // not when the restore was planned: a peer tombstoned by an overlapping
+    // permanent failure at plan time may have respawned on a spare since and
+    // must still hear the rollback. A permanently-failed rank still awaiting
+    // its elastic rebind has no rendezvous to announce to; its own cluster's
+    // overlapping-recovery re-announce below covers it once it restarts.
+    std::vector<int> outside;
+    outside.reserve(static_cast<size_t>(machine_->nranks()));
+    for (int s = 0; s < machine_->nranks(); ++s)
+      if (machine_->cluster_of(s) != cluster && !machine_->tombstoned(s))
+        outside.push_back(s);
+    send_cluster_rollback(cluster, members, outside);
     // Overlapping recoveries: clusters that rolled back earlier re-announce
     // to the ranks we just restarted, so replays lost to this crash re-run.
     // Not gated on the recovery record being open: a cluster can be caught
@@ -809,17 +798,7 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
     // re-announcing from every past-rollback cluster is safe.
     for (int other : recovering_clusters_) {
       if (other == cluster) continue;
-      if (machine_->config().aggregate_rollbacks) {
-        send_cluster_rollback(other, machine_->ranks_in_cluster(other),
-                              members);
-        continue;
-      }
-      for (int rr : machine_->ranks_in_cluster(other)) {
-        std::set<int> again;
-        for (int m : members)
-          if (rollback_peers_of(rr).count(m)) again.insert(m);
-        if (!again.empty()) send_rollbacks_from(rr, again);
-      }
+      send_cluster_rollback(other, machine_->ranks_in_cluster(other), members);
     }
   });
 
@@ -960,58 +939,18 @@ void SpbcProtocol::redeliver_captured(int r, uint64_t epoch) {
   }
 }
 
-std::set<int> SpbcProtocol::rollback_peers_of(int r) const {
-  // Section 3.1 defines a channel between every ordered pair of processes,
-  // so "all outgoing inter-cluster channels" (Algorithm 1, line 19) means
-  // every rank outside the cluster. Restricting to channels the checkpoint
-  // has seen would lose messages a survivor sent on a brand-new channel
-  // while this rank was down (e.g. the first collective after the crash):
-  // that survivor would never learn it must replay.
-  std::set<int> peers;
-  const int my_cluster = machine_->cluster_of(r);
-  for (int s = 0; s < machine_->nranks(); ++s) {
-    if (machine_->cluster_of(s) == my_cluster) continue;
-    // Dead-rank tombstone: a permanently-failed rank awaiting its elastic
-    // rebind has no rendezvous to announce to — re-announcing Rollback at
-    // it forever is the retry storm this filter removes. Its own recovery
-    // re-announces in the other direction once it respawns.
-    if (machine_->tombstoned(s)) continue;
-    peers.insert(s);
-  }
-  return peers;
-}
-
-void SpbcProtocol::send_rollbacks_from(int r, const std::set<int>& peers) {
-  const mpi::Rank& rank = machine_->rank(r);
-  for (int p : peers) {
-    // Gather this rank's received-windows for streams p -> r (all ctxs and,
-    // under seq_per_tag, all tag streams).
-    StreamWindows windows;
-    for (const auto& [key, win] : rank.all_recv_windows())
-      if (key.peer == p) windows[{key.ctx, key.stream}] = win;
-    mpi::ControlMsg m;
-    m.kind = mpi::ControlMsg::Kind::kRollback;
-    m.src = r;
-    m.dst = p;
-    encode_windows(windows, m.words);
-    machine_->send_control(r, p, std::move(m));
-  }
-}
-
-// Aggregated Algorithm 1 lines 19-20 (MachineConfig::aggregate_rollbacks).
-// The pairwise broadcast above posts one Rollback per (member, outside rank)
-// pair — O(cluster x world) control messages per failure, which is what
-// capped MTBF ablations at a few thousand ranks. A scalable implementation
-// aggregates: members gather their restored windows to the cluster leader
-// (free here — the serial recovery event already holds every member's
-// restored state; the real gather is an intra-cluster reduction subsumed in
-// restart_delay) and the leader posts ONE kClusterRollback per target,
-// carrying only the members' windows for that destination (almost always
-// none: a rank holds windows for a handful of peers). Replies shrink the
-// same way — a peer posts lastMessage only toward members it actually holds
-// received-windows for — so the members' stale LS suppression toward every
-// target is wiped up front here, where the pairwise path relies on the
-// always-sent reply's clear-then-install.
+// Algorithm 1 lines 19-20, aggregated per cluster. Read literally, every
+// recovering rank announces to every outside rank: O(cluster x world)
+// control messages per failure. Instead the members gather their restored
+// windows to the cluster leader (free here — the serial recovery event
+// already holds every member's restored state; the real gather is an
+// intra-cluster reduction subsumed in restart_delay) and the leader posts
+// ONE kClusterRollback per target, carrying only the members' windows for
+// that destination (almost always none: a rank holds windows for a handful
+// of peers). Replies are sparse the same way — a peer posts lastMessage only
+// toward members it actually holds received-windows for — so "no reply"
+// must mean "no suppression": the members' stale LS suppression toward
+// every target is wiped up front here.
 void SpbcProtocol::send_cluster_rollback(int cluster,
                                          const std::vector<int>& members,
                                          const std::vector<int>& targets) {
@@ -1049,66 +988,11 @@ void SpbcProtocol::send_cluster_rollback(int cluster,
   }
 }
 
-void SpbcProtocol::handle_rollback(mpi::Rank& receiver, const mpi::ControlMsg& msg) {
-  const int me = receiver.rank();
-  const int peer = msg.src;  // the recovering rank
-  size_t pos = 0;
-  StreamWindows peer_windows = decode_windows(msg.words, pos);
-
-  // The Rollback carries the peer's COMPLETE restored received-windows —
-  // replace our LS-suppression state with it. Without the refresh, a rank
-  // that itself rolled back earlier keeps suppression learned from the
-  // peer's PRE-crash state: it would keep skipping re-sends the peer no
-  // longer holds, and if those sends were not yet re-logged when this
-  // Rollback arrived, nothing would ever deliver them (observed as a
-  // deadlock under repeated failures). The reset must cover streams ABSENT
-  // from the announcement too: a peer restored to the initial state (or an
-  // epoch predating a stream) announces no window for it, and stale
-  // suppression left behind would silently drop the re-executed sends.
-  receiver.clear_peer_received(peer);
-  for (const auto& [key, win] : peer_windows) {
-    receiver.send_state(peer, key.first, key.second == -1 ? 0 : key.second)
-        .peer_received = win;
-  }
-
-  // Line 22: reply with what we already received on streams peer -> me, so
-  // the recovering rank can skip those sends (LS suppression).
-  StreamWindows mine;
-  for (const auto& [key, win] : receiver.all_recv_windows())
-    if (key.peer == peer) mine[{key.ctx, key.stream}] = win;
-  mpi::ControlMsg reply;
-  reply.kind = mpi::ControlMsg::Kind::kLastMessage;
-  reply.src = me;
-  reply.dst = peer;
-  encode_windows(mine, reply.words);
-  machine_->send_control(me, peer, std::move(reply));
-
-  // Rendezvous state tied to the peer's old incarnation will never complete:
-  // drop its pending RTSs from the unexpected queue (matching one would CTS
-  // into the void) and rewind receptions already matched to one.
-  receiver.match_engine().purge_pending_rts_from(peer);
-  receiver.rewind_pending_from(peer);
-
-  // Our own sends to the peer that were caught mid-rendezvous: the replayer
-  // completes their application requests when the logged copies land.
-  std::map<std::pair<int, uint64_t>, std::function<void()>> orphan_done;
-  for (auto& orphan : machine_->take_rendezvous_to(peer, me)) {
-    orphan_done[{orphan.env.ctx, orphan.env.seqnum}] = std::move(orphan.on_complete);
-  }
-
-  // Lines 23-24: replay logged messages the peer does not hold, in log
-  // order, under the pre-post window.
-  replayers_[static_cast<size_t>(me)].enqueue_for_peer(
-      logs_[static_cast<size_t>(me)], peer, peer_windows, std::move(orphan_done));
-  receiver.wake();
-}
-
-// Receiver side of the aggregated announce: semantically the pairwise
-// handle_rollback above unrolled over every member of the recovering
-// cluster, but each scan over this rank's state (send states, receive
-// windows, sender log, rendezvous rows, matching queues) happens once per
-// announce instead of once per member — without that batching a 16k-rank
-// recovery would still walk each receiver's log 2048 times.
+// Receiver side of the announce (Algorithm 1 lines 21-24) for every member
+// of the recovering cluster at once: each scan over this rank's state (send
+// states, receive windows, sender log, rendezvous rows, matching queues)
+// happens once per announce instead of once per member — a 16k-rank
+// recovery would otherwise walk each receiver's log 2048 times.
 void SpbcProtocol::handle_cluster_rollback(mpi::Rank& receiver,
                                            const mpi::ControlMsg& msg) {
   const int me = receiver.rank();
@@ -1125,9 +1009,13 @@ void SpbcProtocol::handle_cluster_rollback(mpi::Rank& receiver,
   };
 
   // (1) Replace LS suppression learned from the members' pre-crash state
-  // with their restored windows; members absent from the announce restored
-  // no windows for us, so theirs drops to empty (same contract as the
-  // pairwise clear-then-install).
+  // with their restored windows. Without the refresh, a rank that itself
+  // rolled back earlier keeps suppression learned from a member's PRE-crash
+  // state: it would keep skipping re-sends the member no longer holds, and
+  // if those sends were not yet re-logged when the announce arrived, nothing
+  // would ever deliver them. Members absent from the announce restored no
+  // windows for us (restored to sigma_0, or to an epoch predating the
+  // stream), so their suppression drops to empty.
   receiver.clear_peer_received_if(in_cluster);
   for (const auto& [member, windows] : windows_by_member) {
     for (const auto& [key, win] : windows) {
@@ -1192,9 +1080,6 @@ void SpbcProtocol::handle_last_message(mpi::Rank& receiver, const mpi::ControlMs
 void SpbcProtocol::on_control(mpi::Rank& receiver, const mpi::ControlMsg& msg) {
   auto& cs = ckpt_[static_cast<size_t>(receiver.rank())];
   switch (msg.kind) {
-    case mpi::ControlMsg::Kind::kRollback:
-      handle_rollback(receiver, msg);
-      break;
     case mpi::ControlMsg::Kind::kLastMessage:
       handle_last_message(receiver, msg);
       break;
@@ -1206,8 +1091,7 @@ void SpbcProtocol::on_control(mpi::Rank& receiver, const mpi::ControlMsg& msg) {
       // joins the wave at its next maybe_checkpoint() call (nothing blocks
       // on the marker — the wave stays non-blocking).
       cs.wave_seen = std::max(cs.wave_seen, msg.words.at(0));
-      if (machine_->config().tree_ckpt_markers)
-        flood_wave_marker(receiver.rank(), msg.words.at(0), msg.src);
+      flood_wave_marker(receiver.rank(), msg.words.at(0), msg.src);
       break;
     case mpi::ControlMsg::Kind::kCkptComplete: {
       // A tree child's aggregate for words[0]: union its covered member set

@@ -265,10 +265,9 @@ class SpbcProtocol : public mpi::ProtocolHooks {
     // point where an app-consistent local snapshot exists.
     uint64_t wave_seen = 0;
     // Highest epoch whose marker this member has flooded over the binomial
-    // tree (transient; only used under MachineConfig::tree_ckpt_markers).
-    // The >= guard makes each member forward a wave's marker at most once,
-    // bounding dissemination at O(members) messages per wave instead of the
-    // all-to-all broadcast's O(members^2).
+    // tree (transient). The >= guard makes each member forward a wave's
+    // marker at most once, bounding dissemination at O(members) messages
+    // per wave.
     uint64_t marker_fwd = 0;
     // Binomial-tree commit reduction (transient, cleared on rollback): per
     // epoch, the member ranks covered by aggregates received from this
@@ -346,17 +345,14 @@ class SpbcProtocol : public mpi::ProtocolHooks {
                           uint64_t epoch_hint);
   void restore_rank(int r, uint64_t epoch);
   void redeliver_captured(int r, uint64_t epoch);
-  void send_rollbacks_from(int r, const std::set<int>& peers);
-  std::set<int> rollback_peers_of(int r) const;
-  /// Aggregated rollback announce (MachineConfig::aggregate_rollbacks): one
-  /// kClusterRollback from the cluster leader to each rank in `targets`,
-  /// carrying every member's restored windows for that destination.
+  /// Rollback announce (Algorithm 1 lines 19-20): one kClusterRollback from
+  /// the cluster leader to each rank in `targets`, carrying every member's
+  /// restored windows for that destination.
   void send_cluster_rollback(int cluster, const std::vector<int>& members,
                              const std::vector<int>& targets);
-  void handle_rollback(mpi::Rank& receiver, const mpi::ControlMsg& msg);
   void handle_cluster_rollback(mpi::Rank& receiver, const mpi::ControlMsg& msg);
-  /// Tree-based wave-marker dissemination (MachineConfig::tree_ckpt_markers):
-  /// forwards `epoch` to this member's binomial-tree neighbors, at most once
+  /// Wave-marker dissemination: forwards `epoch` to this member's
+  /// binomial-tree neighbors, at most once
   /// per epoch. `learned_from` is the peer the marker arrived from (-1 when
   /// this member initiated the wave) and is skipped.
   void flood_wave_marker(int me, uint64_t epoch, int learned_from);

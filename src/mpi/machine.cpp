@@ -28,6 +28,8 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
       active_recovery_idx_(1, -1),
       pending_app_state_(static_cast<size_t>(cfg.nranks)) {
   SPBC_ASSERT(protocol_);
+  SPBC_ASSERT_MSG(cfg.aggregate_rollbacks && cfg.tree_ckpt_markers,
+                  "the pairwise control plane was removed");
   rebuild_members();
   traffic_.reset(cfg.nranks);
   engine_.set_abort_on_deadlock(cfg.abort_on_deadlock);
@@ -546,21 +548,6 @@ std::map<ChannelKey, std::vector<uint64_t>> Machine::send_trace() const {
   // hint valid and the merge linear.
   for (const auto& row : send_trace_rows_)
     out.insert(row.begin(), row.end());
-  return out;
-}
-
-std::vector<Machine::OrphanSend> Machine::take_rendezvous_to(int dst, int src) {
-  std::vector<OrphanSend> out;
-  auto& row = rendezvous_[static_cast<size_t>(src)];
-  for (auto it = row.begin(); it != row.end();) {
-    if (it->second.env.dst == dst &&
-        it->second.dst_inc != incarnation_[static_cast<size_t>(dst)]) {
-      out.push_back(OrphanSend{it->second.env, std::move(it->second.on_complete)});
-      it = row.erase(it);
-    } else {
-      ++it;
-    }
-  }
   return out;
 }
 

@@ -72,26 +72,9 @@ struct MachineConfig {
   // Table 1's 512-cluster row (pure message logging) intentionally violates
   // the one-cluster-per-node rule; benches flip this off for that row.
   bool enforce_node_colocation = true;
-  // Scalable recovery announces. Algorithm 1 (lines 19-20) posts one
-  // Rollback per (recovering rank, outside rank) pair — O(cluster x world)
-  // control messages per failure, which is what capped MTBF ablations at a
-  // few thousand ranks. When set, the recovering cluster's leader posts one
-  // aggregated kClusterRollback per outside rank (members' windows gathered
-  // at restore; almost every destination's entry list is empty) and peers
-  // reply only toward members they actually hold received-windows for.
-  // Off by default: the pairwise path is the paper's literal algorithm and
-  // the pinned CI rows are recorded against its message timing.
-  bool aggregate_rollbacks = false;
-  // Scalable checkpoint-wave markers. The explicit "I snapshotted epoch E"
-  // markers are an all-to-all broadcast within the cluster — O(members^2)
-  // control messages per wave, the dominant traffic of the whole simulation
-  // past a few thousand ranks (a coordinated wave's "cluster" is every
-  // rank). When set, the marker floods over the same binomial tree the
-  // wave's completion reduction uses: each member forwards a wave's epoch
-  // to its tree neighbors at most once — O(members) messages, same
-  // eventual-delivery guarantee (markers are a hint; nothing blocks on
-  // them). Off by default for the same pinned-row reason as above.
-  bool tree_ckpt_markers = false;
+  // Always true; kept until the next spbc_bench revision stops setting them.
+  bool aggregate_rollbacks = true;
+  bool tree_ckpt_markers = true;
   // Event-engine execution layout. The engine is always keyed by cluster (one
   // logical shard per cluster, fixed by the workload); this is only how many
   // physical queues back those keys: 0 = one per cluster, N = at most N.
@@ -267,23 +250,20 @@ class Machine {
   void set_pending_app_state(int rank, std::vector<unsigned char> bytes);
   std::vector<unsigned char> take_pending_app_state(int rank);
 
-  /// Removes and returns pending rendezvous sends from `src` to `dst` whose
-  /// handshake died with a previous incarnation of `dst` (the peer crashed
-  /// mid-rendezvous, so its CTS will never come). The protocol completes
-  /// their application requests when the corresponding logged messages
-  /// finish replaying. Handshakes addressed to the CURRENT incarnation are
-  /// left alone: a Rollback can also be a re-announcement during overlapping
+  /// Removes and returns, grouped by destination, `src`'s pending
+  /// rendezvous sends toward a destination satisfying `pred` whose handshake
+  /// died with a previous incarnation of that destination (the peer crashed
+  /// mid-rendezvous, so its CTS will never come). One pass over `src`'s row
+  /// covers a whole recovering cluster. The protocol completes their
+  /// application requests when the corresponding logged messages finish
+  /// replaying. Handshakes addressed to the CURRENT incarnation are left
+  /// alone: a Rollback can also be a re-announcement during overlapping
   /// recoveries, and orphaning a live handshake would park the sender on a
   /// CTS the receiver still owes it.
   struct OrphanSend {
     Envelope env;
     std::function<void()> on_complete;
   };
-  std::vector<OrphanSend> take_rendezvous_to(int dst, int src);
-  /// Batched take_rendezvous_to: one pass over `src`'s pending rendezvous
-  /// handshakes removes every one addressed to a dead incarnation of a
-  /// destination satisfying `pred`, grouped by destination (aggregated
-  /// rollbacks orphan toward a whole recovering cluster at once).
   std::map<int, std::vector<OrphanSend>> take_rendezvous_to_if(
       const std::function<bool(int)>& pred, int src);
 

@@ -56,10 +56,6 @@ void MatchEngine::repost(std::shared_ptr<RequestState> req) {
   posted_.insert(it, std::move(req));
 }
 
-size_t MatchEngine::purge_pending_rts_from(int src) {
-  return purge_pending_rts_if([src](int s) { return s == src; });
-}
-
 size_t MatchEngine::purge_pending_rts_if(const std::function<bool(int)>& pred) {
   size_t purged = 0;
   for (auto it = unexpected_.begin(); it != unexpected_.end();) {

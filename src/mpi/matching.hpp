@@ -74,14 +74,12 @@ class MatchEngine {
   /// request matches, if its re-delivery already arrived.
   PostResult take_bound(const RequestState& req);
 
-  /// Recovery: drops unexpected rendezvous envelopes from `src` whose
-  /// payload has not arrived. Their transport state died with the sender's
-  /// old incarnation; a later request matching one would CTS into the void.
-  /// Per-channel FIFO puts the peer's Rollback ahead of any of its new
-  /// messages, so at Rollback time every pending RTS from it is stale.
-  /// Returns the number purged.
-  size_t purge_pending_rts_from(int src);
-  /// Batched purge over every source satisfying `pred` in one queue pass.
+  /// Recovery: drops, in one queue pass, unexpected rendezvous envelopes
+  /// from every source satisfying `pred` whose payload has not arrived.
+  /// Their transport state died with the sender's old incarnation; a later
+  /// request matching one would CTS into the void. Per-channel FIFO puts the
+  /// peer's Rollback ahead of any of its new messages, so at Rollback time
+  /// every pending RTS from it is stale. Returns the number purged.
   size_t purge_pending_rts_if(const std::function<bool(int)>& pred);
 
   /// A rendezvous payload completed for an unexpected (still unmatched)

@@ -452,10 +452,6 @@ void Rank::deliver_payload(const Envelope& env, Payload payload, uint64_t sender
   wake();
 }
 
-void Rank::rewind_pending_from(int src) {
-  rewind_pending_if([src](int s) { return s == src; });
-}
-
 void Rank::rewind_pending_if(const std::function<bool(int)>& pred) {
   // Pair each rewound request with its entry's source: an aggregated
   // rollback rewinds a whole cluster's worth of sources in one pass.

@@ -193,14 +193,14 @@ class Rank {
   ChannelSendState& send_state(int dst, int ctx, int tag = 0);
 
   /// Recovery: wipes the LS-suppression windows of every stream toward
-  /// `peer`. A Rollback (and its lastMessage reply) enumerates the peer's
-  /// COMPLETE restored receive state, so streams absent from it — e.g.
-  /// after the peer rolled back to the initial state — must not keep stale
+  /// `peer`. A lastMessage reply (and a Rollback announce) enumerates the
+  /// peer's COMPLETE receive state, so streams absent from it — e.g. after
+  /// the peer rolled back to the initial state — must not keep stale
   /// suppression, or re-executed sends the peer no longer holds would be
   /// skipped and lost.
   void clear_peer_received(int peer);
   /// Batched clear_peer_received: one pass over the send-state map wipes
-  /// suppression for every peer satisfying `pred` (an aggregated rollback
+  /// suppression for every peer satisfying `pred` (a Rollback announce
   /// clears a whole recovering cluster; per-peer calls would rescan the map
   /// once per member).
   void clear_peer_received_if(const std::function<bool(int)>& pred);
@@ -228,12 +228,11 @@ class Rank {
   /// Returns false if it was a duplicate (drop).
   bool accept_seq(const Envelope& env);
 
-  /// Recovery support: a peer (`src`) crashed after this rank matched one of
-  /// its rendezvous RTSs but before the payload arrived. The matched-but-
-  /// incomplete requests are re-inserted into the posted queue (in post
-  /// order) so the replayed/re-executed message matches them again.
-  void rewind_pending_from(int src);
-  /// Batched rewind_pending_from over every source satisfying `pred`.
+  /// Recovery support: a peer (a source satisfying `pred`) crashed after
+  /// this rank matched one of its rendezvous RTSs but before the payload
+  /// arrived. The matched-but-incomplete requests are re-inserted into the
+  /// posted queue (in post order) so the replayed/re-executed message
+  /// matches them again. One pass covers a whole recovering cluster.
   void rewind_pending_if(const std::function<bool(int)>& pred);
 
   /// Serializes MPI-layer state into a checkpoint section.

@@ -221,14 +221,11 @@ struct ControlMsg {
   enum class Kind : uint8_t {
     kRts,          // rendezvous request-to-send (transport)
     kCts,          // rendezvous clear-to-send (transport)
-    kRollback,     // Algorithm 1: recovering rank announces received windows
     kLastMessage,  // Algorithm 1: peer reports what it already received
-    kClusterRollback,  // aggregated Rollback (MachineConfig::
-                       // aggregate_rollbacks): the recovering cluster's
+    kClusterRollback,  // Algorithm 1 Rollback: the recovering cluster's
                        // leader announces every member's restored windows
                        // in ONE message per outside rank — O(world) control
-                       // messages per failure instead of the pairwise
-                       // broadcast's O(cluster x world)
+                       // messages per failure
     kCkptMarker,    // marker-based wave: "I snapshotted epoch E"; data
                     // messages piggyback the same information as an epoch
                     // stamp, so members never park waiting for it

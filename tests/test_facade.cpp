@@ -139,6 +139,52 @@ TEST(FacadeLifecycle, NeedStartRouteCompleteAndMisuseCodes) {
   EXPECT_GT(p->store().snapshots_taken(), 0u);
 }
 
+// An adopted app must run unchanged with checkpointing off (SCR's recipe):
+// on a machine without the SPBC protocol every call but spbc_restart_read
+// is a successful no-op, while argument checks still fire first.
+TEST(FacadeLifecycle, NativeMachineRunsAsNoCheckpointNoRestart) {
+  mpi::MachineConfig mc;
+  mc.nranks = 4;
+  mc.ranks_per_node = 2;
+  mpi::Machine m(mc, std::make_unique<mpi::NativeProtocol>());
+
+  m.launch([](mpi::Rank& rank) {
+    const int me = rank.rank();
+    EXPECT_EQ(core::spbc_have_restart(rank, nullptr), SPBC_ERR_BAD_ARG);
+    EXPECT_EQ(core::spbc_need_checkpoint(rank, nullptr), SPBC_ERR_BAD_ARG);
+    EXPECT_EQ(core::spbc_route(rank, nullptr, &me, sizeof me, nullptr, 0),
+              SPBC_ERR_BAD_ARG);
+    EXPECT_EQ(core::spbc_route(rank, "iter", nullptr, sizeof me, nullptr, 0),
+              SPBC_ERR_BAD_ARG);
+
+    int have = -1;
+    EXPECT_EQ(core::spbc_have_restart(rank, &have), SPBC_SUCCESS);
+    EXPECT_EQ(have, 0);
+    for (int i = 0; i < 4; ++i) {
+      int need = -1;
+      EXPECT_EQ(core::spbc_need_checkpoint(rank, &need), SPBC_SUCCESS);
+      EXPECT_EQ(need, 0);
+    }
+    // A forced boundary goes through without a session to track.
+    EXPECT_EQ(core::spbc_start(rank), SPBC_SUCCESS);
+    char where[32] = "unchanged";
+    EXPECT_EQ(core::spbc_route(rank, "iter", &me, sizeof me, where,
+                               sizeof where),
+              SPBC_SUCCESS);
+    EXPECT_STREQ(where, "");
+    EXPECT_EQ(core::spbc_complete(rank, /*valid=*/1), SPBC_SUCCESS);
+    EXPECT_EQ(core::spbc_complete(rank, /*valid=*/0), SPBC_SUCCESS);
+
+    // Reading restart state that was reported absent is misuse.
+    int back = -1;
+    uint64_t len = sizeof back;
+    EXPECT_EQ(core::spbc_restart_read(rank, "iter", &back, &len),
+              core::SPBC_ERR_NO_PROTOCOL);
+    EXPECT_EQ(back, -1);
+  });
+  ASSERT_TRUE(m.run().completed);
+}
+
 TEST(FacadeLifecycle, ErrorStringsAreDistinct) {
   for (int code : {SPBC_SUCCESS, core::SPBC_ERR_NO_PROTOCOL,
                    SPBC_ERR_IN_SESSION, SPBC_ERR_NO_SESSION, SPBC_ERR_BAD_ARG,
@@ -173,6 +219,22 @@ harness::ScenarioConfig facade_config(const std::string& app) {
   cfg.use_clustering_tool = false;
   apply_elastic_env(cfg.machine);
   return cfg;
+}
+
+// Tool clustering traces the app natively before the SPBC run: both facade
+// ports, forced phase boundary included, must complete there and compute
+// the same answer as under SPBC.
+TEST(FacadeLifecycle, FacadePortsRunNatively) {
+  for (const std::string app : {"MiniFE-facade", "BT-facade"}) {
+    harness::ScenarioConfig cfg = facade_config(app);
+    harness::ScenarioResult spbc = harness::run_failure_free(cfg);
+    ASSERT_TRUE(spbc.run.completed) << app;
+    cfg.protocol = harness::ProtocolKind::kNative;
+    harness::ScenarioResult native = harness::run_failure_free(cfg);
+    ASSERT_TRUE(native.run.completed) << app;
+    EXPECT_FALSE(native.checksums.empty()) << app;
+    EXPECT_EQ(native.checksums, spbc.checksums) << app;
+  }
 }
 
 struct HostileShape {

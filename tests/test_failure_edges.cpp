@@ -64,16 +64,9 @@ struct Rig {
   core::SpbcProtocol* protocol = nullptr;
 };
 
-// SPBC_TEST_SCALABLE_CTRL=1 reruns this suite with the scalable control
-// plane (leader-aggregated rollbacks + tree wave markers) forced on; every
-// edge case here must survive either plane.
 bool elastic_env() { return std::getenv("SPBC_TEST_ELASTIC") != nullptr; }
 
-void apply_ctrl_plane_env(MachineConfig& cfg) {
-  if (std::getenv("SPBC_TEST_SCALABLE_CTRL") != nullptr) {
-    cfg.aggregate_rollbacks = true;
-    cfg.tree_ckpt_markers = true;
-  }
+void apply_elastic_env(MachineConfig& cfg) {
   // SPBC_TEST_ELASTIC=1 upgrades every injected failure to a permanent node
   // loss with a two-deep spare pool: each edge case must survive the victim
   // node never coming back and its ranks hot-swapping onto a spare.
@@ -89,7 +82,7 @@ Rig make_rig(std::vector<int> clusters, int ckpt_every, bool colocate = true) {
   cfg.ranks_per_node = 2;
   cfg.abort_on_deadlock = false;
   cfg.enforce_node_colocation = colocate;
-  apply_ctrl_plane_env(cfg);
+  apply_elastic_env(cfg);
   core::SpbcConfig scfg;
   scfg.checkpoint_every = static_cast<uint64_t>(ckpt_every);
   auto proto = std::make_unique<core::SpbcProtocol>(scfg);
@@ -214,7 +207,7 @@ TEST(FailureEdge, RepeatedFailuresWithRendezvousTraffic) {
   const int n = 8, iters = 14;
   MachineConfig base;
   base.eager_threshold = 256;  // everything is rendezvous
-  apply_ctrl_plane_env(base);
+  apply_elastic_env(base);
   auto make = [&](std::vector<int> clusters, int every) {
     MachineConfig cfg = base;
     cfg.nranks = n;

@@ -80,14 +80,6 @@ Rig make_rig(int nranks, int rpn, std::vector<int> clusters, int ckpt_every,
   cfg.ranks_per_node = rpn;
   cfg.eager_threshold = eager_threshold;
   cfg.abort_on_deadlock = false;
-  // SPBC_TEST_SCALABLE_CTRL=1 reruns this suite with the scalable control
-  // plane (leader-aggregated rollbacks + tree wave markers) forced on. The
-  // checksum oracles below must hold regardless of which plane delivered
-  // the recovery announces.
-  if (std::getenv("SPBC_TEST_SCALABLE_CTRL") != nullptr) {
-    cfg.aggregate_rollbacks = true;
-    cfg.tree_ckpt_markers = true;
-  }
   // SPBC_TEST_ELASTIC=1 reruns this suite with a spare-node pool and every
   // injected failure upgraded to a permanent node loss: the victim's node
   // never returns, its ranks hot-swap onto a pooled spare, and the same
