@@ -30,20 +30,10 @@ int main(int argc, char** argv) {
 
   for (const auto& app : bench::paper_apps()) {
     // Trace once per app.
-    harness::ScenarioConfig trace_cfg =
-        bench::make_config(o, app, k, harness::ProtocolKind::kNative);
-    trace_cfg.app_cfg.iters = std::min(o.iters, 3);
-    mpi::MachineConfig mc = trace_cfg.machine;
-    mc.nranks = o.ranks;
-    mc.ranks_per_node = o.ppn;
-    mpi::Machine tracer(mc, baselines::make_native());
-    tracer.set_cluster_of(baselines::single_cluster_map(o.ranks));
-    const apps::AppInfo& info = apps::find_app(app);
-    apps::AppConfig acfg = trace_cfg.app_cfg;
-    tracer.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-    if (!tracer.run().completed) continue;
-    clustering::CommGraph graph =
-        clustering::CommGraph::from_traffic(o.ranks, tracer.traffic());
+    harness::ScenarioConfig cfg =
+        bench::make_config(o, app, k, harness::ProtocolKind::kSpbc);
+    cfg.trace_iters = std::min(o.iters, 3);
+    clustering::CommGraph graph = harness::trace_comm_graph(cfg);
     sim::Topology topo = sim::Topology::for_ranks(o.ranks, o.ppn);
     clustering::Partitioner part(graph, topo);
 
@@ -83,48 +73,30 @@ int main(int argc, char** argv) {
     }
 
     for (const auto& s : strategies) {
-      harness::ScenarioConfig cfg =
-          bench::make_config(o, app, k, harness::ProtocolKind::kSpbc);
-      // Run with the explicit map by bypassing the harness clustering: use a
-      // dedicated machine.
-      mpi::MachineConfig mc2 = cfg.machine;
-      mc2.nranks = o.ranks;
-      mc2.ranks_per_node = o.ppn;
-      auto proto = std::make_unique<core::SpbcProtocol>(cfg.spbc);
-      mpi::Machine m(mc2, std::move(proto));
-      m.set_cluster_of(s.partition.cluster_of);
-      m.launch([&info, acfg = cfg.app_cfg](mpi::Rank& r) { info.main(r, acfg); });
-      mpi::RunResult ffr = m.run();
-      if (!ffr.completed) {
+      const std::vector<int>& map = s.partition.cluster_of;
+      harness::ScenarioResult ff = harness::run_scenario(cfg, map);
+      if (!ff.run.completed) {
         table.add_row({app, s.name, util::Table::fmt(s.ms, 2), "fail", "fail",
                        "fail"});
         continue;
       }
-      double elapsed = ffr.finish_time;
-      double total_rate = 0, max_rate = 0;
-      for (int r = 0; r < o.ranks; ++r) {
-        double rate =
-            static_cast<double>(m.rank(r).profile().bytes_logged) / 1e6 / elapsed;
-        total_rate += rate;
-        max_rate = std::max(max_rate, rate);
-      }
+      double total_rate = 0;
+      for (double rate : ff.log_rate_mb_s) total_rate += rate;
       // Recovery run with the same map.
-      auto proto2 = std::make_unique<core::SpbcProtocol>(cfg.spbc);
-      mpi::Machine m2(mc2, std::move(proto2));
-      m2.set_cluster_of(s.partition.cluster_of);
-      m2.launch([&info, acfg = cfg.app_cfg](mpi::Rank& r) { info.main(r, acfg); });
-      m2.inject_failure(elapsed * 0.55, 0);
-      mpi::RunResult recr = m2.run();
+      harness::ScenarioConfig rec_cfg = cfg;
+      rec_cfg.inject_failure = true;
+      rec_cfg.failure_at = ff.elapsed * 0.55;
+      rec_cfg.victim_rank = 0;
+      harness::ScenarioResult rec = harness::run_scenario(rec_cfg, map);
       std::string rework = "fail";
-      if (recr.completed && !m2.recoveries().empty() &&
-          m2.recoveries().front().complete()) {
-        const auto& rec = m2.recoveries().front();
-        double lost = rec.failure_time - rec.checkpoint_time;
-        if (lost > 0) rework = util::Table::fmt(rec.rework() / lost, 3);
+      if (rec.run.completed && !rec.recoveries.empty()) {
+        const mpi::RecoveryRecord& first = rec.recoveries.front();
+        if (first.complete() && first.failure_time > first.checkpoint_time)
+          rework = util::Table::fmt(rec.normalized_rework(), 3);
       }
       table.add_row({app, s.name, util::Table::fmt(s.ms, 2),
-                     util::Table::fmt(total_rate, 2), util::Table::fmt(max_rate, 2),
-                     rework});
+                     util::Table::fmt(total_rate, 2),
+                     util::Table::fmt(ff.max_log_rate_mb_s, 2), rework});
     }
   }
   std::printf("%s\n", table.render().c_str());

@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
     vo.raw = ff.ckpt_raw_bytes;
     vo.stored = ff.ckpt_stored_bytes;
     vo.deltas = ff.delta_snapshots;
-    vo.wire_partner = ff.bytes_partner_written;
-    vo.wire_pfs = ff.bytes_pfs_written;
+    vo.wire_partner = ff.staging.bytes_to_partner + ff.staging.bytes_to_parity;
+    vo.wire_pfs = ff.staging.bytes_to_pfs;
     vo.rework = fr.normalized_rework();
     // Zero false successes: a "successful" recovery with different
     // checksums is a silent corruption and fails the row outright.
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
                        : 0.0,
              2) + "x",
          std::to_string(vo.deltas),
-         kb(ff.bytes_local_written) + "/" + kb(vo.wire_partner) + "/" +
+         kb(ff.staging.bytes_to_local) + "/" + kb(vo.wire_partner) + "/" +
              kb(vo.wire_pfs),
          util::Table::fmt(vo.rework, 3), vo.ok ? "ok" : "fail"});
   }

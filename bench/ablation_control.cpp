@@ -36,92 +36,30 @@ using namespace spbc;
 
 namespace {
 
-struct FailureEvent {
-  sim::Time at = 0;
-  int victim = -1;
-};
-
 struct Schedule {
-  std::vector<FailureEvent> failures;
+  std::vector<std::pair<sim::Time, int>> failures;
   std::vector<std::pair<sim::Time, uint64_t>> silent_losses;
   int doubles = 0;
 };
 
 struct Outcome {
   bool ok = false;
-  sim::Time finish = 0;
-  double lost_work = 0;  // ranks x (finish - t_base)
-  uint64_t checkpoints = 0;
-  uint64_t pfs_restores = 0;
-  uint64_t epoch_fallbacks = 0;
-  uint64_t silent_injected = 0;
-  uint64_t scrubs_detected = 0;
-  uint64_t scrubs_repaired = 0;
-  uint64_t corrupt_live = 0;
-  uint64_t escalations = 0;
+  double lost_work = 0;          // ranks x (finish - t_base)
+  harness::ScenarioResult res;  // all zeros when the run did not complete
 };
 
-Outcome run_one(const harness::ScenarioConfig& base,
-                const std::vector<int>& cluster_of, const Schedule& sched,
-                sim::Time t_base, int engine_shards) {
-  harness::ScenarioConfig cfg = base;
-  mpi::MachineConfig mc = cfg.machine;
-  mc.nranks = cfg.nranks;
-  mc.ranks_per_node = cfg.ranks_per_node;
-  mc.engine_shards = engine_shards;
-  mc.abort_on_deadlock = false;  // a failed column reports "fail", not abort
-  auto proto = std::make_unique<core::SpbcProtocol>(cfg.spbc);
-  core::SpbcProtocol* spbc = proto.get();
-  mpi::Machine m(mc, std::move(proto));
-  m.set_cluster_of(cluster_of);
-
-  const apps::AppInfo& info = apps::find_app(cfg.app);
-  apps::AppConfig acfg = cfg.app_cfg;
-  m.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-
-  for (const FailureEvent& f : sched.failures) m.inject_failure(f.at, f.victim);
-  for (const auto& [at, salt] : sched.silent_losses) {
-    const uint64_t s = salt;
-    m.engine().at_serial(
-        at, [spbc, s] { spbc->staging_mut().corrupt_one_fragment(s); });
-  }
-
-  mpi::RunResult res = m.run();
+Outcome run_one(harness::ScenarioConfig cfg, const std::vector<int>& cluster_of,
+                const Schedule& sched, sim::Time t_base, int engine_shards) {
+  cfg.machine.engine_shards = engine_shards;
+  cfg.machine.abort_on_deadlock = false;  // a failed column reports "fail", not abort
+  cfg.extra_failures = sched.failures;
+  cfg.silent_losses = sched.silent_losses;
+  harness::ScenarioResult res = harness::run_scenario(cfg, cluster_of);
   Outcome out;
-  out.ok = res.completed;
+  out.ok = res.run.completed;
   if (!out.ok) return out;
-  out.finish = res.finish_time;
-  out.lost_work = static_cast<double>(cfg.nranks) * (res.finish_time - t_base);
-  out.checkpoints = spbc->checkpoints_taken();
-  const ckpt::StagingStats& st = spbc->staging().stats();
-  out.pfs_restores = st.restores_by_level[2];
-  out.epoch_fallbacks = st.epoch_fallbacks;
-  out.silent_injected = st.silent_losses_injected;
-  out.scrubs_detected = st.scrubs_detected;
-  out.scrubs_repaired = st.scrubs_repaired;
-  out.corrupt_live = spbc->staging().corrupt_live_fragments();
-  out.escalations = spbc->control_plane().stats().escalations;
-  if (std::getenv("SPBC_CONTROL_DEBUG")) {
-    const core::ControlPlaneStats cs = spbc->control_plane().stats();
-    std::printf(
-        "[dbg] finish=%.4f ckpts=%llu restores L=%llu P=%llu F=%llu "
-        "rebuilds=%llu fallbacks=%llu reprot=%llu retries=%llu aborted=%llu | "
-        "ctrl fail=%llu dbl=%llu mtbf=%.4f smtbf=%.4f T=%.5f red=%llu "
-        "pfs=%llu\n",
-        out.finish, (unsigned long long)out.checkpoints,
-        (unsigned long long)st.restores_by_level[0],
-        (unsigned long long)st.restores_by_level[1],
-        (unsigned long long)st.restores_by_level[2],
-        (unsigned long long)st.rebuild_restores,
-        (unsigned long long)st.epoch_fallbacks,
-        (unsigned long long)st.reprotections,
-        (unsigned long long)st.retries_exhausted,
-        (unsigned long long)st.drains_aborted, (unsigned long long)cs.failures,
-        (unsigned long long)cs.double_losses, cs.observed_mtbf,
-        cs.observed_storage_mtbf, cs.local_interval,
-        (unsigned long long)cs.redundancy_stride,
-        (unsigned long long)cs.pfs_stride);
-  }
+  out.lost_work = static_cast<double>(cfg.nranks) * (res.elapsed - t_base);
+  out.res = std::move(res);
   return out;
 }
 
@@ -236,7 +174,7 @@ int main(int argc, char** argv) {
     std::printf("baseline run failed\n");
     return 1;
   }
-  const sim::Time t_base = baseline.finish;
+  const sim::Time t_base = baseline.res.elapsed;
 
   const sim::Time pair_gap = 0.004 * t_base;
   const Schedule sched = make_schedule(base, cluster_of, t_base, o, pair_gap);
@@ -251,14 +189,16 @@ int main(int argc, char** argv) {
                      "Esc"});
   auto add_row = [&](const std::string& name, const std::string& scheme,
                      const std::string& interval, const Outcome& out) {
+    const harness::ScenarioResult& r = out.res;
     table.add_row(
-        {name, scheme, interval, out.ok ? util::Table::fmt(out.finish, 4) : "fail",
+        {name, scheme, interval, out.ok ? util::Table::fmt(r.elapsed, 4) : "fail",
          out.ok ? util::Table::fmt(out.lost_work, 2) : "fail",
-         std::to_string(out.checkpoints), std::to_string(out.pfs_restores),
-         std::to_string(out.epoch_fallbacks),
-         std::to_string(out.scrubs_detected) + "/" +
-             std::to_string(out.scrubs_repaired),
-         std::to_string(out.escalations)});
+         std::to_string(r.checkpoints),
+         std::to_string(r.staging.restores_by_level[2]),
+         std::to_string(r.staging.epoch_fallbacks),
+         std::to_string(r.staging.scrubs_detected) + "/" +
+             std::to_string(r.staging.scrubs_repaired),
+         std::to_string(r.control.escalations)});
   };
 
   // Static arms: full-depth staging every epoch, no controller, no scrub.
@@ -304,17 +244,19 @@ int main(int argc, char** argv) {
     beats = beats && (!s.ok || controller.lost_work < s.lost_work);
   std::printf("| gate controller-beats-statics: %s\n", beats ? "pass" : "fail");
 
-  const bool scrub_ok = controller.ok && controller.silent_injected > 0 &&
-                        controller.scrubs_detected == controller.silent_injected &&
-                        controller.scrubs_repaired == controller.silent_injected &&
-                        controller.corrupt_live == 0;
+  const ckpt::StagingStats& cst = controller.res.staging;
+  const uint64_t corrupt_live = controller.res.corrupt_live_fragments;
+  const uint64_t injected = cst.silent_losses_injected;
+  const bool scrub_ok = controller.ok && injected > 0 &&
+                        cst.scrubs_detected == injected &&
+                        cst.scrubs_repaired == injected && corrupt_live == 0;
   std::printf("| gate scrub-repair: %s (injected=%llu detected=%llu "
               "repaired=%llu still-live=%llu)\n",
               scrub_ok ? "pass" : "fail",
-              static_cast<unsigned long long>(controller.silent_injected),
-              static_cast<unsigned long long>(controller.scrubs_detected),
-              static_cast<unsigned long long>(controller.scrubs_repaired),
-              static_cast<unsigned long long>(controller.corrupt_live));
+              static_cast<unsigned long long>(injected),
+              static_cast<unsigned long long>(cst.scrubs_detected),
+              static_cast<unsigned long long>(cst.scrubs_repaired),
+              static_cast<unsigned long long>(corrupt_live));
 
   // Bit-identity across execution layouts: one event queue (the default)
   // vs one per cluster. Threads stay 1: the controller arm places
@@ -322,11 +264,13 @@ int main(int argc, char** argv) {
   // excludes (DESIGN.md §12).
   Outcome det_a = run_one(ctrl, cluster_of, sched, t_base, /*shards=*/1);
   Outcome det_b = run_one(ctrl, cluster_of, sched, t_base, /*shards=*/0);
-  const bool det_ok = det_a.ok && det_b.ok && det_a.finish == det_b.finish &&
-                      det_a.checkpoints == det_b.checkpoints;
+  const harness::ScenarioResult& ra = det_a.res;
+  const harness::ScenarioResult& rb = det_b.res;
+  const bool det_ok = det_a.ok && det_b.ok && ra.elapsed == rb.elapsed &&
+                      ra.checkpoints == rb.checkpoints;
   std::printf("| gate determinism: %s (shards=1 finish %.9g vs "
               "shards=per-cluster finish %.9g)\n",
-              det_ok ? "pass" : "fail", det_a.finish, det_b.finish);
+              det_ok ? "pass" : "fail", ra.elapsed, rb.elapsed);
 
   return beats && scrub_ok && det_ok ? 0 : 1;
 }

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,79 +34,30 @@ using namespace spbc;
 
 namespace {
 
-struct FailureEvent {
-  sim::Time at = 0;
-  int victim = -1;
-};
+using Storm = std::vector<std::pair<sim::Time, int>>;
 
 struct Outcome {
   bool ok = false;
-  sim::Time finish = 0;
-  double lost_work = 0;  // ranks x (finish - t_base)
-  uint64_t checkpoints = 0;
-  uint64_t spare_swaps = 0;
-  uint64_t shrink_restarts = 0;
-  uint64_t repartitions = 0;
-  uint64_t pfs_restores = 0;
-  uint64_t rebuilds = 0;
-  uint64_t epoch_fallbacks = 0;
+  double lost_work = 0;          // ranks x (finish - t_base)
+  harness::ScenarioResult res;  // all zeros when the run did not complete
 };
 
-Outcome run_one(const harness::ScenarioConfig& base,
-                const std::vector<int>& cluster_of,
-                const std::vector<FailureEvent>& storm, sim::Time t_base,
-                int spares, double repart_period, int engine_shards) {
-  harness::ScenarioConfig cfg = base;
+Outcome run_one(harness::ScenarioConfig cfg, const std::vector<int>& cluster_of,
+                const Storm& storm, sim::Time t_base, int spares,
+                double repart_period, int engine_shards) {
   cfg.spbc.control.repartition_period = repart_period;
-  mpi::MachineConfig mc = cfg.machine;
-  mc.nranks = cfg.nranks;
-  mc.ranks_per_node = cfg.ranks_per_node;
-  mc.engine_shards = engine_shards;
-  mc.engine_threads = 1;  // elastic rebind mutates serial machine state
-  mc.spare_nodes = spares;
-  mc.default_failure_kind = mpi::FailureKind::kNodePermanent;
-  mc.abort_on_deadlock = false;
-  auto proto = std::make_unique<core::SpbcProtocol>(cfg.spbc);
-  core::SpbcProtocol* spbc = proto.get();
-  mpi::Machine m(mc, std::move(proto));
-  m.set_cluster_of(cluster_of);
-
-  const apps::AppInfo& info = apps::find_app(cfg.app);
-  apps::AppConfig acfg = cfg.app_cfg;
-  m.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-  for (const FailureEvent& f : storm) m.inject_failure(f.at, f.victim);
-
-  mpi::RunResult res = m.run();
+  cfg.machine.engine_shards = engine_shards;
+  cfg.machine.engine_threads = 1;  // elastic rebind mutates serial machine state
+  cfg.machine.spare_nodes = spares;
+  cfg.machine.default_failure_kind = mpi::FailureKind::kNodePermanent;
+  cfg.machine.abort_on_deadlock = false;
+  cfg.extra_failures = storm;
+  harness::ScenarioResult res = harness::run_scenario(cfg, cluster_of);
   Outcome out;
-  out.ok = res.completed;
+  out.ok = res.run.completed;
   if (!out.ok) return out;
-  out.finish = res.finish_time;
-  out.lost_work = static_cast<double>(cfg.nranks) * (res.finish_time - t_base);
-  out.checkpoints = spbc->checkpoints_taken();
-  out.spare_swaps = m.spare_swaps();
-  out.shrink_restarts = m.shrink_restarts();
-  out.repartitions = spbc->control_plane().stats().repartitions;
-  const ckpt::StagingStats& st = spbc->staging().stats();
-  out.pfs_restores = st.restores_by_level[2];
-  out.rebuilds = st.rebuild_restores;
-  out.epoch_fallbacks = st.epoch_fallbacks;
-  if (std::getenv("SPBC_ELASTIC_DEBUG")) {
-    std::printf(
-        "[dbg] spares=%d finish=%.4f restores L=%llu P=%llu F=%llu "
-        "rebuilds=%llu retries=%llu fallbacks=%llu parity=%llu reprot=%llu "
-        "exhausted=%llu swaps=%llu shrinks=%llu\n",
-        spares, out.finish, (unsigned long long)st.restores_by_level[0],
-        (unsigned long long)st.restores_by_level[1],
-        (unsigned long long)st.restores_by_level[2],
-        (unsigned long long)st.rebuild_restores,
-        (unsigned long long)st.rebuild_retries,
-        (unsigned long long)st.epoch_fallbacks,
-        (unsigned long long)st.parity_fragments,
-        (unsigned long long)st.reprotections,
-        (unsigned long long)st.retries_exhausted,
-        (unsigned long long)out.spare_swaps,
-        (unsigned long long)out.shrink_restarts);
-  }
+  out.lost_work = static_cast<double>(cfg.nranks) * (res.elapsed - t_base);
+  out.res = std::move(res);
   return out;
 }
 
@@ -117,11 +67,9 @@ Outcome run_one(const harness::ScenarioConfig& base,
 /// detection + restart + a re-protection margin so each loss lands on a
 /// machine that has finished absorbing the previous one — the overlapping
 /// case is covered by the failure-matrix and elastic test suites.
-std::vector<FailureEvent> make_storm(const harness::ScenarioConfig& cfg,
-                                     sim::Time t_base,
-                                     const bench::BenchOpts& o,
-                                     int max_failures) {
-  std::vector<FailureEvent> storm;
+Storm make_storm(const harness::ScenarioConfig& cfg, sim::Time t_base,
+                 int max_failures) {
+  Storm storm;
   util::Pcg32 rng(cfg.machine.seed, 0xe1a5);
   const int nodes = cfg.nranks / cfg.ranks_per_node;
   // The window opens mid-run, past the first committed checkpoint wave and
@@ -188,13 +136,12 @@ int main(int argc, char** argv) {
     std::printf("baseline run failed\n");
     return 1;
   }
-  const sim::Time t_base = baseline.finish;
+  const sim::Time t_base = baseline.res.elapsed;
   const double repart_period =
       o.repart_period < 0 ? 0.05 * t_base : o.repart_period;
 
   const int max_failures = std::min(4, nodes - 2);
-  const std::vector<FailureEvent> storm = make_storm(base, t_base, o,
-                                                     max_failures);
+  const Storm storm = make_storm(base, t_base, max_failures);
   std::printf("workload: %s, %d ranks on %d nodes, t_base %.3fs; storm: %zu "
               "permanent node losses\n\n",
               app.c_str(), o.ranks, nodes, t_base, storm.size());
@@ -202,16 +149,17 @@ int main(int argc, char** argv) {
   util::Table table({"Spares", "Repart", "Finish", "Lost work", "Ckpts",
                      "Swaps", "Shrinks", "Moves", "PFS restores", "Rebuilds"});
   auto add_row = [&](int spares, double period, const Outcome& out) {
+    const harness::ScenarioResult& r = out.res;
     table.add_row({std::to_string(spares),
                    period > 0 ? util::Table::fmt(period, 3) : "off",
-                   out.ok ? util::Table::fmt(out.finish, 4) : "fail",
+                   out.ok ? util::Table::fmt(r.elapsed, 4) : "fail",
                    out.ok ? util::Table::fmt(out.lost_work, 2) : "fail",
-                   std::to_string(out.checkpoints),
-                   std::to_string(out.spare_swaps),
-                   std::to_string(out.shrink_restarts),
-                   std::to_string(out.repartitions),
-                   std::to_string(out.pfs_restores),
-                   std::to_string(out.rebuilds)});
+                   std::to_string(r.checkpoints),
+                   std::to_string(r.spare_swaps),
+                   std::to_string(r.shrink_restarts),
+                   std::to_string(r.control.repartitions),
+                   std::to_string(r.staging.restores_by_level[2]),
+                   std::to_string(r.staging.rebuild_restores)});
   };
 
   Outcome grid[2][2];
@@ -228,6 +176,7 @@ int main(int argc, char** argv) {
   // Gate rows (CI greps "^|" for a "fail" token).
   const Outcome& no_spare = grid[0][0];
   const Outcome& spared = grid[1][0];
+  const harness::ScenarioResult& sr = spared.res;
   const bool cut = no_spare.ok && spared.ok && !storm.empty() &&
                    spared.lost_work < no_spare.lost_work;
   std::printf("| gate spares-cut-lost-work: %s (spares=%d lost %.2f vs "
@@ -238,15 +187,16 @@ int main(int argc, char** argv) {
   // Fallbacks (a recovery walking below the committed epoch when group
   // epochs desynced) are a documented degradation and are reported, not
   // gated: even a fallback restore never touches the PFS here.
-  const bool no_pfs = spared.ok && spared.spare_swaps > 0 &&
-                      spared.rebuilds > 0 && spared.pfs_restores == 0;
+  const bool no_pfs = spared.ok && sr.spare_swaps > 0 &&
+                      sr.staging.rebuild_restores > 0 &&
+                      sr.staging.restores_by_level[2] == 0;
   std::printf("| gate rebuild-no-pfs: %s (swaps=%llu rebuilds=%llu "
               "pfs-restores=%llu fallbacks=%llu)\n",
               no_pfs ? "pass" : "fail",
-              static_cast<unsigned long long>(spared.spare_swaps),
-              static_cast<unsigned long long>(spared.rebuilds),
-              static_cast<unsigned long long>(spared.pfs_restores),
-              static_cast<unsigned long long>(spared.epoch_fallbacks));
+              static_cast<unsigned long long>(sr.spare_swaps),
+              static_cast<unsigned long long>(sr.staging.rebuild_restores),
+              static_cast<unsigned long long>(sr.staging.restores_by_level[2]),
+              static_cast<unsigned long long>(sr.staging.epoch_fallbacks));
 
   // Bit-identity across execution layouts: one event queue (the default)
   // vs one per cluster. Threads stay 1, required by the elastic rebind.
@@ -254,12 +204,14 @@ int main(int argc, char** argv) {
                           repart_period, /*shards=*/1);
   Outcome det_b = run_one(base, cluster_of, storm, t_base, o.spares,
                           repart_period, /*shards=*/0);
-  const bool det_ok = det_a.ok && det_b.ok && det_a.finish == det_b.finish &&
-                      det_a.checkpoints == det_b.checkpoints &&
-                      det_a.spare_swaps == det_b.spare_swaps;
+  const harness::ScenarioResult& ra = det_a.res;
+  const harness::ScenarioResult& rb = det_b.res;
+  const bool det_ok = det_a.ok && det_b.ok && ra.elapsed == rb.elapsed &&
+                      ra.checkpoints == rb.checkpoints &&
+                      ra.spare_swaps == rb.spare_swaps;
   std::printf("| gate determinism: %s (shards=1 finish %.9g vs "
               "shards=per-cluster finish %.9g)\n",
-              det_ok ? "pass" : "fail", det_a.finish, det_b.finish);
+              det_ok ? "pass" : "fail", ra.elapsed, rb.elapsed);
 
   return cut && no_pfs && det_ok ? 0 : 1;
 }

@@ -42,21 +42,21 @@ const Shape kShapes[] = {
     {"none", [](harness::ScenarioConfig&, sim::Time) {}, false},
     {"burst",
      [](harness::ScenarioConfig& cfg, sim::Time) {
-       cfg.hostile.burst_factor = 3.0;
-       cfg.hostile.burst_period = 3;
-       cfg.hostile.burst_duty = 1;
+       cfg.app_cfg.burst_factor = 3.0;
+       cfg.app_cfg.burst_period = 3;
+       cfg.app_cfg.burst_duty = 1;
      },
      false},
     {"straggler",
      [](harness::ScenarioConfig& cfg, sim::Time) {
-       cfg.hostile.straggler_factor = 1.5;
-       cfg.hostile.straggler_frac = 0.25;
-       cfg.hostile.straggler_seed = 11;
+       cfg.machine.straggler_factor = 1.5;
+       cfg.machine.straggler_frac = 0.25;
+       cfg.machine.straggler_seed = 11;
      },
      false},
     {"partition",
      [](harness::ScenarioConfig& cfg, sim::Time t_probe) {
-       cfg.hostile.partitions.push_back(
+       cfg.machine.net.partitions.push_back(
            {0.25 * t_probe, 0.45 * t_probe,
             cfg.nranks / cfg.ranks_per_node / 2});
      },
@@ -64,7 +64,7 @@ const Shape kShapes[] = {
     {"pfs-interference",
      [](harness::ScenarioConfig& cfg, sim::Time) {
        // Another job owns 3/4 of the shared PFS ingest for the whole run.
-       cfg.hostile.pfs_interference.push_back({0.0, 1e9, 0.25});
+       cfg.spbc.pfs_interference.push_back({0.0, 1e9, 0.25});
      },
      false},
     {"rack-blast",
@@ -82,7 +82,7 @@ uint64_t shape_stat(const Shape& s, const harness::ScenarioResult& r) {
     return r.straggler_stall_time > 0 ? static_cast<uint64_t>(
                r.straggler_stall_time * 1e6) : 0;
   if (name == "partition") return r.partition_msgs_held;
-  if (name == "pfs-interference") return r.pfs_contended_flushes;
+  if (name == "pfs-interference") return r.staging.pfs_contended_flushes;
   if (name == "rack-blast") return r.domain_failures_injected;
   return 0;
 }

@@ -16,10 +16,7 @@
 // "fail" is a protocol regression, not expected behavior — the
 // abort_on_deadlock=false below only keeps the sweep alive to report it.
 
-#include <cmath>
-
 #include "bench_common.hpp"
-#include "util/rng.hpp"
 
 using namespace spbc;
 
@@ -37,46 +34,18 @@ struct Outcome {
   double wasted_rank_seconds = 0;
 };
 
-Outcome run_with_failures(const harness::ScenarioConfig& base, sim::Time t_ff,
+Outcome run_with_failures(harness::ScenarioConfig cfg,
+                          const std::vector<int>& cluster_of, sim::Time t_ff,
                           double mtbf, uint64_t seed) {
-  harness::ScenarioConfig cfg = base;
-  mpi::MachineConfig mc = cfg.machine;
-  mc.nranks = cfg.nranks;
-  mc.ranks_per_node = cfg.ranks_per_node;
-  mc.abort_on_deadlock = false;  // a failed row reports "fail", not abort
-  if (cfg.protocol == harness::ProtocolKind::kGlobalCoordinated) {
-    // nothing special
-  }
-  auto proto = std::make_unique<core::SpbcProtocol>(cfg.spbc);
-  mpi::Machine m(mc, std::move(proto));
-  m.set_cluster_of(harness::compute_cluster_map(cfg));
-  const apps::AppInfo& info = apps::find_app(cfg.app);
-  apps::AppConfig acfg = cfg.app_cfg;
-  m.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-
-  // Poisson failure schedule over [10% .. 85%] of the failure-free span
-  // (recoveries push the real end further out; failures beyond the original
-  // span would hit an already-finished run).
-  util::Pcg32 rng(seed, 0xfa11);
+  cfg.machine.abort_on_deadlock = false;  // a failed row reports "fail", not abort
+  cfg.extra_failures = bench::poisson_failures(cfg, t_ff, mtbf, seed, 0xfa11);
+  harness::ScenarioResult res = harness::run_scenario(cfg, cluster_of);
   Outcome out;
-  sim::Time t = t_ff * 0.1;
-  for (;;) {
-    double u = rng.next_double();
-    t += -mtbf * std::log(1.0 - u);
-    if (t > t_ff * 0.85) break;
-    int victim = static_cast<int>(rng.next_bounded(static_cast<uint32_t>(cfg.nranks)));
-    m.inject_failure(t, victim);
-    ++out.failures;
-    // Give each recovery room: at most one pending failure per detection+
-    // restart window keeps the schedule realistic at these scales.
-    t += m.config().failure_detection_delay + m.config().restart_delay;
-  }
-
-  mpi::RunResult res = m.run();
-  out.ok = res.completed;
+  out.failures = static_cast<int>(cfg.extra_failures.size());
+  out.ok = res.run.completed;
   if (out.ok) {
-    out.efficiency = t_ff / res.finish_time;
-    for (const auto& rec : m.recoveries()) {
+    out.efficiency = t_ff / res.elapsed;
+    for (const auto& rec : res.recoveries) {
       out.rank_restarts += rec.target_ops.size();
       out.wasted_rank_seconds += static_cast<double>(rec.target_ops.size()) *
                                  (rec.failure_time - rec.checkpoint_time);
@@ -120,7 +89,9 @@ int main(int argc, char** argv) {
       bench::make_config(o, app, k, harness::ProtocolKind::kGlobalCoordinated);
   coord_cfg.spbc.checkpoint_every = 2;
 
-  harness::ScenarioResult ff = harness::run_failure_free(spbc_cfg);
+  const std::vector<int> spbc_map = harness::compute_cluster_map(spbc_cfg);
+  const std::vector<int> coord_map = harness::compute_cluster_map(coord_cfg);
+  harness::ScenarioResult ff = harness::run_scenario(spbc_cfg, spbc_map);
   if (!ff.run.completed) {
     std::printf("failure-free run failed\n");
     return 1;
@@ -133,8 +104,8 @@ int main(int argc, char** argv) {
                      "Coord wasted rank-s"});
   for (double frac : fracs) {
     double mtbf = ff.elapsed * frac;
-    Outcome spbc = run_with_failures(spbc_cfg, ff.elapsed, mtbf, o.seed);
-    Outcome coord = run_with_failures(coord_cfg, ff.elapsed, mtbf, o.seed);
+    Outcome spbc = run_with_failures(spbc_cfg, spbc_map, ff.elapsed, mtbf, o.seed);
+    Outcome coord = run_with_failures(coord_cfg, coord_map, ff.elapsed, mtbf, o.seed);
     table.add_row({util::Table::fmt(frac, 3), std::to_string(spbc.failures),
                    spbc.ok ? util::Table::fmt(spbc.efficiency, 3) : "fail",
                    coord.ok ? util::Table::fmt(coord.efficiency, 3) : "fail",

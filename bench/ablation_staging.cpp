@@ -13,22 +13,11 @@
 // used). The in-flight-capture high-water mark (ROADMAP memory-bound
 // metric) is surfaced for every run.
 
-#include <cmath>
-
 #include "bench_common.hpp"
-#include "util/rng.hpp"
 
 using namespace spbc;
 
 namespace {
-
-struct ModeResult {
-  bool ok = false;
-  double elapsed = 0;
-  uint64_t checkpoints = 0;
-  uint64_t capture_hwm = 0;
-  ckpt::StagingStats staging;
-};
 
 harness::ScenarioConfig mode_config(const harness::ScenarioConfig& base,
                                     ckpt::StorageLevel level, bool async) {
@@ -36,17 +25,6 @@ harness::ScenarioConfig mode_config(const harness::ScenarioConfig& base,
   cfg.spbc.storage = level;
   cfg.spbc.async_staging = async;
   return cfg;
-}
-
-ModeResult run_ff(const harness::ScenarioConfig& cfg) {
-  harness::ScenarioResult res = harness::run_failure_free(cfg);
-  ModeResult out;
-  out.ok = res.run.completed;
-  out.elapsed = res.elapsed;
-  out.checkpoints = res.checkpoints;
-  out.capture_hwm = res.capture_hwm_bytes;
-  out.staging = res.staging;
-  return out;
 }
 
 struct FailOutcome {
@@ -57,39 +35,17 @@ struct FailOutcome {
   ckpt::StagingStats staging;
 };
 
-FailOutcome run_with_failures(const harness::ScenarioConfig& base, sim::Time t_ff,
+FailOutcome run_with_failures(harness::ScenarioConfig cfg, sim::Time t_ff,
                               double mtbf, uint64_t seed) {
-  harness::ScenarioConfig cfg = base;
-  mpi::MachineConfig mc = cfg.machine;
-  mc.nranks = cfg.nranks;
-  mc.ranks_per_node = cfg.ranks_per_node;
-  mc.abort_on_deadlock = false;  // a failed row reports "fail", not abort
-  auto proto = std::make_unique<core::SpbcProtocol>(cfg.spbc);
-  core::SpbcProtocol* p = proto.get();
-  mpi::Machine m(mc, std::move(proto));
-  m.set_cluster_of(harness::compute_cluster_map(cfg));
-  const apps::AppInfo& info = apps::find_app(cfg.app);
-  apps::AppConfig acfg = cfg.app_cfg;
-  m.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-
-  util::Pcg32 rng(seed, 0x57a6);
+  cfg.machine.abort_on_deadlock = false;  // a failed row reports "fail", not abort
+  cfg.extra_failures = bench::poisson_failures(cfg, t_ff, mtbf, seed, 0x57a6);
+  harness::ScenarioResult res = harness::run_scenario(cfg);
   FailOutcome out;
-  sim::Time t = t_ff * 0.1;
-  for (;;) {
-    double u = rng.next_double();
-    t += -mtbf * std::log(1.0 - u);
-    if (t > t_ff * 0.85) break;
-    int victim = static_cast<int>(rng.next_bounded(static_cast<uint32_t>(cfg.nranks)));
-    m.inject_failure(t, victim);
-    ++out.failures;
-    t += m.config().failure_detection_delay + m.config().restart_delay;
-  }
-
-  mpi::RunResult res = m.run();
-  out.ok = res.completed;
-  if (out.ok) out.efficiency = t_ff / res.finish_time;
-  out.capture_hwm = p->store().capture_hwm_bytes();
-  out.staging = p->staging().stats();
+  out.ok = res.run.completed;
+  out.failures = static_cast<int>(cfg.extra_failures.size());
+  if (out.ok) out.efficiency = t_ff / res.elapsed;
+  out.capture_hwm = res.capture_hwm_bytes;
+  out.staging = res.staging;
   return out;
 }
 
@@ -109,8 +65,9 @@ int main(int argc, char** argv) {
       bench::make_config(o, app, k, harness::ProtocolKind::kSpbc);
 
   // ---- Part 1: failure-free write-path overhead ------------------------
-  ModeResult none = run_ff(mode_config(base, ckpt::StorageLevel::kNone, false));
-  if (!none.ok) {
+  harness::ScenarioResult none =
+      harness::run_failure_free(mode_config(base, ckpt::StorageLevel::kNone, false));
+  if (!none.run.completed) {
     std::printf("baseline (no-I/O) run failed\n");
     return 1;
   }
@@ -127,12 +84,13 @@ int main(int argc, char** argv) {
   util::Table ff({"Mode", "elapsed (s)", "overhead %", "ckpts", "capture HWM KB",
                   "PFS flushes"});
   ff.add_row({"no-I/O", util::Table::fmt(none.elapsed, 4), "0.000",
-              std::to_string(none.checkpoints), kb(none.capture_hwm), "-"});
+              std::to_string(none.checkpoints), kb(none.capture_hwm_bytes), "-"});
   double sync_pfs_ovh = 0, async_ovh = 0;
   bool sync_pfs_ok = false, async_ok = false;
   for (const Mode& mode : modes) {
-    ModeResult r = run_ff(mode_config(base, mode.level, mode.async));
-    if (!r.ok) {
+    harness::ScenarioResult r =
+        harness::run_failure_free(mode_config(base, mode.level, mode.async));
+    if (!r.run.completed) {
       ff.add_row({mode.name, "fail", "-", "-", "-", "-"});
       continue;
     }
@@ -146,7 +104,7 @@ int main(int argc, char** argv) {
       async_ok = true;
     }
     ff.add_row({mode.name, util::Table::fmt(r.elapsed, 4), util::Table::fmt(ovh, 3),
-                std::to_string(r.checkpoints), kb(r.capture_hwm),
+                std::to_string(r.checkpoints), kb(r.capture_hwm_bytes),
                 std::to_string(r.staging.pfs_flushes)});
   }
   const bool async_wins = sync_pfs_ok && async_ok && async_ovh < sync_pfs_ovh;
@@ -229,8 +187,8 @@ int main(int argc, char** argv) {
     cfg.spbc.redundancy.kind = s.kind;
     cfg.spbc.redundancy.group_size = o.group_size;
     cfg.spbc.storage_model.pfs_bw = 2.0e6;  // floors lag; locals persist
-    ModeResult ff3 = run_ff(cfg);
-    if (!ff3.ok) {
+    harness::ScenarioResult ff3 = harness::run_failure_free(cfg);
+    if (!ff3.run.completed) {
       st3.add_row({s.name, "-", "fail", "-", "-", "-", "-", "-", "-", "-"});
       continue;
     }

@@ -9,14 +9,17 @@
 // Absolute numbers are not expected to match the paper (the substrate is a
 // simulator, not the authors' InfiniBand testbed); the shapes are.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace spbc::bench {
@@ -174,6 +177,28 @@ inline std::vector<unsigned char> payload_state_at(
   std::vector<unsigned char> buf = ckpt::make_state(cfg, rank);
   for (uint64_t e = 1; e <= epoch; ++e) ckpt::evolve_state(buf, cfg, rank, e);
   return buf;
+}
+
+/// Seeded Poisson failure storm over [10 %, 85 %] of the failure-free span
+/// `t_ff`, as (time, victim rank) pairs for ScenarioConfig::extra_failures.
+/// Failures past the original span would hit a finished run; each arrival
+/// gets one detection + restart window of room before the next. `salt`
+/// names the RNG stream, so each bench keeps its own schedule.
+inline std::vector<std::pair<sim::Time, int>> poisson_failures(
+    const harness::ScenarioConfig& cfg, sim::Time t_ff, double mtbf,
+    uint64_t seed, uint64_t salt) {
+  util::Pcg32 rng(seed, salt);
+  std::vector<std::pair<sim::Time, int>> out;
+  sim::Time t = t_ff * 0.1;
+  for (;;) {
+    double u = rng.next_double();
+    t += -mtbf * std::log(1.0 - u);
+    if (t > t_ff * 0.85) break;
+    int victim = static_cast<int>(rng.next_bounded(static_cast<uint32_t>(cfg.nranks)));
+    out.push_back({t, victim});
+    t += cfg.machine.failure_detection_delay + cfg.machine.restart_delay;
+  }
+  return out;
 }
 
 inline const std::vector<std::string>& paper_apps() {

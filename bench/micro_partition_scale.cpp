@@ -122,20 +122,13 @@ int main(int argc, char** argv) {
     inputs.push_back({"community", community_graph(nranks, 8, o.seed)});
     if (nranks <= app_max_ranks) {
       // Trace a real paper app at this scale (Section 6.1 methodology).
-      mpi::MachineConfig mc;
-      mc.nranks = nranks;
-      mc.ranks_per_node = o.ppn;
-      mc.seed = o.seed;
-      mpi::Machine tracer(mc, baselines::make_native());
-      tracer.set_cluster_of(baselines::single_cluster_map(nranks));
-      const apps::AppInfo& info = apps::find_app("MiniGhost");
-      apps::AppConfig acfg;
-      acfg.iters = 3;
-      acfg.validate = false;
-      tracer.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-      if (tracer.run().completed)
-        inputs.push_back({"MiniGhost",
-                          clustering::CommGraph::from_traffic(nranks, tracer.traffic())});
+      harness::ScenarioConfig cfg;
+      cfg.app = "MiniGhost";
+      cfg.nranks = nranks;
+      cfg.ranks_per_node = o.ppn;
+      cfg.machine.seed = o.seed;
+      cfg.trace_iters = 3;
+      inputs.push_back({"MiniGhost", harness::trace_comm_graph(cfg)});
     }
 
     for (const Input& in : inputs) {

@@ -1,13 +1,13 @@
 #pragma once
 // Checkpoint storage.
 //
-// Holds per-rank snapshots keyed by checkpoint epoch, with a multi-level cost
-// model in the spirit of SCR/FTI (referenced by the paper as the
-// complementary line of work [3, 27]): LOCAL (node-local SSD), PARTNER (copy
-// on a buddy node), PFS (parallel file system). The paper's measurements
-// exclude checkpoint I/O time (Section 6.1), so experiment configurations
-// default to kNone; level residency and data movement live in
-// ckpt::StagingArea (staging.hpp), which drives this cost model.
+// Holds per-rank snapshots keyed by checkpoint epoch. This header also
+// defines the multi-level cost model in the spirit of SCR/FTI (referenced by
+// the paper as the complementary line of work [3, 27]): LOCAL (node-local
+// SSD), PARTNER (copy on a buddy node), PFS (parallel file system). The
+// paper's measurements exclude checkpoint I/O time (Section 6.1), so
+// experiment configurations default to kNone; the cost model, level
+// residency and data movement belong to ckpt::StagingArea (staging.hpp).
 //
 // Epoch keying exists because the marker-based checkpoint wave commits
 // asynchronously: while a wave for epoch E is in flight, the last committed
@@ -124,10 +124,6 @@ struct CapturedMsg {
 
 class Store {
  public:
-  explicit Store(StorageLevel level = StorageLevel::kNone,
-                 StorageCostModel model = {})
-      : level_(level), model_(model) {}
-
   /// Pre-sizes the per-rank rows. Protocols call this at attach time; under
   /// the threaded shard executor rows must exist before concurrent shard
   /// events touch them (row growth is a structural mutation). Rows also grow
@@ -218,10 +214,6 @@ class Store {
     return sum_rows(&Row::capture_spilled_bytes);
   }
 
-  /// Virtual-time cost of writing/reading a snapshot at the configured level.
-  sim::Time write_cost(uint64_t bytes) const { return model_.write_time(level_, bytes); }
-  sim::Time read_cost(uint64_t bytes) const { return model_.read_time(level_, bytes); }
-
   /// Encoded bytes actually written (== logical bytes with reduction off).
   uint64_t total_bytes_written() const { return sum_rows(&Row::bytes_written); }
   /// Logical capture bytes presented to save() (the reduction baseline).
@@ -233,11 +225,8 @@ class Store {
   uint64_t in_flight_captured() const {
     return sum_rows(&Row::in_flight_captured);
   }
-  StorageLevel level() const { return level_; }
 
  private:
-  StorageLevel level_;
-  StorageCostModel model_;
   ReductionConfig reduction_{};
 
   // All storage and counters live in one row per rank: a row is only ever

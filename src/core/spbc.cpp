@@ -73,7 +73,6 @@ core::ControlPlaneConfig with_staging_mode(core::ControlPlaneConfig c,
 
 SpbcProtocol::SpbcProtocol(SpbcConfig cfg)
     : cfg_(cfg),
-      store_(cfg.storage, cfg.storage_model),
       staging_(ckpt::StagingConfig{cfg.storage, cfg.async_staging,
                                    cfg.storage_model, cfg.redundancy,
                                    cfg.control.scrub_period,

@@ -51,40 +51,18 @@ struct DomainFailure {
   int index = 0;  // which rack / switch / power rail
 };
 
-/// Hostile workload matrix (DESIGN.md §16): one composable knob block per
-/// shape, all off by default (a default HostileConfig leaves the run
-/// byte-identical). Each shape can also be set directly on the sub-config
-/// it forwards to (app_cfg burst_*, machine straggler_*, machine.net
-/// partitions, spbc pfs_interference) — this block exists so scenarios and
-/// benches can express a whole hostile profile in one place and compose it
-/// with any redundancy scheme, spare pool, and reduction config.
+/// Correlated failure domains of the hostile workload matrix (DESIGN.md
+/// §16). The other hostile shapes have one home each on the sub-config
+/// they act on: app_cfg.burst_*, machine.straggler_*, machine.net.partitions
+/// and spbc.pfs_interference. Defaults inject nothing.
 struct HostileConfig {
-  // Bursty / adversarial traffic phases -> apps::AppConfig::burst_*.
-  double burst_factor = 1.0;
-  int burst_period = 0;
-  int burst_duty = 1;
-  // Straggler / slow-node skew -> mpi::MachineConfig::straggler_*.
-  double straggler_factor = 1.0;
-  double straggler_frac = 0.0;
-  uint64_t straggler_seed = 0;
-  // Healing network partitions -> net::NetworkParams::partitions.
-  std::vector<net::PartitionPhase> partitions;
-  // Multi-job PFS interference -> core::SpbcConfig::pfs_interference.
-  std::vector<ckpt::PfsInterferencePhase> pfs_interference;
-  // Correlated rack / switch / PSU failure domains (expanded into one
-  // per-node failure each, staggered by domain_stagger; the machine's
-  // default_failure_kind decides severity, so elastic suites get permanent
-  // losses for free).
+  // Expanded into one per-node failure each, staggered by domain_stagger;
+  // the machine's default_failure_kind decides severity, so elastic suites
+  // get permanent losses for free.
   std::vector<DomainFailure> domain_failures;
   int rack_size = 4;
   int switch_count = 2;
   sim::Time domain_stagger = 0.01;  // < correlation_window (0.05) by default
-
-  bool any() const {
-    return burst_factor > 1.0 || straggler_factor > 1.0 ||
-           !partitions.empty() || !pfs_interference.empty() ||
-           !domain_failures.empty();
-  }
 };
 
 struct ScenarioConfig {
@@ -101,10 +79,8 @@ struct ScenarioConfig {
   /// Cluster map: from the clustering tool (traced short run) or a block
   /// partition of nodes.
   bool use_clustering_tool = true;
-  clustering::Objective objective = clustering::Objective::kMinTotalLogged;
-  /// Pipeline knobs for the clustering tool (multilevel V-cycle, refinement
-  /// budget...). `objective` above overrides `partition.objective` so the
-  /// historical field keeps working.
+  /// The clustering tool's objective and pipeline knobs (multilevel V-cycle,
+  /// refinement budget...).
   clustering::PartitionConfig partition;
   int trace_iters = 3;  // iterations of the traced clustering run
 
@@ -133,8 +109,8 @@ struct ScenarioConfig {
   /// restore-path audit discovers it. Requires an SPBC-family protocol.
   std::vector<std::pair<sim::Time, uint64_t>> silent_losses;
 
-  /// Hostile workload matrix (see HostileConfig). Applied on top of the
-  /// sub-configs at run time; a default value changes nothing.
+  /// Correlated failure domains (see HostileConfig); a default value
+  /// changes nothing.
   HostileConfig hostile;
 };
 
@@ -167,17 +143,10 @@ struct ScenarioResult {
   uint64_t captures_spilled = 0;
   uint64_t capture_spilled_bytes = 0;
 
-  // Multi-level staging pipeline counters (zeros when staging is off).
+  // Multi-level staging pipeline counters (zeros when staging is off):
+  // per-level bytes on the wire, restore sources, re-protection, scrubbing
+  // and PFS interference.
   ckpt::StagingStats staging;
-
-  // Per-level bytes-on-wire, lifted from `staging` for the data-reduction
-  // benches (what each device/link actually carried, post-reduction):
-  // LOCAL device writes, PARTNER traffic (full copies + parity fragments),
-  // PFS ingest, and bytes streamed back by rebuild reads.
-  uint64_t bytes_local_written = 0;
-  uint64_t bytes_partner_written = 0;
-  uint64_t bytes_pfs_written = 0;
-  uint64_t bytes_rebuild_read = 0;
 
   // Checkpoint data reduction (store-level): logical capture bytes vs what
   // the store kept after delta encoding + compression, and how many captures
@@ -186,14 +155,6 @@ struct ScenarioResult {
   uint64_t ckpt_stored_bytes = 0;
   uint64_t delta_snapshots = 0;
 
-  // Headline reliability counters, lifted out of `staging` so benches and
-  // tests can gate on them without digging through the full stats struct
-  // (several of these previously never reached harness summaries).
-  uint64_t reprotections = 0;
-  uint64_t rebuild_retries = 0;
-  uint64_t scrubs_detected = 0;
-  uint64_t scrubs_repaired = 0;
-  uint64_t silent_losses_injected = 0;
   /// Corrupt fragments still believed live when the run ended (undetected
   /// silent losses; scrub-coverage gates require 0).
   uint64_t corrupt_live_fragments = 0;
@@ -206,13 +167,11 @@ struct ScenarioResult {
   uint64_t shrink_restarts = 0;
   uint64_t tombstone_drops = 0;
 
-  // Per-hostile-shape accounting (zeros when the matrix is off).
+  // Per-hostile-shape accounting (zeros when the shape is off; PFS
+  // interference is counted in `staging`).
   sim::Time straggler_stall_time = 0;    // extra compute on straggler nodes
   uint64_t partition_msgs_held = 0;      // messages held across a partition
   sim::Time partition_stall_time = 0;    // total extra in-fabric delay
-  uint64_t pfs_contended_flushes = 0;    // flushes hit by PFS interference
-  sim::Time pfs_interference_time = 0;   // extra flush time from contention
-  uint64_t pfs_queue_depth_hwm = 0;      // deepest per-node PFS flush queue
   uint64_t domain_failures_injected = 0; // per-node failures from domains
 
   // Control-plane telemetry (zeros when the control plane is disabled).
@@ -226,12 +185,21 @@ struct ScenarioResult {
   double normalized_rework() const;
 };
 
-/// Computes the cluster map for a scenario (traced run + partitioner, or a
-/// block partition). Exposed for the clustering ablation bench.
+/// Section 6.1's traced run: the app runs natively for `trace_iters`
+/// iterations on the scenario's machine, and its traffic is the clustering
+/// tool's input graph.
+clustering::CommGraph trace_comm_graph(const ScenarioConfig& cfg);
+
+/// Computes the cluster map for a scenario: the protocol's fixed map, a
+/// block partition, or `cfg.partition` applied to trace_comm_graph(cfg).
 std::vector<int> compute_cluster_map(const ScenarioConfig& cfg);
 
-/// Runs the scenario once. The machine, protocol and workload are built
-/// fresh; the config's failure settings apply.
+/// Runs the scenario once on the given cluster map. The machine, protocol
+/// and workload are built fresh; the config's failure settings apply.
+ScenarioResult run_scenario(const ScenarioConfig& cfg,
+                            const std::vector<int>& cluster_of);
+
+/// Runs the scenario once on compute_cluster_map(cfg).
 ScenarioResult run_scenario(const ScenarioConfig& cfg);
 
 /// Convenience: failure-free run, returning elapsed virtual time (used to

@@ -265,9 +265,9 @@ TEST(ControlPlaneScenario, ScrubDetectsAndRepairsInjectedSilentLosses) {
   cfg.silent_losses = {{t0 * 0.45, 0x1111}, {t0 * 0.55, 0x2222}};
   harness::ScenarioResult res = harness::run_failure_free(cfg);
   ASSERT_TRUE(res.run.completed);
-  EXPECT_EQ(res.silent_losses_injected, 2u);
-  EXPECT_EQ(res.scrubs_detected, 2u);
-  EXPECT_EQ(res.scrubs_repaired, 2u);
+  EXPECT_EQ(res.staging.silent_losses_injected, 2u);
+  EXPECT_EQ(res.staging.scrubs_detected, 2u);
+  EXPECT_EQ(res.staging.scrubs_repaired, 2u);
   // Every silent loss was found before the run ended: no fragment is still
   // believed live while its bytes are gone.
   EXPECT_EQ(res.corrupt_live_fragments, 0u);

@@ -245,22 +245,22 @@ struct HostileShape {
 const HostileShape kShapes[] = {
     {"bursty-traffic",
      [](harness::ScenarioConfig& cfg, sim::Time) {
-       cfg.hostile.burst_factor = 3.0;
-       cfg.hostile.burst_period = 3;
-       cfg.hostile.burst_duty = 1;
+       cfg.app_cfg.burst_factor = 3.0;
+       cfg.app_cfg.burst_period = 3;
+       cfg.app_cfg.burst_duty = 1;
      }},
     {"straggler-skew",
      [](harness::ScenarioConfig& cfg, sim::Time) {
-       cfg.hostile.straggler_factor = 1.5;
-       cfg.hostile.straggler_frac = 0.4;
-       cfg.hostile.straggler_seed = 11;
+       cfg.machine.straggler_factor = 1.5;
+       cfg.machine.straggler_frac = 0.4;
+       cfg.machine.straggler_seed = 11;
      }},
     {"healing-partition",
      [](harness::ScenarioConfig& cfg, sim::Time probe_elapsed) {
        // Split the machine down the middle for the probe run's middle
        // third; the window is fixed virtual time, identical in the
        // failure-free and recovery runs.
-       cfg.hostile.partitions.push_back(
+       cfg.machine.net.partitions.push_back(
            {probe_elapsed * 0.3, probe_elapsed * 0.7,
             cfg.nranks / cfg.ranks_per_node / 2});
      }},
@@ -424,9 +424,9 @@ TEST(HostileStats, StragglerStallAccounting) {
   ASSERT_TRUE(base.run.completed);
   EXPECT_EQ(base.straggler_stall_time, 0.0);
 
-  cfg.hostile.straggler_factor = 2.0;
-  cfg.hostile.straggler_frac = 0.4;
-  cfg.hostile.straggler_seed = 11;
+  cfg.machine.straggler_factor = 2.0;
+  cfg.machine.straggler_frac = 0.4;
+  cfg.machine.straggler_seed = 11;
   harness::ScenarioResult slow = harness::run_failure_free(cfg);
   ASSERT_TRUE(slow.run.completed);
   EXPECT_GT(slow.straggler_stall_time, 0.0);
@@ -443,7 +443,7 @@ TEST(HostileStats, PartitionHoldAccounting) {
   EXPECT_EQ(base.partition_msgs_held, 0u);
   EXPECT_EQ(base.partition_stall_time, 0.0);
 
-  cfg.hostile.partitions.push_back(
+  cfg.machine.net.partitions.push_back(
       {base.elapsed * 0.2, base.elapsed * 0.6,
        cfg.nranks / cfg.ranks_per_node / 2});
   harness::ScenarioResult part = harness::run_failure_free(cfg);
@@ -463,17 +463,17 @@ TEST(HostileStats, PfsInterferenceAccounting) {
   harness::ScenarioResult base = harness::run_failure_free(cfg);
   ASSERT_TRUE(base.run.completed);
   ASSERT_GT(base.staging.pfs_flushes, 0u);
-  EXPECT_EQ(base.pfs_contended_flushes, 0u);
-  EXPECT_EQ(base.pfs_interference_time, 0.0);
-  EXPECT_GE(base.pfs_queue_depth_hwm, 1u);
+  EXPECT_EQ(base.staging.pfs_contended_flushes, 0u);
+  EXPECT_EQ(base.staging.pfs_interference_time, 0.0);
+  EXPECT_GE(base.staging.pfs_queue_depth_hwm, 1u);
 
   // Another job owns 3/4 of the PFS ingest for the whole run.
-  cfg.hostile.pfs_interference.push_back({0.0, 1e9, 0.25});
+  cfg.spbc.pfs_interference.push_back({0.0, 1e9, 0.25});
   harness::ScenarioResult busy = harness::run_failure_free(cfg);
   ASSERT_TRUE(busy.run.completed);
-  EXPECT_GT(busy.pfs_contended_flushes, 0u);
-  EXPECT_GT(busy.pfs_interference_time, 0.0);
-  EXPECT_GE(busy.pfs_queue_depth_hwm, base.pfs_queue_depth_hwm);
+  EXPECT_GT(busy.staging.pfs_contended_flushes, 0u);
+  EXPECT_GT(busy.staging.pfs_interference_time, 0.0);
+  EXPECT_GE(busy.staging.pfs_queue_depth_hwm, base.staging.pfs_queue_depth_hwm);
   EXPECT_EQ(busy.checksums, base.checksums);
 }
 

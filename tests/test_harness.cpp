@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <type_traits>
 
 #include "harness/scenario.hpp"
 
@@ -135,6 +137,55 @@ TEST(Harness, RecoveryEquivalenceHoldsUnderNoise) {
   harness::ScenarioResult rec = harness::run_with_failure(cfg, ff.elapsed, 0.6);
   ASSERT_TRUE(rec.run.completed);
   EXPECT_EQ(rec.checksums, ff.checksums);
+}
+
+// The clustering objective reaches the map: AMG at this size is one of the
+// shapes where the balanced and min-total objectives cut differently.
+TEST(Harness, PartitionObjectiveReachesClusterMap) {
+  harness::ScenarioConfig cfg = small_cfg();
+  cfg.app = "AMG";
+  cfg.use_clustering_tool = true;
+  cfg.partition.objective = clustering::Objective::kBalancedLogged;
+  const clustering::CommGraph graph = harness::trace_comm_graph(cfg);
+  clustering::Partitioner part(graph,
+                               sim::Topology::for_ranks(cfg.nranks, cfg.ranks_per_node));
+  const std::vector<int> balanced =
+      part.partition(cfg.nclusters, clustering::Objective::kBalancedLogged).cluster_of;
+  ASSERT_NE(balanced,
+            part.partition(cfg.nclusters, clustering::Objective::kMinTotalLogged)
+                .cluster_of);
+  EXPECT_EQ(harness::compute_cluster_map(cfg), balanced);
+}
+
+// run_scenario(cfg) is run_scenario(cfg, compute_cluster_map(cfg)), down to
+// the last bit of every staging counter, with failures and silent losses on.
+TEST(Harness, ExplicitMapRunMatchesComputedMapRun) {
+  harness::ScenarioConfig cfg = small_cfg();
+  cfg.protocol = harness::ProtocolKind::kSpbc;
+  cfg.use_clustering_tool = true;
+  cfg.app_cfg.validate = true;
+  cfg.spbc.storage = ckpt::StorageLevel::kPfs;
+  cfg.spbc.async_staging = true;
+  harness::ScenarioResult ff = harness::run_failure_free(cfg);
+  ASSERT_TRUE(ff.run.completed);
+  cfg.extra_failures = {{ff.elapsed * 0.6, 5}};
+  cfg.silent_losses = {{ff.elapsed * 0.4, 0x5eed}};
+
+  harness::ScenarioResult implicit = harness::run_scenario(cfg);
+  harness::ScenarioResult expl =
+      harness::run_scenario(cfg, harness::compute_cluster_map(cfg));
+  ASSERT_TRUE(implicit.run.completed);
+  ASSERT_TRUE(expl.run.completed);
+  EXPECT_EQ(implicit.staging.silent_losses_injected, 1u);
+  EXPECT_FALSE(implicit.recoveries.empty());
+
+  EXPECT_EQ(expl.cluster_of, implicit.cluster_of);
+  EXPECT_EQ(std::memcmp(&expl.elapsed, &implicit.elapsed, sizeof(sim::Time)), 0);
+  EXPECT_EQ(expl.checksums, implicit.checksums);
+  EXPECT_EQ(expl.recoveries.size(), implicit.recoveries.size());
+  static_assert(std::is_trivially_copyable_v<ckpt::StagingStats>);
+  EXPECT_EQ(std::memcmp(&expl.staging, &implicit.staging, sizeof(ckpt::StagingStats)),
+            0);
 }
 
 }  // namespace

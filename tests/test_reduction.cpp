@@ -665,7 +665,7 @@ TEST(ReductionE2E, ShardLayoutInvariant) {
   EXPECT_EQ(serial.checksums, sharded.checksums);
   EXPECT_EQ(serial.ckpt_stored_bytes, sharded.ckpt_stored_bytes);
   EXPECT_EQ(serial.delta_snapshots, sharded.delta_snapshots);
-  EXPECT_EQ(serial.bytes_pfs_written, sharded.bytes_pfs_written);
+  EXPECT_EQ(serial.staging.bytes_to_pfs, sharded.staging.bytes_to_pfs);
 
   // Equal sizes can hide different bytes: every (rank, epoch) capture must
   // be byte-identical across the layouts.
