@@ -95,10 +95,12 @@ BENCHMARK(BM_SeqWindowAdd);
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   sim::EventQueue q;
-  double t = 0;
+  uint64_t seq = 0;
   for (auto _ : state) {
-    q.schedule(t += 1.0, [] {});
-    q.pop().second();
+    q.schedule_keyed(sim::EventKey{static_cast<double>(seq), 0, seq}, 0,
+                     [] {});
+    ++seq;
+    q.pop_keyed().fn();
   }
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);

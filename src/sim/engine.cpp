@@ -4,8 +4,9 @@
 #include <barrier>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <thread>
+
+#include "util/assert.hpp"
 
 namespace spbc::sim {
 
@@ -54,14 +55,6 @@ bool Engine::in_shard_event() const {
   return tl.eng == this && !tl.serial && tl.exec >= 0;
 }
 
-bool Engine::in_parallel_context() const {
-  return tl.eng == this && tl.parallel;
-}
-
-bool Engine::in_serial_context() const {
-  return tl.eng == this && tl.serial;
-}
-
 Time Engine::now() const {
   if (tl.eng == this && !tl.serial && tl.exec >= 0)
     return shards_[static_cast<size_t>(tl.exec)]->now;
@@ -95,8 +88,7 @@ EventKey Engine::stamp_key(Time t, const char* what) {
   return EventKey{t, origin, key_seq_[origin]++};
 }
 
-EventQueue::EventId Engine::at_on(int key_shard, Time t,
-                                  std::function<void()> fn) {
+void Engine::at_on(int key_shard, Time t, std::function<void()> fn) {
   SPBC_ASSERT(key_shard >= 0 && key_shard < key_shards());
   const bool cross = in_shard_event() && key_shard != tl.key;
   const EventKey key = stamp_key(t, cross ? "cross-shard schedule" : nullptr);
@@ -106,41 +98,36 @@ EventQueue::EventId Engine::at_on(int key_shard, Time t,
   if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
     // Another worker owns that queue right now: hand over via mailbox; the
     // coordinator applies it between windows (t >= window end, see above).
-    EventQueue::EventId local = sh.queue.reserve_id();
-    {
-      std::lock_guard<std::mutex> g(sh.mbox_mu);
-      sh.mbox.push_back(Mail{false, local, key, owner, std::move(fn)});
-    }
-    return make_gid(qidx, local);
+    std::lock_guard<std::mutex> g(sh.mbox_mu);
+    sh.mbox.push_back(EventQueue::Event{key, owner, std::move(fn)});
+    return;
   }
   SPBC_ASSERT_MSG(t >= sh.now,
                   "scheduling into the past: t=" << t << " now=" << sh.now);
-  return make_gid(qidx, sh.queue.schedule_keyed(key, owner, std::move(fn)));
+  sh.queue.schedule_keyed(key, owner, std::move(fn));
 }
 
-EventQueue::EventId Engine::at_serial(Time t, std::function<void()> fn) {
+void Engine::at_serial(Time t, std::function<void()> fn) {
   const EventKey key =
       stamp_key(t, in_shard_event() ? "serial schedule" : nullptr);
   if (tl.eng == this && tl.parallel) {
-    EventQueue::EventId local = serial_q_.reserve_id();
-    {
-      std::lock_guard<std::mutex> g(serial_mbox_mu_);
-      serial_mbox_.push_back(Mail{false, local, key, key.shard, std::move(fn)});
-    }
-    return make_gid(shards_.size(), local);
+    std::lock_guard<std::mutex> g(serial_mbox_mu_);
+    serial_mbox_.push_back(EventQueue::Event{key, key.shard, std::move(fn)});
+    return;
   }
   SPBC_ASSERT_MSG(t >= global_now_,
                   "serial event in the past: t=" << t << " now=" << global_now_);
-  return make_gid(shards_.size(),
-                  serial_q_.schedule_keyed(key, key.shard, std::move(fn)));
+  serial_q_.schedule_keyed(key, key.shard, std::move(fn));
 }
 
-EventQueue::EventId Engine::at(Time t, std::function<void()> fn) {
-  if (in_shard_event()) return at_on(tl.key, t, std::move(fn));
+void Engine::at(Time t, std::function<void()> fn) {
   // Serial context or outside a run: events scheduled while the world is
   // stopped usually orchestrate global actions (failure injection, recovery
   // continuations) — keep them at the barrier.
-  return at_serial(t, std::move(fn));
+  if (in_shard_event())
+    at_on(tl.key, t, std::move(fn));
+  else
+    at_serial(t, std::move(fn));
 }
 
 void Engine::run_serial(std::function<void()> fn) {
@@ -150,25 +137,6 @@ void Engine::run_serial(std::function<void()> fn) {
     return;
   }
   at_serial(now() + lookahead_, std::move(fn));
-}
-
-void Engine::cancel(EventQueue::EventId id) {
-  size_t qidx = static_cast<size_t>(id >> kLocalIdBits) - 1;
-  EventQueue::EventId local = id & ((1ull << kLocalIdBits) - 1);
-  SPBC_ASSERT(qidx <= shards_.size());
-  if (qidx == shards_.size()) {
-    SPBC_ASSERT_MSG(!(tl.eng == this && tl.parallel),
-                    "serial-event cancel from a threaded window");
-    serial_q_.cancel(local);
-    return;
-  }
-  ExecShard& sh = *shards_[qidx];
-  if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
-    std::lock_guard<std::mutex> g(sh.mbox_mu);
-    sh.mbox.push_back(Mail{true, local, EventKey{}, 0, nullptr});
-    return;
-  }
-  sh.queue.cancel(local);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,11 +250,6 @@ Engine::TaskId Engine::current_task() const {
   return tl.running_task;
 }
 
-int Engine::task_shard(TaskId id) const {
-  SPBC_ASSERT(id >= 0 && static_cast<size_t>(id) < tasks_.size());
-  return tasks_[static_cast<size_t>(id)].key_shard;
-}
-
 size_t Engine::live_task_count() const {
   size_t n = 0;
   for (const auto& t : tasks_)
@@ -305,7 +268,7 @@ void Engine::set_task_label(TaskId id, std::string label) {
 
 void Engine::exec_shard_one(int s, bool parallel) {
   ExecShard& sh = *shards_[static_cast<size_t>(s)];
-  EventQueue::Popped p = sh.queue.pop_keyed();
+  EventQueue::Event p = sh.queue.pop_keyed();
   SPBC_ASSERT(p.key.t >= sh.now);
   sh.now = p.key.t;
   if (!parallel) global_now_ = std::max(global_now_, p.key.t);
@@ -318,7 +281,7 @@ void Engine::exec_shard_one(int s, bool parallel) {
 }
 
 void Engine::exec_serial_one() {
-  EventQueue::Popped p = serial_q_.pop_keyed();
+  EventQueue::Event p = serial_q_.pop_keyed();
   // A serial event is a global barrier: every shard clock advances to its
   // time (it only executes when it is the globally smallest key, so no shard
   // holds an earlier event).
@@ -332,10 +295,8 @@ void Engine::exec_serial_one() {
   ++serial_events_;
 }
 
-Time Engine::run_merge(Time deadline, bool bounded) {
-  stop_requested_.store(false, std::memory_order_relaxed);
+Time Engine::run_merge() {
   for (;;) {
-    if (stop_requested_.load(std::memory_order_relaxed)) break;
     // N-way merge: pop the globally smallest (time, shard, seq) key — the
     // same order for any exec-shard count.
     bool have = false;
@@ -361,47 +322,35 @@ Time Engine::run_merge(Time deadline, bool bounded) {
       }
     }
     if (!have) break;
-    if (bounded && bk.t > deadline) break;
     if (serial_best)
       exec_serial_one();
     else
       exec_shard_one(best, false);
   }
-  if (bounded) {
-    if (global_now_ < deadline) global_now_ = deadline;
-    for (auto& sh : shards_) sh->now = std::max(sh->now, deadline);
-  } else if (!stop_requested_.load(std::memory_order_relaxed)) {
-    deadlock_check();
-  }
+  deadlock_check();
   return global_now_;
 }
 
 void Engine::drain_mailboxes() {
-  std::vector<Mail> tmp;
+  std::vector<EventQueue::Event> tmp;
   for (auto& shp : shards_) {
     {
       std::lock_guard<std::mutex> g(shp->mbox_mu);
       tmp.swap(shp->mbox);
     }
-    for (Mail& m : tmp) {
-      if (m.cancel)
-        shp->queue.cancel(m.local_id);
-      else
-        shp->queue.schedule_reserved(m.local_id, m.key, m.owner,
-                                     std::move(m.fn));
-    }
+    for (EventQueue::Event& m : tmp)
+      shp->queue.schedule_keyed(m.key, m.owner, std::move(m.fn));
     tmp.clear();
   }
   {
     std::lock_guard<std::mutex> g(serial_mbox_mu_);
     tmp.swap(serial_mbox_);
   }
-  for (Mail& m : tmp)
-    serial_q_.schedule_reserved(m.local_id, m.key, m.owner, std::move(m.fn));
+  for (EventQueue::Event& m : tmp)
+    serial_q_.schedule_keyed(m.key, m.owner, std::move(m.fn));
 }
 
 Time Engine::run_threaded() {
-  stop_requested_.store(false, std::memory_order_relaxed);
   const int nexec = exec_shards();
   const int nw = std::min(threads_, nexec);
   workers_exit_ = false;
@@ -426,7 +375,6 @@ Time Engine::run_threaded() {
   }
 
   for (;;) {
-    if (stop_requested_.load(std::memory_order_relaxed)) break;
     drain_mailboxes();
     bool have = false;
     EventKey kmin{};
@@ -453,7 +401,6 @@ Time Engine::run_threaded() {
       // No parallel room (zero lookahead or a serial event at the same
       // time): fall back to one deterministic sequential step.
       exec_shard_one(smin, false);
-      ++seq_steps_;
       continue;
     }
     global_now_ = std::max(global_now_, kmin.t);
@@ -466,20 +413,17 @@ Time Engine::run_threaded() {
   workers_exit_ = true;
   start_b.arrive_and_wait();
   for (auto& th : workers) th.join();
-  drain_mailboxes();  // apply leftovers from a stopped window
   // Parallel-window events advance only their shard's clock; fold them in so
   // the final time matches the merge loop's (it tracks every event).
   for (auto& sh : shards_) global_now_ = std::max(global_now_, sh->now);
-  if (!stop_requested_.load(std::memory_order_relaxed)) deadlock_check();
+  deadlock_check();
   return global_now_;
 }
 
 Time Engine::run() {
   if (threads_ > 1 && exec_shards() > 1) return run_threaded();
-  return run_merge(0.0, false);
+  return run_merge();
 }
-
-Time Engine::run_until(Time deadline) { return run_merge(deadline, true); }
 
 void Engine::deadlock_check() {
   size_t live = live_task_count();
@@ -509,7 +453,6 @@ Engine::Stats Engine::stats() const {
   }
   s.serial_events = serial_events_;
   s.windows = windows_;
-  s.seq_steps = seq_steps_;
   return s;
 }
 

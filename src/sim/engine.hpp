@@ -29,7 +29,6 @@
 // the calling fiber and register a wake condition. Finished fibers release
 // their stacks back to the shard's pool immediately.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -41,7 +40,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/time.hpp"
-#include "util/assert.hpp"
 
 namespace spbc::sim {
 
@@ -63,7 +61,7 @@ class Engine {
   int exec_shards() const { return static_cast<int>(shards_.size()); }
 
   /// Worker threads for run(); <= 1 (or a single exec shard) keeps the
-  /// single-threaded merge loop. run_until() is always single-threaded.
+  /// single-threaded merge loop.
   void set_threads(int n) { threads_ = n; }
   int threads() const { return threads_; }
 
@@ -78,24 +76,23 @@ class Engine {
 
   /// Schedules a bare callback (network delivery, protocol timers, ...) on
   /// the calling context's own key shard (shard 0 / serial outside a run).
-  EventQueue::EventId at(Time t, std::function<void()> fn);
-  EventQueue::EventId after(Time dt, std::function<void()> fn) {
-    return at(now() + dt, std::move(fn));
+  void at(Time t, std::function<void()> fn);
+  void after(Time dt, std::function<void()> fn) {
+    at(now() + dt, std::move(fn));
   }
   /// Schedules onto an explicit key shard (cross-shard sends). From shard
   /// context, t must respect the lookahead when key_shard differs.
-  EventQueue::EventId at_on(int key_shard, Time t, std::function<void()> fn);
-  EventQueue::EventId after_on(int key_shard, Time dt,
-                               std::function<void()> fn) {
-    return at_on(key_shard, now() + dt, std::move(fn));
+  void at_on(int key_shard, Time t, std::function<void()> fn);
+  void after_on(int key_shard, Time dt, std::function<void()> fn) {
+    at_on(key_shard, now() + dt, std::move(fn));
   }
   /// Schedules a serial event: executes alone at a global barrier, with all
   /// shard clocks advanced to t. For failure injection / recovery
   /// orchestration that touches many shards. From shard context, t must
   /// respect the lookahead.
-  EventQueue::EventId at_serial(Time t, std::function<void()> fn);
-  EventQueue::EventId after_serial(Time dt, std::function<void()> fn) {
-    return at_serial(now() + dt, std::move(fn));
+  void at_serial(Time t, std::function<void()> fn);
+  void after_serial(Time dt, std::function<void()> fn) {
+    at_serial(now() + dt, std::move(fn));
   }
   /// Runs `fn` in serial context: immediately when already serial (or
   /// outside a run), else as a serial event one lookahead from now — the
@@ -103,7 +100,6 @@ class Engine {
   /// The deferral is applied for every layout (threaded or not) so
   /// trajectories stay independent of the execution configuration.
   void run_serial(std::function<void()> fn);
-  void cancel(EventQueue::EventId id);
 
   /// Spawns a fiber that starts running at the current time on the calling
   /// context's shard (spawn) or an explicit key shard (spawn_on). Returns a
@@ -135,27 +131,17 @@ class Engine {
 
   /// Teardown (outside run()): kills every parked task and resumes it so
   /// its frames unwind and their destructors run, then frees its stack. A
-  /// run that ends with tasks still parked (a deadlock, a bounded run)
-  /// would otherwise leak whatever those frames own. Tasks that never
-  /// started are left alone: they own nothing yet.
+  /// run that ends with tasks still parked (a deadlock) would otherwise
+  /// leak whatever those frames own. Tasks that never started are left
+  /// alone: they own nothing yet.
   void unwind_parked();
 
   /// The task id of the fiber currently executing (fiber-side only).
   TaskId current_task() const;
 
-  /// Key shard the task was spawned on.
-  int task_shard(TaskId id) const;
-
-  /// Runs until the event queues are empty and all fibers are finished, or
-  /// until stop() is called. Returns final virtual time.
+  /// Runs until every event queue and mailbox is empty. Returns final
+  /// virtual time; fibers still parked at that point deadlocked.
   Time run();
-
-  /// Runs until virtual time reaches `deadline` (events at exactly the
-  /// deadline are executed). Always single-threaded.
-  Time run_until(Time deadline);
-
-  /// Stops the run loop (threaded: after the current window).
-  void stop() { stop_requested_.store(true, std::memory_order_relaxed); }
 
   /// When false, a deadlock (parked fibers, empty event queue) ends run()
   /// with deadlocked()==true instead of aborting. Tests for the paper's
@@ -170,16 +156,10 @@ class Engine {
   /// Diagnostic label for deadlock reports.
   void set_task_label(TaskId id, std::string label);
 
-  /// True while executing a threaded parallel window on this engine.
-  bool in_parallel_context() const;
-  /// True while executing a serial (global-barrier) event.
-  bool in_serial_context() const;
-
   struct Stats {
     uint64_t events = 0;         // shard events executed
     uint64_t serial_events = 0;  // global-barrier events executed
     uint64_t windows = 0;        // parallel windows run (threaded only)
-    uint64_t seq_steps = 0;      // threaded-mode sequential fallback steps
     size_t live_stacks = 0;      // fiber stacks currently in use
     size_t peak_live_stacks = 0;
     size_t stacks_allocated = 0;  // distinct stacks ever allocated
@@ -187,22 +167,15 @@ class Engine {
   Stats stats() const;
 
  private:
-  struct Mail {
-    bool cancel = false;
-    EventQueue::EventId local_id = 0;  // reserved (insert) or target (cancel)
-    EventKey key;
-    uint32_t owner = 0;
-    EventQueue::EventFn fn;
-  };
   struct ExecShard {
     EventQueue queue;
     Time now = kTimeZero;
     std::unique_ptr<StackPool> pool;
     uint64_t events = 0;
-    // Cross-shard inserts/cancels from threaded windows; drained by the
+    // Cross-shard inserts from threaded windows; drained by the
     // coordinator between windows.
     std::mutex mbox_mu;
-    std::vector<Mail> mbox;
+    std::vector<EventQueue::Event> mbox;
   };
   struct Task {
     std::unique_ptr<Fiber> fiber;
@@ -223,23 +196,15 @@ class Engine {
   void resume_task(TaskId id);
   void exec_shard_one(int s, bool parallel);
   void exec_serial_one();
-  Time run_merge(Time deadline, bool bounded);
+  Time run_merge();
   Time run_threaded();
   void drain_mailboxes();
   void deadlock_check();
 
-  // Engine-wide event ids encode (queue index + 1, local id); queue index
-  // shards_.size() is the serial queue.
-  static constexpr int kLocalIdBits = 44;
-  EventQueue::EventId make_gid(size_t qidx, EventQueue::EventId local) const {
-    SPBC_ASSERT(local < (1ull << kLocalIdBits));
-    return ((static_cast<uint64_t>(qidx) + 1) << kLocalIdBits) | local;
-  }
-
   std::vector<std::unique_ptr<ExecShard>> shards_;
   EventQueue serial_q_;
   std::mutex serial_mbox_mu_;
-  std::vector<Mail> serial_mbox_;
+  std::vector<EventQueue::Event> serial_mbox_;
   std::vector<uint64_t> key_seq_;  // per key shard: next ordering seq
   Time global_now_ = kTimeZero;
   Time window_end_ = kTimeZero;  // published W for the current window
@@ -247,13 +212,11 @@ class Engine {
   size_t default_stack_size_;
   int threads_ = 1;
   Time lookahead_ = 0.0;
-  std::atomic<bool> stop_requested_{false};
   bool workers_exit_ = false;
   bool abort_on_deadlock_ = true;
   bool deadlocked_ = false;
   uint64_t serial_events_ = 0;
   uint64_t windows_ = 0;
-  uint64_t seq_steps_ = 0;
 };
 
 }  // namespace spbc::sim

@@ -3,8 +3,7 @@
 // ordering key; exec shards and worker threads never appear in it), killed
 // fibers must release their pooled stacks, cross-shard kill/unpark races at
 // the same virtual time must resolve by the same key tie-break on one queue
-// as on many, and the event queue's lazy cancellation must stay bounded by
-// compaction.
+// as on many.
 
 #include <gtest/gtest.h>
 
@@ -236,30 +235,6 @@ TEST(EngineShard, KilledFibersReleaseStacksToPool) {
   const sim::Engine::Stats st = eng.stats();
   EXPECT_EQ(st.live_stacks, 0u);
   EXPECT_EQ(st.peak_live_stacks, 8u);
-}
-
-// ---- satellite: lazy-cancellation compaction bounds the heap --------------
-
-TEST(EventQueueCompaction, CancelStormKeepsHeapNearLiveCount) {
-  sim::EventQueue q;
-  // 99% of scheduled events are cancelled immediately. Without compaction
-  // the heap would grow to ~10000 entries; with it, heap_size() stays within
-  // a small factor of the live count at every step.
-  for (int i = 0; i < 10000; ++i) {
-    sim::EventQueue::EventId id =
-        q.schedule(static_cast<sim::Time>(i), [] {});
-    if (i % 100 != 0) q.cancel(id);
-    ASSERT_LE(q.heap_size(), 2 * q.size() + 65)
-        << "at i=" << i << " live=" << q.size();
-  }
-  EXPECT_EQ(q.size(), 100u);
-  size_t ran = 0;
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-    ++ran;
-  }
-  EXPECT_EQ(ran, 100u);
 }
 
 }  // namespace

@@ -17,33 +17,30 @@
 namespace spbc::sim {
 namespace {
 
-TEST(EventQueue, OrdersByTimeThenInsertion) {
+TEST(EventQueue, PopsInKeyOrder) {
+  // Scrambled keys with ties on t and, within a tie, on shard: pops must
+  // come out in lexicographic (t, shard, seq) order, each with its owner.
+  const std::vector<EventKey> sorted{
+      {1.0, 0, 4}, {1.0, 2, 0}, {1.0, 2, 7}, {1.0, 5, 1},
+      {2.0, 0, 0}, {2.0, 1, 3}, {2.0, 1, 9}, {3.0, 0, 2}};
+  const std::vector<size_t> scramble{6, 1, 7, 3, 0, 5, 2, 4};
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(2.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(1.0, [&] { order.push_back(2); });  // same time: insertion order
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int ran = 0;
-  auto id = q.schedule(1.0, [&] { ++ran; });
-  q.schedule(2.0, [&] { ++ran; });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  auto id = q.schedule(1.0, [] {});
-  q.schedule(5.0, [] {});
-  q.cancel(id);
-  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+  std::vector<size_t> ran;
+  for (size_t i : scramble)
+    q.schedule_keyed(sorted[i], static_cast<uint32_t>(100 + i),
+                     [&ran, i] { ran.push_back(i); });
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    ASSERT_FALSE(q.empty());
+    EXPECT_DOUBLE_EQ(q.next_time(), sorted[i].t);
+    EventQueue::Event e = q.pop_keyed();
+    EXPECT_EQ(e.key.t, sorted[i].t);
+    EXPECT_EQ(e.key.shard, sorted[i].shard);
+    EXPECT_EQ(e.key.seq, sorted[i].seq);
+    EXPECT_EQ(e.owner, 100 + i);
+    e.fn();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Engine, TimeAdvancesMonotonically) {
@@ -126,16 +123,6 @@ TEST(Engine, DeadlockDetectedGracefully) {
   e.run();
   EXPECT_TRUE(e.deadlocked());
   EXPECT_EQ(e.live_task_count(), 1u);
-}
-
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine e;
-  int ran = 0;
-  e.at(1.0, [&] { ++ran; });
-  e.at(5.0, [&] { ++ran; });
-  e.run_until(2.0);
-  EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(e.now(), 2.0);
 }
 
 TEST(Engine, SpawnFromFiber) {
