@@ -5,9 +5,9 @@
 // processes have a lot of communication with other clusters while others do
 // not have any") and suggests studying balanced strategies. This bench
 // compares partitioners at k clusters (--clusters=K, default 8): the tool's
-// min-total objective (flat and multilevel pipelines), the balanced
-// (min-max per-rank) objective, and a naive block partition — reporting the
-// partitioning wall-time per strategy alongside the quality columns.
+// min-total objective, the balanced (min-max per-rank) objective, and a
+// naive block partition — reporting the partitioning wall-time per strategy
+// alongside the quality columns.
 
 #include <chrono>
 
@@ -55,12 +55,6 @@ int main(int argc, char** argv) {
       auto [res, ms] = timed(
           [&] { return part.partition(k, clustering::Objective::kMinTotalLogged); });
       strategies.push_back({"min-total [30]", std::move(res), ms});
-    }
-    {
-      clustering::PartitionConfig pc;
-      pc.multilevel = true;
-      auto [res, ms] = timed([&] { return part.partition(k, pc); });
-      strategies.push_back({"min-total multi", std::move(res), ms});
     }
     {
       auto [res, ms] = timed(

@@ -1,20 +1,15 @@
 // Partitioner scaling study: wall-time and cut quality of the clustering
-// pipeline vs the seed algorithm, at 256 / 1024 / 4096 ranks.
+// pipeline at 256 / 1024 / 4096 ranks.
 //
-// The seed partitioner (all-pairs dense aggregation, O(g^3) agglomeration
-// rescans, full-recompute Kernighan-Lin) capped clustering studies at ~512
-// ranks. The CSR + lazy-heap + delta-refinement pipeline (DESIGN.md #10) is
-// near-linear in the traced edge count; this bench measures both on the same
-// graphs — synthetic halo/community graphs plus a traced paper app — and
-// reports speedup and cut quality relative to the seed and to the block
-// partition baseline.
+// The CSR + lazy-heap + delta-refinement pipeline (DESIGN.md #10) is
+// near-linear in the traced edge count; this bench times it on synthetic
+// halo/community graphs plus a traced paper app and reports its cut against
+// the block-partition baseline. Exits non-zero if any pipeline cut regresses
+// more than 5% against block (the quality gate).
 //
 // Flags (beyond the common ones):
 //   --ranks=N          run only the scale N (default: 256, 1024, 4096)
-//   --seed-max-ranks=N largest scale to run the seed algorithm at (def 1024)
 //   --budget-ms=B      exit non-zero if any pipeline partition exceeds B ms
-//   --compare-seed     exit non-zero if pipeline cut quality regresses >5%
-//                      vs the block-partition baseline (CI quality gate)
 //   --clusters=K       cluster count (default 8)
 //   --app-ranks=N      largest scale to trace the paper app at (default 256)
 
@@ -95,22 +90,17 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::BenchOpts o = bench::parse_opts(argc, argv);
   const int k_req = static_cast<int>(cli.get_int("clusters", 8));
-  const int seed_max_ranks = static_cast<int>(cli.get_int("seed-max-ranks", 1024));
   const int app_max_ranks = static_cast<int>(cli.get_int("app-ranks", 256));
   const double budget_ms = cli.get_double("budget-ms", 0.0);
-  const bool compare_seed = cli.get_flag("compare-seed");
 
   std::vector<int> scales = {256, 1024, 4096};
   if (cli.has("ranks")) scales = {o.ranks};
 
-  std::printf("== Partitioner scaling: seed algorithm vs CSR/heap/delta pipeline ==\n");
-  std::printf("ppn=%d clusters=%d seed-max-ranks=%d\n\n", o.ppn, k_req,
-              seed_max_ranks);
+  std::printf("== Partitioner scaling: CSR/heap/delta pipeline vs block ==\n");
+  std::printf("ppn=%d clusters=%d\n\n", o.ppn, k_req);
 
-  util::Table table({"Graph", "Ranks", "Edges", "flat ms", "multi ms", "seed ms",
-                     "speedup", "cut flat", "cut multi", "cut seed", "cut block"});
+  util::Table table({"Graph", "Ranks", "Edges", "flat ms", "cut flat", "cut block"});
   bool ok = true;
-  double speedup_at_1024 = 0.0;
 
   for (int nranks : scales) {
     struct Input {
@@ -137,76 +127,32 @@ int main(int argc, char** argv) {
       clustering::Partitioner part(in.graph, topo);
 
       auto t0 = std::chrono::steady_clock::now();
-      clustering::PartitionConfig flat_cfg;
-      clustering::PartitionResult flat = part.partition(k, flat_cfg);
+      clustering::PartitionResult flat = part.partition(k);
       const double flat_ms = ms_since(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      clustering::PartitionConfig multi_cfg;
-      multi_cfg.multilevel = true;
-      clustering::PartitionResult multi = part.partition(k, multi_cfg);
-      const double multi_ms = ms_since(t0);
-
-      double seed_ms = -1.0;
-      clustering::PartitionResult seed_res;
-      if (nranks <= seed_max_ranks) {
-        t0 = std::chrono::steady_clock::now();
-        seed_res = part.partition_reference(k);
-        seed_ms = ms_since(t0);
-      }
 
       clustering::PartitionResult block = part.block_partition(k);
 
-      const double best_ms = std::min(flat_ms, multi_ms);
-      const double speedup = seed_ms >= 0 ? seed_ms / std::max(best_ms, 1e-3) : 0.0;
-      if (nranks == 1024 && speedup > speedup_at_1024) speedup_at_1024 = speedup;
-
       table.add_row(
           {in.name, std::to_string(nranks), std::to_string(in.graph.nedges()),
-           util::Table::fmt(flat_ms, 2), util::Table::fmt(multi_ms, 2),
-           seed_ms >= 0 ? util::Table::fmt(seed_ms, 2) : "-",
-           seed_ms >= 0 ? util::Table::fmt(speedup, 1) + "x" : "-",
-           std::to_string(flat.logged_bytes), std::to_string(multi.logged_bytes),
-           seed_ms >= 0 ? std::to_string(seed_res.logged_bytes) : "-",
+           util::Table::fmt(flat_ms, 2), std::to_string(flat.logged_bytes),
            std::to_string(block.logged_bytes)});
 
-      if (budget_ms > 0 && (flat_ms > budget_ms || multi_ms > budget_ms)) {
-        std::printf("FAIL: %s at %d ranks took %.1f/%.1f ms (budget %.1f ms)\n",
-                    in.name.c_str(), nranks, flat_ms, multi_ms, budget_ms);
+      if (budget_ms > 0 && flat_ms > budget_ms) {
+        std::printf("FAIL: %s at %d ranks took %.1f ms (budget %.1f ms)\n",
+                    in.name.c_str(), nranks, flat_ms, budget_ms);
         ok = false;
       }
-      if (compare_seed) {
-        // Quality gate: the pipeline must not regress >5% vs the block
-        // baseline (and is reported against the seed cut when it ran).
-        const auto gate = [&](const char* which, uint64_t cut) {
-          if (cut > block.logged_bytes + block.logged_bytes / 20) {
-            std::printf("FAIL: %s cut %llu regresses >5%% vs block %llu (%s, %d ranks)\n",
-                        which, static_cast<unsigned long long>(cut),
-                        static_cast<unsigned long long>(block.logged_bytes),
-                        in.name.c_str(), nranks);
-            ok = false;
-          }
-        };
-        gate("flat", flat.logged_bytes);
-        gate("multilevel", multi.logged_bytes);
-        if (seed_ms >= 0 && flat.logged_bytes >
-                                seed_res.logged_bytes + seed_res.logged_bytes / 20) {
-          std::printf("FAIL: flat cut %llu regresses >5%% vs seed %llu (%s, %d ranks)\n",
-                      static_cast<unsigned long long>(flat.logged_bytes),
-                      static_cast<unsigned long long>(seed_res.logged_bytes),
-                      in.name.c_str(), nranks);
-          ok = false;
-        }
+      // Quality gate: the pipeline must not regress >5% vs the block baseline.
+      if (flat.logged_bytes > block.logged_bytes + block.logged_bytes / 20) {
+        std::printf("FAIL: flat cut %llu regresses >5%% vs block %llu (%s, %d ranks)\n",
+                    static_cast<unsigned long long>(flat.logged_bytes),
+                    static_cast<unsigned long long>(block.logged_bytes),
+                    in.name.c_str(), nranks);
+        ok = false;
       }
     }
   }
 
   std::printf("%s\n", table.render().c_str());
-  if (speedup_at_1024 > 0)
-    std::printf("best pipeline speedup vs seed at 1024 ranks: %.1fx\n",
-                speedup_at_1024);
-  std::printf("(cut quality: pipeline == seed on these graphs is expected — the\n"
-              " greedy order and refinement acceptance rule are replicated; the\n"
-              " win is wall-time, which is what unlocked the 4096-rank row)\n");
   return ok ? 0 : 1;
 }

@@ -20,7 +20,7 @@ struct Candidate {
 };
 
 // priority_queue comparator: true when x has LOWER priority than y.
-// Priority: heavier first, then smaller (a, b) — the seed scan order.
+// Priority: heavier first, then smaller (a, b) — all-pairs scan order.
 struct LowerPriority {
   bool operator()(const Candidate& x, const Candidate& y) const {
     if (x.w != y.w) return x.w < y.w;
@@ -34,10 +34,10 @@ struct LowerPriority {
 std::vector<int> agglomerate(const GroupGraph& g, int k) {
   const int n = g.n;
   SPBC_ASSERT(k >= 1 && k <= n);
-  int cap = (g.total_nodes() + k - 1) / k;
+  int cap = (n + k - 1) / k;
 
   std::vector<bool> alive(static_cast<size_t>(n), true);
-  std::vector<int> size = g.node_size;
+  std::vector<int> size(static_cast<size_t>(n), 1);
   std::vector<uint32_t> ver(static_cast<size_t>(n), 0);
   // Units absorbed into each live cluster (small-to-large appends).
   std::vector<std::vector<int>> members(static_cast<size_t>(n));
@@ -57,7 +57,7 @@ std::vector<int> agglomerate(const GroupGraph& g, int k) {
 
   int ncomp = n;
   auto merge = [&](int a, int b) {
-    // Merge b into a (a < b), keeping id a as the seed algorithm does.
+    // Merge b into a (a < b), keeping id a.
     SPBC_ASSERT(a < b && alive[static_cast<size_t>(a)] &&
                 alive[static_cast<size_t>(b)]);
     alive[static_cast<size_t>(b)] = false;
@@ -114,8 +114,8 @@ std::vector<int> agglomerate(const GroupGraph& g, int k) {
     }
     if (merged) continue;
 
-    // Every positive-weight pair is cap-blocked; the seed algorithm would
-    // now merge the scan-order-first zero-weight pair that fits.
+    // Every positive-weight pair is cap-blocked: merge the scan-order-first
+    // zero-weight pair that fits.
     int za = -1, zb = -1;
     for (int a = 0; a < n && za < 0; ++a) {
       if (!alive[static_cast<size_t>(a)]) continue;
@@ -134,15 +134,14 @@ std::vector<int> agglomerate(const GroupGraph& g, int k) {
       continue;
     }
     // Nothing fits: the cap is too tight for the remaining components (k not
-    // dividing the node count). Relax by one node and retry the parked pairs.
+    // dividing the unit count). Relax by one unit and retry the parked pairs.
     ++cap;
     for (const Candidate& c : deferred)
       if (fresh(c)) heap.push(c);
     deferred.clear();
   }
 
-  // Renumber surviving clusters to [0, k) in first-member order, matching
-  // the seed algorithm's renumbering sweep.
+  // Renumber surviving clusters to [0, k) in first-member order.
   std::vector<int> comp(static_cast<size_t>(n), -1);
   for (int c = 0; c < n; ++c) {
     if (!alive[static_cast<size_t>(c)]) continue;

@@ -13,14 +13,6 @@ void CommGraph::add_traffic(int src, int dst, uint64_t bytes) {
   built_ = false;
 }
 
-CommGraph CommGraph::from_traffic(
-    int nranks, const std::map<std::pair<int, int>, uint64_t>& traffic) {
-  CommGraph g(nranks);
-  g.pending_.reserve(traffic.size());
-  for (const auto& [key, bytes] : traffic) g.add_traffic(key.first, key.second, bytes);
-  return g;
-}
-
 CommGraph CommGraph::from_traffic(int nranks, const mpi::TrafficMatrix& traffic) {
   CommGraph g(nranks);
   traffic.for_each(

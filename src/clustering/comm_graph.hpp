@@ -16,7 +16,6 @@
 // partitioner's inner loops are built on these properties.
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -44,11 +43,7 @@ class CommGraph {
   /// the built CSR (rebuilt lazily on the next query).
   void add_traffic(int src, int dst, uint64_t bytes);
 
-  /// Builds from a Machine-style traffic map.
-  static CommGraph from_traffic(int nranks,
-                                const std::map<std::pair<int, int>, uint64_t>& traffic);
-
-  /// Builds from the Machine's flat traffic matrix (no intermediate map).
+  /// Builds from the Machine's traffic matrix.
   static CommGraph from_traffic(int nranks, const mpi::TrafficMatrix& traffic);
 
   uint64_t traffic(int src, int dst) const;

@@ -2,33 +2,31 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 
 #include "util/assert.hpp"
 
 namespace spbc::clustering {
 
-uint64_t GroupGraph::weight_between(int a, int b) const {
-  const int* lo = adj.data() + begin(a);
-  const int* hi = adj.data() + end(a);
-  const int* it = std::lower_bound(lo, hi, b);
-  if (it == hi || *it != b) return 0;
-  return w[static_cast<size_t>(it - adj.data())];
-}
-
-int GroupGraph::total_nodes() const {
-  return std::accumulate(node_size.begin(), node_size.end(), 0);
-}
-
-GroupGraph GroupGraph::from_triples(
-    int nunits, std::vector<int> node_size,
-    std::vector<std::array<uint64_t, 3>>&& triples) {
-  SPBC_ASSERT(static_cast<int>(node_size.size()) == nunits);
-  // Normalize to (min, max), sort, merge duplicates.
-  for (auto& t : triples) {
-    if (t[0] > t[1]) std::swap(t[0], t[1]);
-    SPBC_ASSERT(t[0] != t[1] && t[1] < static_cast<uint64_t>(nunits));
+GroupGraph GroupGraph::from_ranks(const CommGraph& graph,
+                                  const std::vector<int>& unit_of_rank,
+                                  int nunits) {
+  SPBC_ASSERT(static_cast<int>(unit_of_rank.size()) == graph.nranks());
+  // (a, b, weight) triples with a < b, one per inter-unit rank edge.
+  std::vector<std::array<uint64_t, 3>> triples;
+  triples.reserve(graph.nedges());
+  for (int v = 0; v < graph.nranks(); ++v) {
+    const int uv = unit_of_rank[static_cast<size_t>(v)];
+    for (const CommGraph::Edge* e = graph.neighbors_begin(v);
+         e != graph.neighbors_end(v); ++e) {
+      if (e->to < v) continue;  // one direction per pair
+      const int uo = unit_of_rank[static_cast<size_t>(e->to)];
+      if (uo == uv) continue;  // intra-unit traffic is never logged
+      SPBC_ASSERT(uv < nunits && uo < nunits);
+      triples.push_back({static_cast<uint64_t>(std::min(uv, uo)),
+                         static_cast<uint64_t>(std::max(uv, uo)), e->sym()});
+    }
   }
+  // Sort and merge duplicates.
   std::sort(triples.begin(), triples.end(),
             [](const auto& x, const auto& y) {
               return x[0] != y[0] ? x[0] < y[0] : x[1] < y[1];
@@ -48,7 +46,6 @@ GroupGraph GroupGraph::from_triples(
 
   GroupGraph g;
   g.n = nunits;
-  g.node_size = std::move(node_size);
   g.row_ptr.assign(static_cast<size_t>(nunits) + 1, 0);
   for (const auto& t : triples) {
     ++g.row_ptr[t[0] + 1];
@@ -58,114 +55,21 @@ GroupGraph GroupGraph::from_triples(
     g.row_ptr[static_cast<size_t>(u) + 1] += g.row_ptr[static_cast<size_t>(u)];
   g.adj.assign(g.row_ptr[static_cast<size_t>(nunits)], 0);
   g.w.assign(g.adj.size(), 0);
+  // Fill each row's lower neighbors, then its higher ones: the triples are
+  // sorted, so both passes append in ascending order and every row comes
+  // out sorted.
   std::vector<size_t> cursor(g.row_ptr.begin(), g.row_ptr.end() - 1);
-  for (const auto& t : triples) {
-    size_t ia = cursor[t[0]]++;
-    g.adj[ia] = static_cast<int>(t[1]);
-    g.w[ia] = t[2];
-  }
   for (const auto& t : triples) {
     size_t ib = cursor[t[1]]++;
     g.adj[ib] = static_cast<int>(t[0]);
     g.w[ib] = t[2];
   }
-  // Rows received their a-side fill (sorted) then their b-side fill (also
-  // sorted); restore one sorted order per row. (Same two-sided CSR fill as
-  // CommGraph::build, which carries both directed weights per entry and so
-  // cannot share the row type.)
-  std::vector<std::pair<int, uint64_t>> row;
-  for (int u = 0; u < nunits; ++u) {
-    const size_t lo = g.row_ptr[static_cast<size_t>(u)];
-    const size_t hi = g.row_ptr[static_cast<size_t>(u) + 1];
-    row.clear();
-    row.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) row.emplace_back(g.adj[i], g.w[i]);
-    std::sort(row.begin(), row.end());
-    for (size_t i = lo; i < hi; ++i) {
-      g.adj[i] = row[i - lo].first;
-      g.w[i] = row[i - lo].second;
-    }
+  for (const auto& t : triples) {
+    size_t ia = cursor[t[0]]++;
+    g.adj[ia] = static_cast<int>(t[1]);
+    g.w[ia] = t[2];
   }
   return g;
-}
-
-GroupGraph GroupGraph::from_ranks(const CommGraph& graph,
-                                  const std::vector<int>& unit_of_rank,
-                                  int nunits, std::vector<int> node_size) {
-  SPBC_ASSERT(static_cast<int>(unit_of_rank.size()) == graph.nranks());
-  std::vector<std::array<uint64_t, 3>> triples;
-  triples.reserve(graph.nedges());
-  for (int v = 0; v < graph.nranks(); ++v) {
-    const int uv = unit_of_rank[static_cast<size_t>(v)];
-    for (const CommGraph::Edge* e = graph.neighbors_begin(v);
-         e != graph.neighbors_end(v); ++e) {
-      if (e->to < v) continue;  // one direction per pair
-      const int uo = unit_of_rank[static_cast<size_t>(e->to)];
-      if (uo == uv) continue;  // intra-unit traffic is never logged
-      triples.push_back({static_cast<uint64_t>(uv), static_cast<uint64_t>(uo),
-                         e->sym()});
-    }
-  }
-  return from_triples(nunits, std::move(node_size), std::move(triples));
-}
-
-GroupGraph GroupGraph::coarsen(int node_cap,
-                               std::vector<int>* fine_to_coarse) const {
-  std::vector<int> match(static_cast<size_t>(n), -1);
-  for (int u = 0; u < n; ++u) {
-    if (match[static_cast<size_t>(u)] >= 0) continue;
-    int best = -1;
-    uint64_t best_w = 0;
-    for (size_t i = begin(u); i < end(u); ++i) {
-      const int v = adj[i];
-      if (match[static_cast<size_t>(v)] >= 0) continue;
-      if (node_size[static_cast<size_t>(u)] + node_size[static_cast<size_t>(v)] >
-          node_cap)
-        continue;
-      // Heaviest edge wins; ties break on the smaller index, which the
-      // sorted row order delivers with a strict comparison.
-      if (w[i] > best_w || best < 0) {
-        best = v;
-        best_w = w[i];
-      }
-    }
-    if (best >= 0) {
-      match[static_cast<size_t>(u)] = best;
-      match[static_cast<size_t>(best)] = u;
-    } else {
-      match[static_cast<size_t>(u)] = u;  // stays single
-    }
-  }
-
-  // Coarse ids in order of each pair's smaller member.
-  std::vector<int>& map = *fine_to_coarse;
-  map.assign(static_cast<size_t>(n), -1);
-  int next = 0;
-  for (int u = 0; u < n; ++u) {
-    if (map[static_cast<size_t>(u)] >= 0) continue;
-    map[static_cast<size_t>(u)] = next;
-    map[static_cast<size_t>(match[static_cast<size_t>(u)])] = next;
-    ++next;
-  }
-
-  std::vector<int> coarse_size(static_cast<size_t>(next), 0);
-  for (int u = 0; u < n; ++u)
-    coarse_size[static_cast<size_t>(map[static_cast<size_t>(u)])] +=
-        node_size[static_cast<size_t>(u)];
-
-  std::vector<std::array<uint64_t, 3>> triples;
-  triples.reserve(adj.size() / 2);
-  for (int u = 0; u < n; ++u) {
-    const int cu = map[static_cast<size_t>(u)];
-    for (size_t i = begin(u); i < end(u); ++i) {
-      if (adj[i] < u) continue;
-      const int cv = map[static_cast<size_t>(adj[i])];
-      if (cu == cv) continue;  // contracted away
-      triples.push_back({static_cast<uint64_t>(cu), static_cast<uint64_t>(cv),
-                         w[i]});
-    }
-  }
-  return from_triples(next, std::move(coarse_size), std::move(triples));
 }
 
 }  // namespace spbc::clustering

@@ -1,14 +1,11 @@
 #pragma once
-// Unit-level weighted graph for the partitioning pipeline.
+// Node-group graph for the partitioning pipeline.
 //
-// A "unit" is whatever the current level of the pipeline moves atomically:
-// a node-group (the colocation constraint of Section 6.1) at the finest
-// level, or a super-group produced by heavy-edge-matching coarsening in the
-// multilevel V-cycle. The graph is a build-once CSR over symmetric weights
-// (bytes exchanged either way between the units), with per-unit physical
-// node counts so cluster-size caps survive contraction.
+// A "unit" is one node-group: the ranks of one physical node, which the
+// colocation constraint of Section 6.1 keeps in one cluster, so the
+// pipeline moves them atomically. The graph is a build-once CSR over
+// symmetric weights (bytes exchanged either way between the units).
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -21,37 +18,14 @@ struct GroupGraph {
   std::vector<size_t> row_ptr;    // n + 1
   std::vector<int> adj;           // neighbor unit ids, sorted per row
   std::vector<uint64_t> w;        // symmetric weight per adjacency entry
-  std::vector<int> node_size;     // physical nodes contained in each unit
 
-  int degree(int u) const {
-    return static_cast<int>(row_ptr[static_cast<size_t>(u) + 1] -
-                            row_ptr[static_cast<size_t>(u)]);
-  }
   size_t begin(int u) const { return row_ptr[static_cast<size_t>(u)]; }
   size_t end(int u) const { return row_ptr[static_cast<size_t>(u) + 1]; }
-
-  /// Symmetric weight between a and b; O(log degree(a)). 0 when non-adjacent.
-  uint64_t weight_between(int a, int b) const;
-
-  int total_nodes() const;
-
-  /// Builds the CSR from (a, b, weight) triples (a != b, both orders or one —
-  /// duplicates merge). `node_size` sizes the units.
-  static GroupGraph from_triples(int nunits, std::vector<int> node_size,
-                                 std::vector<std::array<uint64_t, 3>>&& triples);
 
   /// Aggregates the rank-level graph to units: every inter-unit rank edge
   /// lands on its unit pair with its symmetric weight. O(E log E).
   static GroupGraph from_ranks(const CommGraph& graph,
-                               const std::vector<int>& unit_of_rank, int nunits,
-                               std::vector<int> node_size);
-
-  /// One level of heavy-edge-matching coarsening: visits units in index
-  /// order, matches each unmatched unit with its heaviest unmatched neighbor
-  /// whose combined node count stays within `node_cap` (ties -> smallest
-  /// index). Returns the contracted graph and fills `fine_to_coarse`.
-  /// Deterministic.
-  GroupGraph coarsen(int node_cap, std::vector<int>* fine_to_coarse) const;
+                               const std::vector<int>& unit_of_rank, int nunits);
 };
 
 }  // namespace spbc::clustering

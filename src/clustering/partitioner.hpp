@@ -11,17 +11,13 @@
 //     alternative strategy Section 6.6 proposes to study; exercised by the
 //     clustering ablation bench).
 //
-// Pipeline (near-linear in the traced edge count; see DESIGN.md §10):
+// One pipeline, near-linear in the traced edge count (DESIGN.md §10):
 //   1. aggregate the rank-level CSR graph to node-groups (GroupGraph),
 //   2. greedy agglomeration via a lazy max-heap of candidate cluster pairs
-//      (clustering/agglomerate.hpp) — O(E log E) instead of the seed's
-//      all-pairs rescan per merge,
+//      (clustering/agglomerate.hpp),
 //   3. Kernighan–Lin-style refinement with delta-based move evaluation
-//      (clustering/refine.hpp) — O(degree) per candidate instead of a
-//      full-graph logged_bytes() recompute.
-// With PartitionConfig::multilevel the pipeline runs as a V-cycle: coarsen
-// by heavy-edge matching, partition the coarsest graph, then uncoarsen with
-// refinement at every level. Deterministic for a given graph either way.
+//      (clustering/refine.hpp).
+// Deterministic for a given graph.
 
 #include <cstdint>
 #include <vector>
@@ -42,14 +38,6 @@ struct PartitionResult {
 
 struct PartitionConfig {
   Objective objective = Objective::kMinTotalLogged;
-  /// V-cycle: coarsen by heavy-edge matching, partition the coarse graph,
-  /// uncoarsen with refinement at each level. Off = flat (agglomerate +
-  /// refine directly on the node-group graph, the seed-equivalent path).
-  bool multilevel = false;
-  /// Stop coarsening at or below this many units (floored at 2k so the
-  /// coarsest graph still distinguishes k clusters).
-  int coarsen_target = 64;
-  int refine_rounds = 20;  // seed used 20
   /// Debug/property-test mode: every applied refinement move is cross-checked
   /// against a from-scratch logged_bytes() recompute.
   bool validate_deltas = false;
@@ -57,6 +45,8 @@ struct PartitionConfig {
 
 class Partitioner {
  public:
+  /// Reads `topo` only here (rank -> node groups); it need not outlive the
+  /// Partitioner. `graph` must.
   Partitioner(const CommGraph& graph, const sim::Topology& topo);
 
   /// Partitions into exactly k clusters. k must be in [1, nodes]; clusters
@@ -68,21 +58,10 @@ class Partitioner {
   /// Baseline for comparison: contiguous block partition (node order).
   PartitionResult block_partition(int k) const;
 
-  /// The seed algorithm, kept verbatim for parity tests and the scaling
-  /// bench: dense all-pairs group aggregation, O(g^3) agglomeration rescans,
-  /// and full-recompute Kernighan–Lin refinement.
-  PartitionResult partition_reference(int k,
-                                      Objective objective = Objective::kMinTotalLogged) const;
-
-  int ngroups() const { return ngroups_; }
-
  private:
   PartitionResult finalize(const std::vector<int>& group_cluster, int k) const;
-  double reference_objective(const std::vector<int>& group_cluster,
-                             Objective objective) const;
 
   const CommGraph& graph_;
-  const sim::Topology& topo_;
   int ngroups_;  // node groups (colocation units)
   GroupGraph groups_;  // CSR node-group graph (symmetric weights)
   std::vector<int> group_of_rank_;

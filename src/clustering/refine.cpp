@@ -9,6 +9,8 @@ namespace spbc::clustering {
 
 namespace {
 
+constexpr int kMaxRounds = 20;
+
 struct MaxEntry {
   uint64_t val = 0;
   int rank = 0;
@@ -38,20 +40,17 @@ class Refiner {
     double current = objective_now();
     bool improved = true;
     int rounds = 0;
-    while (improved && rounds < p_.max_rounds) {
+    while (improved && rounds < kMaxRounds) {
       improved = false;
       ++rounds;
       for (int u = 0; u < units_.n; ++u) {
         const int from = cluster_[static_cast<size_t>(u)];
-        if (csize_units_[static_cast<size_t>(from)] <= 1) continue;
+        if (csize_[static_cast<size_t>(from)] <= 1) continue;
         int best_to = -1;
         double best_val = current;
         for (int to = 0; to < p_.k; ++to) {
           if (to == from) continue;
-          if (csize_nodes_[static_cast<size_t>(to)] +
-                  units_.node_size[static_cast<size_t>(u)] >
-              p_.node_cap)
-            continue;
+          if (csize_[static_cast<size_t>(to)] >= p_.node_cap) continue;
           const double val = evaluate(u, from, to);
           if (val < best_val) {
             best_val = val;
@@ -79,13 +78,9 @@ class Refiner {
   }
 
   void init_common() {
-    csize_units_.assign(static_cast<size_t>(p_.k), 0);
-    csize_nodes_.assign(static_cast<size_t>(p_.k), 0);
-    for (int u = 0; u < units_.n; ++u) {
-      ++csize_units_[static_cast<size_t>(cluster_[static_cast<size_t>(u)])];
-      csize_nodes_[static_cast<size_t>(cluster_[static_cast<size_t>(u)])] +=
-          units_.node_size[static_cast<size_t>(u)];
-    }
+    csize_.assign(static_cast<size_t>(p_.k), 0);
+    for (int u = 0; u < units_.n; ++u)
+      ++csize_[static_cast<size_t>(cluster_[static_cast<size_t>(u)])];
     conn_.assign(static_cast<size_t>(units_.n) * static_cast<size_t>(p_.k), 0);
     cut_ = 0;
     for (int u = 0; u < units_.n; ++u) {
@@ -255,12 +250,8 @@ class Refiner {
       conn_[cidx(v, to)] += units_.w[i];
     }
     cluster_[static_cast<size_t>(u)] = to;
-    --csize_units_[static_cast<size_t>(from)];
-    ++csize_units_[static_cast<size_t>(to)];
-    csize_nodes_[static_cast<size_t>(from)] -=
-        units_.node_size[static_cast<size_t>(u)];
-    csize_nodes_[static_cast<size_t>(to)] +=
-        units_.node_size[static_cast<size_t>(u)];
+    --csize_[static_cast<size_t>(from)];
+    ++csize_[static_cast<size_t>(to)];
     if (p_.objective != Objective::kBalancedLogged) return;
 
     auto bump = [&](int r, uint64_t v) {
@@ -325,8 +316,7 @@ class Refiner {
   const RefineParams& p_;
   std::vector<int>& cluster_;
 
-  std::vector<int> csize_units_;
-  std::vector<int> csize_nodes_;
+  std::vector<int> csize_;  // units per cluster
   std::vector<uint64_t> conn_;  // units.n x k boundary weights
   uint64_t cut_ = 0;
 

@@ -79,8 +79,7 @@ struct ScenarioConfig {
   /// Cluster map: from the clustering tool (traced short run) or a block
   /// partition of nodes.
   bool use_clustering_tool = true;
-  /// The clustering tool's objective and pipeline knobs (multilevel V-cycle,
-  /// refinement budget...).
+  /// The clustering tool's objective (min-total or balanced logged bytes).
   clustering::PartitionConfig partition;
   int trace_iters = 3;  // iterations of the traced clustering run
 

@@ -287,11 +287,6 @@ class Machine {
   /// Flat open-addressed storage — record_traffic runs on every send.
   const TrafficMatrix& traffic() const { return traffic_; }
 
-  /// Compatibility view of traffic() as an ordered map (built on demand).
-  std::map<std::pair<int, int>, uint64_t> traffic_bytes() const {
-    return traffic_.as_map();
-  }
-
   /// Per-channel send trace hashes (determinism checker). Stored in
   /// per-source rows (each owned by the source rank's shard); merged into
   /// one ordered map on demand — ChannelKey sorts by src first, so the merge

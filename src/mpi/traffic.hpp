@@ -10,7 +10,6 @@
 // send hits its slot in O(1) with no allocation.
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -73,13 +72,6 @@ class TrafficMatrix {
       for (const Slot& s : rows_[static_cast<size_t>(src)].slots)
         if (s.dst >= 0) fn(src, s.dst, s.bytes);
     }
-  }
-
-  /// Compatibility view for callers that still want the ordered map.
-  std::map<std::pair<int, int>, uint64_t> as_map() const {
-    std::map<std::pair<int, int>, uint64_t> out;
-    for_each([&out](int src, int dst, uint64_t b) { out[{src, dst}] = b; });
-    return out;
   }
 
  private:
