@@ -97,10 +97,10 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   sim::EventQueue q;
   uint64_t seq = 0;
   for (auto _ : state) {
-    q.schedule_keyed(sim::EventKey{static_cast<double>(seq), 0, seq}, 0,
-                     [] {});
+    q.schedule(sim::EventQueue::Event{sim::EventKey{static_cast<double>(seq), 0, seq},
+                                      sim::EventQueue::Kind::kCall, 0, -1, [] {}});
     ++seq;
-    q.pop_keyed().fn();
+    q.pop().fn();
   }
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);

@@ -17,7 +17,6 @@
 
 #include "apps/app.hpp"
 #include "apps/assumed_partition.hpp"
-#include "apps/decomp.hpp"
 #include "core/api.hpp"
 #include "mpi/collectives.hpp"
 
@@ -46,39 +45,11 @@ struct State : BaseState {
   }
 };
 
-// Contact set at a level: faces at the fine level; coarser levels reach
-// farther (hash-derived, pure in (rank, level)). Memoized — the expected-
-// count computation of the assumed-partition exchange evaluates every rank's
-// contacts, which is O(n^2) work per exchange at 512 ranks without a cache.
-const std::vector<int>& level_contacts(int me, int n, int level, const Grid3D& grid) {
-  static std::map<std::tuple<int, int>, std::vector<std::vector<int>>> cache;
-  auto key = std::make_tuple(n, level);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    std::vector<std::vector<int>> all(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      std::vector<int> c = grid.face_neighbors(r);
-      int extra = 2 * level;
-      for (int k = 0; k < extra; ++k) {
-        int t = static_cast<int>(
-            synthetic_hash(static_cast<uint64_t>(r), static_cast<uint64_t>(level),
-                           static_cast<uint64_t>(k), 0xa3) %
-            static_cast<uint64_t>(n));
-        if (t != r) c.push_back(t);
-      }
-      all[static_cast<size_t>(r)] = std::move(c);
-    }
-    it = cache.emplace(key, std::move(all)).first;
-  }
-  return it->second[static_cast<size_t>(me)];
-}
-
 uint64_t level_bytes(int level) { return kFineBytes >> (2 * level); }
 }  // namespace
 
 void amg_main(mpi::Rank& rank, const AppConfig& cfg) {
   const mpi::Comm& world = rank.world();
-  Grid3D grid = Grid3D::balanced(rank.nranks(), /*periodic=*/false);
   const int n = rank.nranks();
 
   State st;
@@ -98,9 +69,8 @@ void amg_main(mpi::Rank& rank, const AppConfig& cfg) {
   auto run_level = [&](int level, core::pattern_id pattern, uint64_t salt) {
     core::BEGIN_ITERATION(rank, pattern);
     ApExchangeSpec spec;
-    spec.contacts_of = [n, level, &grid](int r) {
-      return level_contacts(r, n, level, grid);
-    };
+    // Contacts: faces at the fine level; coarser levels reach farther.
+    spec.contacts = &contact_table(ContactSet::kAmgLevel, n, level);
     spec.tag_query = kTagQueryBase + 2 * level;
     spec.tag_reply = kTagQueryBase + 2 * level + 1;
     spec.query_bytes = std::max<uint64_t>(level_bytes(level) / 8, 256);
@@ -124,7 +94,7 @@ void amg_main(mpi::Rank& rank, const AppConfig& cfg) {
     // Residual norm exchange (third annotated pattern) + convergence check.
     core::BEGIN_ITERATION(rank, residual_pattern);
     ApExchangeSpec spec;
-    spec.contacts_of = [n, &grid](int r) { return level_contacts(r, n, 0, grid); };
+    spec.contacts = &contact_table(ContactSet::kAmgLevel, n, 0);
     spec.tag_query = kTagQueryBase + 2 * kLevels;
     spec.tag_reply = kTagQueryBase + 2 * kLevels + 1;
     spec.query_bytes = 512;

@@ -30,7 +30,7 @@ struct AppConfig {
   /// (benches: no allocation, same protocol path).
   bool validate = false;
   /// Where final per-rank checksums are deposited (validate mode); owned by
-  /// the caller, single-threaded simulator makes this safe.
+  /// the caller, written under a lock.
   std::map<int, uint64_t>* checksums = nullptr;
 
   /// Bursty / adversarial traffic phases (hostile workload matrix; DESIGN.md

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <mutex>
 
 #include "apps/app.hpp"
 #include "apps/decomp.hpp"
@@ -71,7 +72,10 @@ void fold_checksum_commutative(uint64_t& acc, const mpi::RecvResult& rr) {
 }
 
 void publish_checksum(mpi::Rank& rank, const AppConfig& cfg, uint64_t checksum) {
-  if (cfg.checksums != nullptr) (*cfg.checksums)[rank.rank()] = checksum;
+  if (cfg.checksums == nullptr) return;
+  static std::mutex mu;  // ranks finish on several engine threads
+  std::lock_guard<std::mutex> g(mu);
+  (*cfg.checksums)[rank.rank()] = checksum;
 }
 
 const AppInfo& find_app(const std::string& name) {

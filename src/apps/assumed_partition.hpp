@@ -11,12 +11,12 @@
 //
 // The global-termination algorithm (elided in the paper's listing) is
 // replaced here by the expected-contact count, computable because contact
-// sets are pure functions of (rank, key); the closing barrier builds the
+// sets are pure functions of (rank, n, instance) and precomputed once per
+// instance in a shared ContactTable; the closing barrier builds the
 // always-happens-before relation between successive iterations that the
 // pattern API requires.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -25,11 +25,22 @@
 
 namespace spbc::apps {
 
+/// Whom each rank queries in one instance of the pattern, and how many query it.
+struct ContactTable {
+  std::vector<std::vector<int>> contacts;  // [r]: the ranks r queries
+  std::vector<int> expected;               // [r]: in-degree (queries r serves)
+};
+
+/// Face neighbors on the bounded 3D grid plus hash-derived contacts: 2 * level
+/// for an AMG level, two (own salt each) for the MiniFE / facade setups.
+enum class ContactSet { kAmgLevel, kMinifeSetup, kFacadeSetup };
+
+/// The table of `set` at n ranks, built on first use and shared process-wide
+/// (thread-safe: rank fibers on several engine threads ask for it).
+const ContactTable& contact_table(ContactSet set, int n, int level = 0);
+
 struct ApExchangeSpec {
-  /// Pure function: contacts of rank r for this instance of the pattern.
-  /// MUST be identical across ranks evaluating it (determinism and the
-  /// expected-count computation depend on it).
-  std::function<std::vector<int>(int rank)> contacts_of;
+  const ContactTable* contacts = nullptr;  // sized for the exchange's comm
   int tag_query = 0;
   int tag_reply = 1;
   uint64_t query_bytes = 1024;

@@ -111,20 +111,6 @@ struct FacadeAppState {
   }
 };
 
-// Data-dependent contact set for the setup exchange: face neighbors plus two
-// hash-derived "unstructured mesh" contacts (same shape as minife.cpp, its
-// own salt).
-std::vector<int> facade_contacts(int r, int n, const Grid3D& grid) {
-  std::vector<int> c = grid.face_neighbors(r);
-  for (uint64_t k = 0; k < 2; ++k) {
-    int extra = static_cast<int>(
-        synthetic_hash(static_cast<uint64_t>(r), k, 0xfacade, 0) %
-        static_cast<uint64_t>(n));
-    if (extra != r) c.push_back(extra);
-  }
-  return c;
-}
-
 }  // namespace
 
 void minife_facade_main(mpi::Rank& rank, const AppConfig& cfg) {
@@ -145,7 +131,7 @@ void minife_facade_main(mpi::Rank& rank, const AppConfig& cfg) {
   if (!st.setup_done) {
     core::BEGIN_ITERATION(rank, setup_pattern);
     ApExchangeSpec spec;
-    spec.contacts_of = [n, &grid](int r) { return facade_contacts(r, n, grid); };
+    spec.contacts = &contact_table(ContactSet::kFacadeSetup, n);
     spec.tag_query = 30;
     spec.tag_reply = 31;
     spec.query_bytes = 2 * 1000;

@@ -43,28 +43,6 @@ struct State : BaseState {
   }
 };
 
-// Data-dependent contact set: face neighbors plus a couple of hash-derived
-// "unstructured mesh" contacts. Pure function of (rank, n) as required;
-// memoized for the O(n^2) expected-count computation.
-const std::vector<int>& setup_contacts(int me, int n, const Grid3D& grid) {
-  static std::map<int, std::vector<std::vector<int>>> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    std::vector<std::vector<int>> all(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      std::vector<int> c = grid.face_neighbors(r);
-      for (uint64_t k = 0; k < 2; ++k) {
-        int extra = static_cast<int>(
-            synthetic_hash(static_cast<uint64_t>(r), k, 0xfe, 0) %
-            static_cast<uint64_t>(n));
-        if (extra != r) c.push_back(extra);
-      }
-      all[static_cast<size_t>(r)] = std::move(c);
-    }
-    it = cache.emplace(n, std::move(all)).first;
-  }
-  return it->second[static_cast<size_t>(me)];
-}
 }  // namespace
 
 void minife_main(mpi::Rank& rank, const AppConfig& cfg) {
@@ -85,7 +63,9 @@ void minife_main(mpi::Rank& rank, const AppConfig& cfg) {
   if (!st.setup_done) {
     core::BEGIN_ITERATION(rank, setup_pattern);
     ApExchangeSpec spec;
-    spec.contacts_of = [n, &grid](int r) { return setup_contacts(r, n, grid); };
+    // Data-dependent contact set: face neighbors plus a couple of
+    // hash-derived "unstructured mesh" contacts.
+    spec.contacts = &contact_table(ContactSet::kMinifeSetup, n);
     spec.tag_query = kTagSetupQuery;
     spec.tag_reply = kTagSetupReply;
     spec.query_bytes = kSetupBytes;

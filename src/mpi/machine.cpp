@@ -216,8 +216,13 @@ void Machine::record_traffic(const Envelope& env) {
   }
 }
 
-void Machine::transport_send(Rank& /*sender*/, const Envelope& env, Payload payload,
-                             std::function<void()> on_complete) {
+void Machine::complete_send(RequestState& req) {
+  req.complete = true;
+  if (req.waiter != sim::Engine::kInvalidTask) engine_.unpark(req.waiter);
+}
+
+void Machine::transport_send(const Envelope& env, Payload payload,
+                             std::shared_ptr<RequestState> req) {
   if (tombstoned_[static_cast<size_t>(env.dst)]) {
     // The destination is permanently dead, awaiting its elastic rebind: the
     // send completes as a no-op (MPI semantics: buffer reusable) without
@@ -225,7 +230,7 @@ void Machine::transport_send(Rank& /*sender*/, const Envelope& env, Payload payl
     // intra-cluster in-flight accounting to drain. The restored destination
     // announces a Rollback after respawn; replay re-delivers what matters.
     tombstone_drops_.fetch_add(1, std::memory_order_relaxed);
-    if (on_complete) on_complete();
+    complete_send(*req);
     return;
   }
   record_traffic(env);
@@ -263,7 +268,7 @@ void Machine::transport_send(Rank& /*sender*/, const Envelope& env, Payload payl
           deliver_data(env.dst, env, std::move(pl), true, 0);
         });
     if (intra && !same_shard) note_intra_send_landed_at(env.src, arrival);
-    on_complete();
+    complete_send(*req);
   } else {
     // Rendezvous: RTS -> (match) -> CTS -> payload. The send completes when
     // the CTS arrives (buffer handed to the NIC). The intra-cluster
@@ -273,7 +278,8 @@ void Machine::transport_send(Rank& /*sender*/, const Envelope& env, Payload payl
     if (intra) ++intra_outstanding_[static_cast<size_t>(env.src)];
     uint64_t id = ++next_rendezvous_id_[static_cast<size_t>(env.src)];
     rendezvous_[static_cast<size_t>(env.src)][id] =
-        PendingRendezvous{env, std::move(payload), std::move(on_complete),
+        PendingRendezvous{env, std::move(payload),
+                          [this, req] { complete_send(*req); },
                           incarnation_[static_cast<size_t>(env.dst)]};
     ControlMsg rts;
     rts.kind = ControlMsg::Kind::kRts;
@@ -533,13 +539,6 @@ std::vector<unsigned char> Machine::take_pending_app_state(int r) {
   auto bytes = std::move(pending_app_state_[static_cast<size_t>(r)]);
   pending_app_state_[static_cast<size_t>(r)].clear();
   return bytes;
-}
-
-std::vector<Envelope> Machine::pending_rendezvous_envelopes() const {
-  std::vector<Envelope> out;
-  for (const auto& row : rendezvous_)
-    for (const auto& [id, pr] : row) out.push_back(pr.env);
-  return out;
 }
 
 std::map<ChannelKey, std::vector<uint64_t>> Machine::send_trace() const {

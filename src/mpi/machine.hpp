@@ -217,10 +217,11 @@ class Machine {
   void inject_failure(sim::Time t, int victim_rank, FailureKind kind);
 
   // ---- transport (called by Rank) --------------------------------------
-  /// Data send; chooses eager or rendezvous by payload size. `on_complete`
-  /// fires when the send buffer is reusable (MPI completion semantics).
-  void transport_send(Rank& sender, const Envelope& env, Payload payload,
-                      std::function<void()> on_complete);
+  /// Data send; chooses eager or rendezvous by payload size. Completes `req`
+  /// when the send buffer is reusable (MPI completion semantics): at once
+  /// for an eager send, on the CTS for a rendezvous.
+  void transport_send(const Envelope& env, Payload payload,
+                      std::shared_ptr<RequestState> req);
 
   /// Protocol control message (Rollback, lastMessage, checkpoint coordination,
   /// HydEE grants...). Small fixed wire size.
@@ -267,8 +268,6 @@ class Machine {
   std::map<int, std::vector<OrphanSend>> take_rendezvous_to_if(
       const std::function<bool(int)>& pred, int src);
 
-  bool rank_alive(int rank) const { return alive_[rank]; }
-
   // ---- intra-cluster in-flight tracking (checkpoint-wave completion) ----
   /// Count of this rank's in-flight intra-cluster data transfers. A
   /// rendezvous send counts from RTS until its payload lands (or a
@@ -308,9 +307,6 @@ class Machine {
     return dropped_in_flight_.load(std::memory_order_relaxed);
   }
 
-  /// Diagnostics: envelopes of sends parked in the rendezvous handshake.
-  std::vector<Envelope> pending_rendezvous_envelopes() const;
-
   // Debug-only tag (never hashed into traces or used for ordering), so a
   // relaxed counter keeps it unique across shard threads.
   uint64_t fresh_uid() { return uid_.fetch_add(1, std::memory_order_relaxed) + 1; }
@@ -319,6 +315,8 @@ class Machine {
   void deliver_data(int dst, Envelope env, Payload payload, bool payload_ready,
                     uint64_t sender_req);
   void handle_control(int dst, const ControlMsg& msg);
+  /// Marks a send request complete and wakes a fiber waiting on it.
+  void complete_send(RequestState& req);
   void record_traffic(const Envelope& env);
   void note_intra_send_landed(int src);
   /// note_intra_send_landed(src) at time t on src's own shard (a migrated

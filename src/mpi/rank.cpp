@@ -76,14 +76,11 @@ Request Rank::isend(int dst, int tag, Payload payload, const Comm& comm) {
   // deliver the replayed prefix before any new message (per-channel order).
   if (ch.replay_pending > 0) {
     sim::Time b0 = now();
-    block_until([&ch] { return ch.replay_pending == 0; }, "isend replay gate");
+    while (ch.replay_pending > 0) machine_.engine().park();
     profile_.time_mpi += now() - b0;
   }
 
-  machine_.transport_send(*this, env, std::move(payload), [this, st] {
-    st->complete = true;
-    if (st->waiter != sim::Engine::kInvalidTask) machine_.engine().unpark(st->waiter);
-  });
+  machine_.transport_send(env, std::move(payload), st);
   return Request(st);
 }
 
@@ -135,14 +132,6 @@ void Rank::wait(Request& req) {
   bump_op_counter();
   SPBC_ASSERT_MSG(req.valid(), "wait on null request");
   RequestState* st = req.state();
-  if (!st->complete) {
-    std::string site = st->kind == RequestState::Kind::kRecv
-                           ? "wait(recv src=" + std::to_string(st->match_src) +
-                                 " tag=" + std::to_string(st->match_tag) + ")"
-                           : "wait(send dst=" + std::to_string(st->send_env.dst) +
-                                 " seq=" + std::to_string(st->send_env.seqnum) + ")";
-    set_block_site(std::move(site));
-  }
   sim::Time t0 = now();
   while (!st->complete) {
     st->waiter = machine_.engine().current_task();
@@ -187,14 +176,6 @@ bool Rank::test(Request& req) {
   return req.complete();
 }
 
-bool Rank::testall(std::vector<Request>& reqs) {
-  bump_op_counter();
-  machine_.engine().wait(machine_.config().poll_overhead);
-  for (const auto& r : reqs)
-    if (r.valid() && !r.complete()) return false;
-  return true;
-}
-
 bool Rank::iprobe(int src, int tag, const Comm& comm, Status* status) {
   bump_op_counter();
   machine_.engine().wait(machine_.config().poll_overhead);
@@ -214,16 +195,14 @@ bool Rank::iprobe(int src, int tag, const Comm& comm, Status* status) {
 }
 
 Status Rank::probe(int src, int tag, const Comm& comm) {
+  RequestState probe_req;
+  probe_req.match_src = (src == kAnySource) ? kAnySource : comm.world_rank(src);
+  probe_req.match_tag = tag;
+  probe_req.ctx = comm.ctx();
+  probe_req.pid = patterns_.current();
   Status status;
   sim::Time t0 = now();
-  block_until([&] {
-    RequestState probe_req;
-    probe_req.match_src = (src == kAnySource) ? kAnySource : comm.world_rank(src);
-    probe_req.match_tag = tag;
-    probe_req.ctx = comm.ctx();
-    probe_req.pid = patterns_.current();
-    return match_.iprobe(probe_req, &status);
-  });
+  while (!match_.iprobe(probe_req, &status)) machine_.engine().park();
   profile_.time_mpi += now() - t0;
   bump_op_counter();
   if (status.source >= 0) {
@@ -627,13 +606,6 @@ void Rank::bump_op_counter() {
     } else {
       machine_.note_catch_up(world_rank_);
     }
-  }
-}
-
-void Rank::block_until(const std::function<bool()>& pred, const char* site) {
-  if (!pred()) set_block_site(site);
-  while (!pred()) {
-    machine_.engine().park();
   }
 }
 

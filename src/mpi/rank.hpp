@@ -15,7 +15,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -104,7 +103,6 @@ class Rank {
   int waitany(std::vector<Request>& reqs);
   void waitall(std::vector<Request>& reqs);
   bool test(Request& req);
-  bool testall(std::vector<Request>& reqs);
 
   bool iprobe(int src, int tag, const Comm& comm, Status* status);
   Status probe(int src, int tag, const Comm& comm);
@@ -210,9 +208,6 @@ class Rank {
   MatchEngine& match_engine() { return match_; }
   PatternBook& patterns() { return patterns_; }
 
-  const std::map<StreamKey, ChannelSendState>& all_send_states() const {
-    return send_state_;
-  }
   const std::map<StreamKey, SeqWindow>& all_recv_windows() const {
     return recv_window_;
   }
@@ -252,15 +247,8 @@ class Rank {
   void set_task(sim::Engine::TaskId id) { task_ = id; }
   sim::Engine::TaskId task() const { return task_; }
 
-  /// Blocks the calling fiber while `pred` is false; re-checked on wake.
-  /// `site` labels the blocking location for deadlock diagnostics.
-  void block_until(const std::function<bool()>& pred, const char* site = "block_until");
   /// Wakes the rank's fiber if it is parked in a blocking MPI call.
   void wake();
-
-  /// Where this rank last parked (deadlock diagnostics).
-  const std::string& block_site() const { return block_site_; }
-  void set_block_site(std::string s) { block_site_ = std::move(s); }
 
   uint64_t next_collective_seq(int ctx) { return ++coll_seq_[ctx]; }
   uint64_t next_request_post_seq() { return ++req_post_seq_; }
@@ -269,8 +257,6 @@ class Rank {
   void bump_op_counter();
 
  private:
-  Request make_send_request(int dst_world, int tag, Payload payload,
-                            const Comm& comm);
   void complete_recv(const std::shared_ptr<RequestState>& req, const Envelope& env,
                      Payload payload);
 
@@ -305,8 +291,6 @@ class Rank {
   sim::Time compute_duration_ = 0;
   Progress frozen_{};
   bool has_frozen_ = false;
-
-  std::string block_site_;
 
   util::Pcg32 rng_;
   RankProfile profile_;

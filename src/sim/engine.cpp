@@ -89,35 +89,41 @@ EventKey Engine::stamp_key(Time t, const char* what) {
 }
 
 void Engine::at_on(int key_shard, Time t, std::function<void()> fn) {
+  post(key_shard, {{t}, EventQueue::Kind::kCall,
+                   static_cast<uint32_t>(key_shard), -1, std::move(fn)});
+}
+
+void Engine::post(int key_shard, EventQueue::Event&& ev) {
   SPBC_ASSERT(key_shard >= 0 && key_shard < key_shards());
   const bool cross = in_shard_event() && key_shard != tl.key;
-  const EventKey key = stamp_key(t, cross ? "cross-shard schedule" : nullptr);
-  const auto owner = static_cast<uint32_t>(key_shard);
+  ev.key = stamp_key(ev.key.t, cross ? "cross-shard schedule" : nullptr);
   size_t qidx = static_cast<size_t>(exec_of(key_shard));
   ExecShard& sh = *shards_[qidx];
   if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
     // Another worker owns that queue right now: hand over via mailbox; the
     // coordinator applies it between windows (t >= window end, see above).
     std::lock_guard<std::mutex> g(sh.mbox_mu);
-    sh.mbox.push_back(EventQueue::Event{key, owner, std::move(fn)});
+    sh.mbox.push_back(std::move(ev));
     return;
   }
-  SPBC_ASSERT_MSG(t >= sh.now,
-                  "scheduling into the past: t=" << t << " now=" << sh.now);
-  sh.queue.schedule_keyed(key, owner, std::move(fn));
+  SPBC_ASSERT_MSG(ev.key.t >= sh.now, "scheduling into the past: t="
+                                          << ev.key.t << " now=" << sh.now);
+  sh.queue.schedule(std::move(ev));
 }
 
 void Engine::at_serial(Time t, std::function<void()> fn) {
   const EventKey key =
       stamp_key(t, in_shard_event() ? "serial schedule" : nullptr);
+  EventQueue::Event ev{key, EventQueue::Kind::kCall, key.shard, -1,
+                       std::move(fn)};
   if (tl.eng == this && tl.parallel) {
     std::lock_guard<std::mutex> g(serial_mbox_mu_);
-    serial_mbox_.push_back(EventQueue::Event{key, key.shard, std::move(fn)});
+    serial_mbox_.push_back(std::move(ev));
     return;
   }
   SPBC_ASSERT_MSG(t >= global_now_,
                   "serial event in the past: t=" << t << " now=" << global_now_);
-  serial_q_.schedule_keyed(key, key.shard, std::move(fn));
+  serial_q_.schedule(std::move(ev));
 }
 
 void Engine::at(Time t, std::function<void()> fn) {
@@ -166,7 +172,7 @@ void Engine::schedule_resume(TaskId id) {
   Task& task = tasks_[static_cast<size_t>(id)];
   if (task.scheduled) return;
   task.scheduled = true;
-  at_on(task.key_shard, now(), [this, id] { resume_task(id); });
+  post(task.key_shard, {{now()}, EventQueue::Kind::kResume, 0, id, {}});
 }
 
 void Engine::resume_task(TaskId id) {
@@ -188,7 +194,7 @@ void Engine::wait(Time dt) {
   SPBC_ASSERT_MSG(dt >= 0.0, "negative wait " << dt);
   TaskId id = tl.running_task;
   Time deadline = now() + dt;
-  at(deadline, [this, id] { unpark(id); });
+  post(tl.key, {{deadline}, EventQueue::Kind::kWake, 0, id, {}});
   // Spurious wakes happen (message deliveries wake their rank's fiber);
   // sleep again until the deadline actually passed.
   while (now() < deadline) park();
@@ -268,29 +274,37 @@ void Engine::set_task_label(TaskId id, std::string label) {
 
 void Engine::exec_shard_one(int s, bool parallel) {
   ExecShard& sh = *shards_[static_cast<size_t>(s)];
-  EventQueue::Event p = sh.queue.pop_keyed();
-  SPBC_ASSERT(p.key.t >= sh.now);
-  sh.now = p.key.t;
-  if (!parallel) global_now_ = std::max(global_now_, p.key.t);
+  EventQueue::Event ev = sh.queue.pop();
+  SPBC_ASSERT(ev.key.t >= sh.now);
+  sh.now = ev.key.t;
+  if (!parallel) global_now_ = std::max(global_now_, ev.key.t);
+  // A task event runs on its task's own key shard.
+  const bool call = ev.kind == EventQueue::Kind::kCall;
+  const int owner = call ? static_cast<int>(ev.owner)
+                         : tasks_[static_cast<size_t>(ev.task)].key_shard;
   ThreadCtx prev = tl;
-  tl = ThreadCtx{this, s, static_cast<int>(p.owner), parallel, false,
-                 kInvalidTask};
-  p.fn();
+  tl = ThreadCtx{this, s, owner, parallel, false, kInvalidTask};
+  if (call)
+    ev.fn();
+  else if (ev.kind == EventQueue::Kind::kResume)
+    resume_task(ev.task);
+  else
+    unpark(ev.task);
   tl = prev;
   ++sh.events;
 }
 
 void Engine::exec_serial_one() {
-  EventQueue::Event p = serial_q_.pop_keyed();
+  EventQueue::Event ev = serial_q_.pop();
   // A serial event is a global barrier: every shard clock advances to its
   // time (it only executes when it is the globally smallest key, so no shard
   // holds an earlier event).
-  global_now_ = std::max(global_now_, p.key.t);
-  for (auto& sh : shards_) sh->now = std::max(sh->now, p.key.t);
+  global_now_ = std::max(global_now_, ev.key.t);
+  for (auto& sh : shards_) sh->now = std::max(sh->now, ev.key.t);
   ThreadCtx prev = tl;
-  tl = ThreadCtx{this, -1, static_cast<int>(p.owner), false, true,
+  tl = ThreadCtx{this, -1, static_cast<int>(ev.owner), false, true,
                  kInvalidTask};
-  p.fn();
+  ev.fn();  // serial events are closures (at_serial)
   tl = prev;
   ++serial_events_;
 }
@@ -305,7 +319,7 @@ Time Engine::run_merge() {
     for (size_t s = 0; s < shards_.size(); ++s) {
       EventQueue& q = shards_[s]->queue;
       if (q.empty()) continue;
-      const EventKey& k = q.next_key();
+      const EventKey k = q.next_key();
       if (!have || k < bk) {
         have = true;
         bk = k;
@@ -314,7 +328,7 @@ Time Engine::run_merge() {
     }
     bool serial_best = false;
     if (!serial_q_.empty()) {
-      const EventKey& k = serial_q_.next_key();
+      const EventKey k = serial_q_.next_key();
       if (!have || k < bk) {
         have = true;
         bk = k;
@@ -338,16 +352,14 @@ void Engine::drain_mailboxes() {
       std::lock_guard<std::mutex> g(shp->mbox_mu);
       tmp.swap(shp->mbox);
     }
-    for (EventQueue::Event& m : tmp)
-      shp->queue.schedule_keyed(m.key, m.owner, std::move(m.fn));
+    for (EventQueue::Event& m : tmp) shp->queue.schedule(std::move(m));
     tmp.clear();
   }
   {
     std::lock_guard<std::mutex> g(serial_mbox_mu_);
     tmp.swap(serial_mbox_);
   }
-  for (EventQueue::Event& m : tmp)
-    serial_q_.schedule_keyed(m.key, m.owner, std::move(m.fn));
+  for (EventQueue::Event& m : tmp) serial_q_.schedule(std::move(m));
 }
 
 Time Engine::run_threaded() {
@@ -366,7 +378,7 @@ Time Engine::run_threaded() {
         const Time W = window_end_;
         for (int s = w; s < nexec; s += nw) {
           ExecShard& sh = *shards_[static_cast<size_t>(s)];
-          while (!sh.queue.empty() && sh.queue.next_key().t < W)
+          while (!sh.queue.empty() && sh.queue.next_time() < W)
             exec_shard_one(s, true);
         }
         end_b.arrive_and_wait();
@@ -382,7 +394,7 @@ Time Engine::run_threaded() {
     for (size_t s = 0; s < shards_.size(); ++s) {
       EventQueue& q = shards_[s]->queue;
       if (q.empty()) continue;
-      const EventKey& k = q.next_key();
+      const EventKey k = q.next_key();
       if (!have || k < kmin) {
         have = true;
         kmin = k;

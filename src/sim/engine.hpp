@@ -192,6 +192,8 @@ class Engine {
   /// `what` asserts the lookahead from the calling shard's clock.
   EventKey stamp_key(Time t, const char* what);
 
+  /// Stamps ev's key at time ev.key.t and queues it for `key_shard`.
+  void post(int key_shard, EventQueue::Event&& ev);
   void schedule_resume(TaskId id);
   void resume_task(TaskId id);
   void exec_shard_one(int s, bool parallel);

@@ -8,30 +8,74 @@
 namespace spbc::sim {
 
 namespace {
-struct KeyGreater {
-  bool operator()(const EventQueue::Event& a,
-                  const EventQueue::Event& b) const {
-    return a.key > b.key;
+constexpr uint32_t kKindShift = 30;
+constexpr uint32_t kRefMask = (1u << kKindShift) - 1;
+
+// Heap order: std::*_heap keeps the largest element on top. A functor, not
+// a function pointer, so the heap's sift loops inline the comparison.
+struct After {
+  template <class Entry>
+  bool operator()(const Entry& a, const Entry& b) const {
+    if (a.t != b.t) return a.t > b.t;
+    if (a.shard != b.shard) return a.shard > b.shard;
+    return a.seq > b.seq;
   }
 };
+constexpr After after;
 }  // namespace
 
-void EventQueue::schedule_keyed(const EventKey& key, uint32_t owner,
-                                EventFn fn) {
-  heap_.push_back(Event{key, owner, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), KeyGreater{});
+void EventQueue::schedule(Event&& ev) {
+  const Kind kind = ev.kind;
+  Entry e{ev.key.t, ev.key.shard, static_cast<uint32_t>(ev.task), ev.key.seq};
+  if (kind == Kind::kCall) {
+    if (free_slots_.empty()) {
+      e.ref = static_cast<uint32_t>(slab_.size());
+      slab_.emplace_back();
+    } else {
+      e.ref = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    slab_[e.ref] = Closure{std::move(ev.fn), ev.owner};
+  }
+  SPBC_ASSERT_MSG(e.ref <= kRefMask, "event slot/task id overflow " << e.ref);
+  e.ref |= static_cast<uint32_t>(kind) << kKindShift;
+  if (!has_front_ && (heap_.empty() || after(heap_.front(), e))) {
+    front_ = e;
+    has_front_ = true;
+    return;
+  }
+  // The front stays below every heap entry: the later of the front and the
+  // newcomer joins the heap.
+  if (has_front_ && after(front_, e)) std::swap(e, front_);
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), after);
 }
 
-const EventKey& EventQueue::next_key() const {
-  SPBC_ASSERT_MSG(!heap_.empty(), "next_key on empty queue");
-  return heap_.front().key;
+EventKey EventQueue::next_key() const {
+  SPBC_ASSERT_MSG(!empty(), "next_key on empty queue");
+  const Entry& e = has_front_ ? front_ : heap_.front();
+  return EventKey{e.t, e.shard, e.seq};
 }
 
-EventQueue::Event EventQueue::pop_keyed() {
-  SPBC_ASSERT_MSG(!heap_.empty(), "pop on empty queue");
-  std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
-  Event out = std::move(heap_.back());
-  heap_.pop_back();
+EventQueue::Event EventQueue::pop() {
+  SPBC_ASSERT_MSG(!empty(), "pop on empty queue");
+  Entry e = front_;
+  if (has_front_) {
+    has_front_ = false;
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), after);
+    e = heap_.back();
+    heap_.pop_back();
+  }
+  const auto kind = static_cast<Kind>(e.ref >> kKindShift);
+  const uint32_t ref = e.ref & kRefMask;
+  const EventKey key{e.t, e.shard, e.seq};
+  if (kind != Kind::kCall)
+    return Event{key, kind, 0, static_cast<int32_t>(ref), {}};
+  Closure& c = slab_[ref];
+  Event out{key, kind, c.owner, -1, std::move(c.fn)};
+  c.fn = nullptr;  // release the closure's captures now
+  free_slots_.push_back(ref);
   return out;
 }
 

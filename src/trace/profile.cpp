@@ -1,7 +1,6 @@
 #include "trace/profile.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace spbc::trace {
 
@@ -34,15 +33,6 @@ MachineProfile profile_machine(mpi::Machine& machine) {
   mp.max_rank_logged_mb = static_cast<double>(max_logged) / 1.0e6;
   mp.avg_rank_logged_mb = static_cast<double>(sum_logged) / 1.0e6 / n;
   return mp;
-}
-
-std::string MachineProfile::summary() const {
-  std::ostringstream os;
-  os << "comm_ratio=" << comm_ratio << " inter_cluster_share=" << inter_cluster_share
-     << " total_MB=" << static_cast<double>(total_bytes) / 1.0e6
-     << " logged_MB=" << static_cast<double>(bytes_logged) / 1.0e6
-     << " max_rank_logged_MB=" << max_rank_logged_mb;
-  return os.str();
 }
 
 }  // namespace spbc::trace

@@ -4,7 +4,6 @@
 // intra- vs inter-cluster communication split).
 
 #include <cstdint>
-#include <string>
 
 #include "mpi/machine.hpp"
 
@@ -19,8 +18,6 @@ struct MachineProfile {
   uint64_t bytes_logged = 0;
   double max_rank_logged_mb = 0;    // MB logged by the heaviest rank
   double avg_rank_logged_mb = 0;
-
-  std::string summary() const;
 };
 
 /// Aggregates per-rank profiles after a run.

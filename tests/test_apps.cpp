@@ -6,8 +6,10 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "apps/app.hpp"
+#include "apps/assumed_partition.hpp"
 #include "apps/decomp.hpp"
 #include "harness/scenario.hpp"
 
@@ -103,6 +105,68 @@ TEST(Decomp, GridNeighbors) {
   EXPECT_EQ(g.neighbor(0, 0, -1), -1);  // bounded edge
   apps::Grid2D p(6, {3, 2}, /*periodic=*/true);
   EXPECT_EQ(p.neighbor(0, 0, -1), 4);   // wraps
+}
+
+// ---- assumed-partition contact tables --------------------------------------
+//
+// The tables must hold exactly the contact lists the apps' per-rank contact
+// functions produced before the tables existed (copied here as the
+// reference), and each in-degree must equal a brute-force count over them.
+
+std::vector<int> reference_contacts(apps::ContactSet set, int n, int r,
+                                    int level) {
+  const apps::Grid3D grid = apps::Grid3D::balanced(n, /*periodic=*/false);
+  std::vector<int> c = grid.face_neighbors(r);
+  const auto ur = static_cast<uint64_t>(r);
+  const auto un = static_cast<uint64_t>(n);
+  if (set == apps::ContactSet::kAmgLevel) {
+    for (int k = 0; k < 2 * level; ++k) {
+      int t = static_cast<int>(
+          apps::synthetic_hash(ur, static_cast<uint64_t>(level),
+                               static_cast<uint64_t>(k), 0xa3) % un);
+      if (t != r) c.push_back(t);
+    }
+    return c;
+  }
+  const uint64_t salt =
+      set == apps::ContactSet::kMinifeSetup ? 0xfe : 0xfacade;
+  for (uint64_t k = 0; k < 2; ++k) {
+    int extra = static_cast<int>(apps::synthetic_hash(ur, k, salt, 0) % un);
+    if (extra != r) c.push_back(extra);
+  }
+  return c;
+}
+
+TEST(ContactTable, MatchesPerRankFunctionsAndBruteForceInDegree) {
+  struct Instance {
+    apps::ContactSet set;
+    int level;
+  };
+  const std::vector<Instance> instances = {
+      {apps::ContactSet::kAmgLevel, 0},    {apps::ContactSet::kAmgLevel, 1},
+      {apps::ContactSet::kAmgLevel, 2},    {apps::ContactSet::kAmgLevel, 3},
+      {apps::ContactSet::kMinifeSetup, 0}, {apps::ContactSet::kFacadeSetup, 0}};
+  for (int n : {8, 27, 128}) {
+    for (const Instance& in : instances) {
+      const apps::ContactTable& t = apps::contact_table(in.set, n, in.level);
+      ASSERT_EQ(t.contacts.size(), static_cast<size_t>(n));
+      ASSERT_EQ(t.expected.size(), static_cast<size_t>(n));
+      for (int me = 0; me < n; ++me) {
+        EXPECT_EQ(t.contacts[me], reference_contacts(in.set, n, me, in.level))
+            << "n=" << n << " level=" << in.level << " rank=" << me;
+        int in_degree = 0;
+        for (int r = 0; r < n; ++r) {
+          if (r == me) continue;
+          for (int c : reference_contacts(in.set, n, r, in.level))
+            if (c == me) ++in_degree;
+        }
+        EXPECT_EQ(t.expected[me], in_degree)
+            << "n=" << n << " level=" << in.level << " rank=" << me;
+      }
+      // One table per instance: a second lookup returns the same object.
+      EXPECT_EQ(&apps::contact_table(in.set, n, in.level), &t);
+    }
+  }
 }
 
 }  // namespace

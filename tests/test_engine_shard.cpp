@@ -1,6 +1,7 @@
 // Sharded-engine properties: fixed-seed trajectories must be bit-identical
 // for every execution configuration (key shards stamp the (time, shard, seq)
-// ordering key; exec shards and worker threads never appear in it), killed
+// ordering key; exec shards and worker threads never appear in it), shared
+// app tables built by fibers on several threads must not race, killed
 // fibers must release their pooled stacks, cross-shard kill/unpark races at
 // the same virtual time must resolve by the same key tie-break on one queue
 // as on many.
@@ -22,6 +23,67 @@
 
 namespace spbc {
 namespace {
+
+// ---- the apps' shared contact tables under worker threads ------------------
+//
+// AMG and MiniFE read their assumed-partition contact tables from a
+// process-wide cache that rank fibers fill on first use. Running each app
+// first at four worker threads makes fibers on different threads race to
+// build the same table (ThreadSanitizer watches this binary); the serial run
+// after it must then agree on every checksum and every channel's sends.
+
+struct AppRunOut {
+  bool completed = false;
+  std::map<int, uint64_t> checksums;
+  std::map<mpi::ChannelKey, std::vector<uint64_t>> trace;
+};
+
+AppRunOut app_run(const std::string& app, int engine_shards,
+                  int engine_threads) {
+  const int nranks = 32, ppn = 2, nclusters = 8;
+  mpi::MachineConfig mc;
+  mc.nranks = nranks;
+  mc.ranks_per_node = ppn;
+  mc.seed = 3;
+  mc.record_send_trace = true;
+  mc.engine_shards = engine_shards;
+  mc.engine_threads = engine_threads;
+  core::SpbcConfig sc;
+  sc.redundancy.kind = ckpt::SchemeKind::kSingle;  // node-local reservations
+  mpi::Machine m(mc, std::make_unique<core::SpbcProtocol>(sc));
+  const int nodes = nranks / ppn;
+  std::vector<int> cmap(nranks);
+  for (int r = 0; r < nranks; ++r) cmap[r] = (r / ppn) * nclusters / nodes;
+  m.set_cluster_of(cmap);
+
+  AppRunOut out;
+  const apps::AppInfo& info = apps::find_app(app);
+  apps::AppConfig ac;
+  ac.iters = 3;
+  ac.msg_scale = 0.05;
+  ac.compute_scale = 0.05;
+  ac.validate = true;
+  ac.checksums = &out.checksums;
+  m.launch([&info, ac](mpi::Rank& r) { info.main(r, ac); });
+  out.completed = m.run().completed;
+  out.trace = m.send_trace();
+  return out;
+}
+
+TEST(ShardDeterminism, ContactTablesBuiltUnderThreadsMatchSerialRun) {
+  for (const std::string app : {"AMG", "MiniFE"}) {
+    AppRunOut threaded = app_run(app, 0, 4);
+    AppRunOut serial = app_run(app, 1, 1);
+    ASSERT_TRUE(threaded.completed) << app;
+    ASSERT_TRUE(serial.completed) << app;
+    EXPECT_EQ(threaded.checksums.size(), 32u) << app;
+    EXPECT_EQ(threaded.checksums, serial.checksums) << app;
+    trace::DeterminismReport rep =
+        trace::compare_send_traces(serial.trace, threaded.trace);
+    EXPECT_TRUE(rep.equal) << app << ": " << rep.detail;
+    EXPECT_GT(rep.events_compared, 0u) << app;
+  }
+}
 
 // ---- satellite: determinism across shard counts ---------------------------
 //

@@ -4,9 +4,13 @@
 
 #include <cfenv>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -27,12 +31,13 @@ TEST(EventQueue, PopsInKeyOrder) {
   EventQueue q;
   std::vector<size_t> ran;
   for (size_t i : scramble)
-    q.schedule_keyed(sorted[i], static_cast<uint32_t>(100 + i),
-                     [&ran, i] { ran.push_back(i); });
+    q.schedule(EventQueue::Event{sorted[i], EventQueue::Kind::kCall,
+                                 static_cast<uint32_t>(100 + i), -1,
+                                 [&ran, i] { ran.push_back(i); }});
   for (size_t i = 0; i < sorted.size(); ++i) {
     ASSERT_FALSE(q.empty());
     EXPECT_DOUBLE_EQ(q.next_time(), sorted[i].t);
-    EventQueue::Event e = q.pop_keyed();
+    EventQueue::Event e = q.pop();
     EXPECT_EQ(e.key.t, sorted[i].t);
     EXPECT_EQ(e.key.shard, sorted[i].shard);
     EXPECT_EQ(e.key.seq, sorted[i].seq);
@@ -41,6 +46,83 @@ TEST(EventQueue, PopsInKeyOrder) {
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventQueue, MatchesReferenceOrderedSet) {
+  // 10^5 random schedule/pop operations against a std::map keyed the same
+  // way. Few distinct times and shards make ties the common case; random
+  // seqs, and phases that alternately fill the queue and drain it to a few
+  // entries, make many newcomers undercut the front slot. Task and
+  // closure events are mixed; every pop must match the reference key,
+  // kind, owner and task, and a closure must be the one scheduled with it.
+  std::mt19937_64 rng(12345);
+  struct Ref {
+    EventQueue::Kind kind;
+    uint32_t owner;
+    int32_t task;
+    uint64_t id;
+  };
+  auto tuple = [](const EventKey& k) {
+    return std::make_tuple(k.t, k.shard, k.seq);
+  };
+  std::map<std::tuple<Time, uint32_t, uint64_t>, Ref> ref;
+  std::set<uint64_t> used_seq;
+  EventQueue q;
+  uint64_t next_id = 0, ran_id = ~0ull;
+  size_t pops = 0;
+  auto pop_and_check = [&] {
+    ASSERT_FALSE(q.empty());
+    const auto& [rk, rv] = *ref.begin();
+    EXPECT_EQ(tuple(q.next_key()), rk);
+    EXPECT_EQ(q.next_time(), std::get<0>(rk));
+    EventQueue::Event e = q.pop();
+    ASSERT_EQ(tuple(e.key), rk);
+    ASSERT_EQ(e.kind, rv.kind);
+    if (e.kind == EventQueue::Kind::kCall) {
+      EXPECT_EQ(e.owner, rv.owner);
+      ASSERT_TRUE(static_cast<bool>(e.fn));
+      e.fn();
+      EXPECT_EQ(ran_id, rv.id);
+    } else {
+      EXPECT_EQ(e.task, rv.task);
+      EXPECT_FALSE(static_cast<bool>(e.fn));
+    }
+    ref.erase(ref.begin());
+    ++pops;
+  };
+  for (int op = 0; op < 100000; ++op) {
+    const bool draining = (op / 2000) % 2 == 1;
+    if (!ref.empty() && rng() % 10 < (draining ? 7u : 3u)) {
+      pop_and_check();
+      if (::testing::Test::HasFatalFailure()) return;
+      continue;
+    }
+    EventQueue::Event e;
+    e.key.t = static_cast<Time>(rng() % 6) * 0.5;
+    e.key.shard = static_cast<uint32_t>(rng() % 3);
+    do {
+      e.key.seq = rng() % 1000000;
+    } while (!used_seq.insert(e.key.seq).second);
+    const uint64_t id = next_id++;
+    Ref r{static_cast<EventQueue::Kind>(rng() % 3), 0, -1, id};
+    e.kind = r.kind;
+    if (r.kind == EventQueue::Kind::kCall) {
+      r.owner = static_cast<uint32_t>(rng() % 7);
+      e.owner = r.owner;
+      e.fn = [&ran_id, id] { ran_id = id; };
+    } else {
+      r.task = static_cast<int32_t>(rng() % 100000);
+      e.task = r.task;
+    }
+    ref.emplace(tuple(e.key), r);
+    q.schedule(std::move(e));
+  }
+  while (!ref.empty()) {
+    pop_and_check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(pops, 50000u);
 }
 
 TEST(Engine, TimeAdvancesMonotonically) {
