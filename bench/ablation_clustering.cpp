@@ -19,11 +19,12 @@ using namespace spbc;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
   bench::print_header("Ablation: clustering objective (Section 6.6)", o);
 
   int nodes = o.ranks / o.ppn;
   int k = std::min(static_cast<int>(cli.get_int("clusters", 8)), nodes);
+  cli.reject_unknown();
 
   util::Table table({"App", "Strategy", "partition ms", "total logged MB/s",
                      "max rank MB/s", "norm. rework"});

@@ -47,7 +47,9 @@ struct VariantOutcome {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Ablation: checkpoint data reduction", o);
 
   const int nodes = o.ranks / o.ppn;

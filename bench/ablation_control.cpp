@@ -138,7 +138,9 @@ Schedule make_schedule(const harness::ScenarioConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Ablation: self-tuning control plane vs static schedules",
                       o);
 

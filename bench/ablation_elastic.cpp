@@ -100,7 +100,9 @@ Storm make_storm(const harness::ScenarioConfig& cfg, sim::Time t_base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   if (o.spares <= 0) o.spares = 2;
   if (o.repart_period == 0) o.repart_period = -1;  // -1 = auto from t_base
   bench::print_header("Ablation: elastic recovery (spares / shrink / repartition)",

@@ -90,7 +90,9 @@ uint64_t shape_stat(const Shape& s, const harness::ScenarioResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Ablation: hostile workload matrix (lost work vs scheme x shape)",
                       o);
 

@@ -57,24 +57,23 @@ Outcome run_with_failures(harness::ScenarioConfig cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
-  bench::print_header("Ablation: efficiency vs MTBF (containment argument)", o);
-
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
   // --fracs=2.0,0.5 trims the MTBF sweep (CI smoke-runs a single large-rank
   // row instead of the full five-row sweep).
+  const std::string arg = cli.get_string("fracs", "");
+  cli.reject_unknown();
+  bench::print_header("Ablation: efficiency vs MTBF (containment argument)", o);
+
   std::vector<double> fracs = {2.0, 1.0, 0.5, 0.25, 0.125};
-  {
-    util::Cli cli(argc, argv);
-    std::string arg = cli.get_string("fracs", "");
-    if (!arg.empty()) {
-      fracs.clear();
-      size_t pos = 0;
-      while (pos < arg.size()) {
-        size_t comma = arg.find(',', pos);
-        if (comma == std::string::npos) comma = arg.size();
-        fracs.push_back(std::stod(arg.substr(pos, comma - pos)));
-        pos = comma + 1;
-      }
+  if (!arg.empty()) {
+    fracs.clear();
+    size_t pos = 0;
+    while (pos < arg.size()) {
+      size_t comma = arg.find(',', pos);
+      if (comma == std::string::npos) comma = arg.size();
+      fracs.push_back(std::stod(arg.substr(pos, comma - pos)));
+      pos = comma + 1;
     }
   }
 

@@ -11,7 +11,9 @@
 using namespace spbc;
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Ablation: replay pre-post window (Section 5.2.2)", o);
 
   int nodes = o.ranks / o.ppn;

@@ -54,7 +54,9 @@ std::string kb(uint64_t bytes) { return util::Table::fmt(bytes / 1.0e3, 2); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Ablation: multi-level checkpoint staging", o);
 
   int nodes = o.ranks / o.ppn;

@@ -87,8 +87,9 @@ struct BenchOpts {
   double mutation_rate = 0.10;
 };
 
-inline BenchOpts parse_opts(int argc, char** argv) {
-  util::Cli cli(argc, argv);
+/// Reads the common flags from `cli`; the bench reads its own flags from
+/// the same Cli, then calls cli.reject_unknown().
+inline BenchOpts parse_opts(const util::Cli& cli) {
   BenchOpts o;
   o.ranks = static_cast<int>(cli.get_int("ranks", o.ranks));
   o.ppn = static_cast<int>(cli.get_int("ppn", o.ppn));

@@ -14,7 +14,9 @@
 using namespace spbc;
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Figure 5: SPBC recovery, normalized to failure-free", o);
 
   int nodes = o.ranks / o.ppn;

@@ -164,12 +164,14 @@ int main(int argc, char** argv) {
   std::vector<int> rank_rows = {16384, 65536, 131072};
   if (cli.has("ranks"))
     rank_rows = {static_cast<int>(cli.get_int("ranks", 16384))};
+  const bool skip_selfcheck = cli.get_flag("skip-selfcheck");
+  cli.reject_unknown();
 
   std::printf("== micro: sharded engine scale ==\n");
   std::printf("clusters=%d iters=%d shards=%d threads=%d\n\n", clusters, iters,
               shards, threads);
 
-  if (!cli.get_flag("skip-selfcheck")) {
+  if (!skip_selfcheck) {
     // Determinism self-check at a small size: the trajectory fingerprint
     // must not depend on the execution configuration.
     const int cr = 2048, cc = 16, ci = 3;

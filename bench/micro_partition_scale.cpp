@@ -88,10 +88,11 @@ clustering::CommGraph community_graph(int nranks, int communities, uint64_t seed
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
   const int k_req = static_cast<int>(cli.get_int("clusters", 8));
   const int app_max_ranks = static_cast<int>(cli.get_int("app-ranks", 256));
   const double budget_ms = cli.get_double("budget-ms", 0.0);
+  cli.reject_unknown();
 
   std::vector<int> scales = {256, 1024, 4096};
   if (cli.has("ranks")) scales = {o.ranks};

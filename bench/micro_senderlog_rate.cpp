@@ -109,6 +109,7 @@ int main(int argc, char** argv) {
   o.batch = static_cast<int>(cli.get_int("batch", o.batch));
   o.compute_us = cli.get_double("compute-us", o.compute_us);
   o.seed = static_cast<uint64_t>(cli.get_int("seed", 1));
+  cli.reject_unknown();
 
   std::printf("== Micro: sender-log append rate (many small messages) ==\n");
   std::printf("ranks=%d ppn=%d batches=%d batch=%d compute/batch=%.1fus\n\n",

@@ -15,7 +15,9 @@
 using namespace spbc;
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Table 1: log growth rate per process (MB/s)", o);
 
   int nodes = o.ranks / o.ppn;

@@ -10,7 +10,9 @@
 using namespace spbc;
 
 int main(int argc, char** argv) {
-  bench::BenchOpts o = bench::parse_opts(argc, argv);
+  util::Cli cli(argc, argv);
+  bench::BenchOpts o = bench::parse_opts(cli);
+  cli.reject_unknown();
   bench::print_header("Table 2: failure-free overhead of SPBC (16 clusters)", o);
 
   int nodes = o.ranks / o.ppn;

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   int nranks = static_cast<int>(cli.get_int("ranks", 32));
   int nclusters = static_cast<int>(cli.get_int("clusters", 4));
+  cli.reject_unknown();
 
   std::printf("Recovery timeline: MiniGhost, %d ranks, %d clusters\n\n", nranks,
               nclusters);

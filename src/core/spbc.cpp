@@ -424,14 +424,15 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
     std::vector<uint64_t>& blob = cs.agg[epoch].windows[me];
     blob.assign(1, 0);
     uint64_t n = 0;
-    for (const auto& [key, win] : rank.all_recv_windows()) {
-      if (machine_->cluster_of(key.peer) == cluster) continue;
+    rank.for_each_recv_window([&](const mpi::StreamKey& key,
+                                  const mpi::SeqWindow& win) {
+      if (machine_->cluster_of(key.peer) == cluster) return;
       blob.push_back(static_cast<uint64_t>(static_cast<int64_t>(key.peer)));
       blob.push_back(static_cast<uint64_t>(static_cast<int64_t>(key.ctx)));
       blob.push_back(static_cast<uint64_t>(static_cast<int64_t>(key.stream)));
       win.encode(blob);
       ++n;
-    }
+    });
     blob[0] = n;
   }
 
@@ -964,10 +965,10 @@ void SpbcProtocol::send_cluster_rollback(int cluster,
   for (int r : members) {
     mpi::Rank& rank = machine_->rank(r);
     rank.clear_peer_received_if(is_target);
-    for (const auto& [key, win] : rank.all_recv_windows()) {
-      if (!is_target(key.peer)) continue;
-      by_dst[key.peer][r][{key.ctx, key.stream}] = win;
-    }
+    rank.for_each_recv_window([&](const mpi::StreamKey& key,
+                                  const mpi::SeqWindow& win) {
+      if (is_target(key.peer)) by_dst[key.peer][r][{key.ctx, key.stream}] = win;
+    });
   }
   for (int dst : targets) {
     mpi::ControlMsg m;
@@ -1027,9 +1028,10 @@ void SpbcProtocol::handle_cluster_rollback(mpi::Rank& receiver,
   // any windows for. No reply means "received nothing": the members wiped
   // their suppression toward us before announcing.
   std::map<int, StreamWindows> mine;
-  for (const auto& [key, win] : receiver.all_recv_windows()) {
+  receiver.for_each_recv_window([&](const mpi::StreamKey& key,
+                                    const mpi::SeqWindow& win) {
     if (in_cluster(key.peer)) mine[key.peer][{key.ctx, key.stream}] = win;
-  }
+  });
   for (const auto& [member, windows] : mine) {
     mpi::ControlMsg reply;
     reply.kind = mpi::ControlMsg::Kind::kLastMessage;

@@ -33,6 +33,7 @@ std::shared_ptr<RequestState> MatchEngine::on_envelope(const Envelope& env,
   um.payload_ready = payload_ready;
   um.sender_req = sender_req;
   unexpected_.push_back(std::move(um));
+  ++arrivals_;
   return nullptr;
 }
 
@@ -160,6 +161,7 @@ void MatchEngine::restore(util::ByteReader& r) {
     um.payload_ready = true;
     unexpected_.push_back(std::move(um));
   }
+  ++arrivals_;
 }
 
 void MatchEngine::clear() {

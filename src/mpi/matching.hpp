@@ -41,7 +41,10 @@ class MatchEngine {
   static bool matches(const RequestState& req, const Envelope& env,
                       bool match_pattern_ids);
 
-  void set_match_pattern_ids(bool v) { match_pattern_ids_ = v; }
+  void set_match_pattern_ids(bool v) {
+    arrivals_ += v != match_pattern_ids_;
+    match_pattern_ids_ = v;
+  }
   bool match_pattern_ids() const { return match_pattern_ids_; }
 
   /// An envelope arrived. If a posted request matches, it is removed from the
@@ -101,6 +104,10 @@ class MatchEngine {
   void cancel_posted(const RequestState* req);
 
   const std::deque<UnexpectedMsg>& unexpected() const { return unexpected_; }
+  /// Moves whenever an iprobe that failed could now succeed: a message
+  /// joined the unexpected queue, or the matching rule changed. A fiber in
+  /// probe parks until it moves (sim::Engine::park_until_changed).
+  const uint64_t& arrivals() const { return arrivals_; }
   size_t posted_count() const { return posted_.size(); }
 
   /// Checkpoint support. Only payload-ready unexpected messages are
@@ -117,6 +124,7 @@ class MatchEngine {
  private:
   std::vector<std::shared_ptr<RequestState>> posted_;
   std::deque<UnexpectedMsg> unexpected_;
+  uint64_t arrivals_ = 0;
   bool match_pattern_ids_ = false;
 };
 

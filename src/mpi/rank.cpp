@@ -9,7 +9,10 @@ namespace spbc::mpi {
 Rank::Rank(Machine& machine, int world_rank)
     : machine_(machine),
       world_rank_(world_rank),
-      rng_(machine.config().seed, static_cast<uint64_t>(world_rank) + 1) {}
+      rng_(machine.config().seed, static_cast<uint64_t>(world_rank) + 1) {
+  noise_prefix_.update_u64(machine.config().seed);
+  noise_prefix_.update_u64(static_cast<uint64_t>(world_rank));
+}
 
 int Rank::nranks() const { return machine_.nranks(); }
 const Comm& Rank::world() const { return machine_.world(); }
@@ -27,14 +30,13 @@ Request Rank::isend(int dst, int tag, Payload payload, const Comm& comm) {
                   "tag " << tag << " out of range");
   int dst_world = comm.world_rank(dst);
   SPBC_ASSERT_MSG(dst_world != world_rank_, "self-send unsupported");
-  auto& ch = send_state(dst_world, comm.ctx(), tag);
 
   Envelope env;
   env.src = world_rank_;
   env.dst = dst_world;
   env.tag = tag;
   env.ctx = comm.ctx();
-  env.seqnum = ++ch.next_seq;
+  env.seqnum = ++send_state(dst_world, comm.ctx(), tag).next_seq;
   env.pid = patterns_.current();
   env.bytes = payload.bytes;
   env.hash = payload.hash;
@@ -54,7 +56,7 @@ Request Rank::isend(int dst, int tag, Payload payload, const Comm& comm) {
   sim::Time cost = machine_.protocol().on_send(*this, env, payload);
   cost += machine_.network().send_overhead();
 
-  auto st = std::make_shared<RequestState>();
+  auto st = RequestState::make();
   st->kind = RequestState::Kind::kSend;
   st->ctx = comm.ctx();
   st->send_env = env;
@@ -74,9 +76,12 @@ Request Rank::isend(int dst, int tag, Payload payload, const Comm& comm) {
 
   // FIFO with in-progress replay: a channel being replayed from our log must
   // deliver the replayed prefix before any new message (per-channel order).
-  if (ch.replay_pending > 0) {
+  // The stream is looked up again after every park: events that ran in the
+  // meantime may have created streams, which moves them all.
+  if (send_state(dst_world, env.ctx, tag).replay_pending > 0) {
     sim::Time b0 = now();
-    while (ch.replay_pending > 0) machine_.engine().park();
+    while (send_state(dst_world, env.ctx, tag).replay_pending > 0)
+      machine_.engine().park();
     profile_.time_mpi += now() - b0;
   }
 
@@ -86,7 +91,7 @@ Request Rank::isend(int dst, int tag, Payload payload, const Comm& comm) {
 
 Request Rank::irecv(int src, int tag, const Comm& comm) {
   bump_op_counter();
-  auto st = std::make_shared<RequestState>();
+  auto st = RequestState::make();
   st->kind = RequestState::Kind::kRecv;
   st->match_src = (src == kAnySource) ? kAnySource : comm.world_rank(src);
   st->match_tag = tag;
@@ -133,9 +138,9 @@ void Rank::wait(Request& req) {
   SPBC_ASSERT_MSG(req.valid(), "wait on null request");
   RequestState* st = req.state();
   sim::Time t0 = now();
-  while (!st->complete) {
+  if (!st->complete) {
     st->waiter = machine_.engine().current_task();
-    machine_.engine().park();
+    while (!st->complete) machine_.engine().park_until(st->complete);
     st->waiter = sim::Engine::kInvalidTask;
   }
   profile_.time_mpi += now() - t0;
@@ -202,7 +207,8 @@ Status Rank::probe(int src, int tag, const Comm& comm) {
   probe_req.pid = patterns_.current();
   Status status;
   sim::Time t0 = now();
-  while (!match_.iprobe(probe_req, &status)) machine_.engine().park();
+  while (!match_.iprobe(probe_req, &status))
+    machine_.engine().park_until_changed(match_.arrivals());
   profile_.time_mpi += now() - t0;
   bump_op_counter();
   if (status.source >= 0) {
@@ -220,9 +226,7 @@ void Rank::compute(sim::Time seconds) {
   if (noise > 0) {
     // Deterministic per (seed, rank, op): re-execution redoes the same block
     // with the same duration, so rework comparisons stay apples-to-apples.
-    util::Fnv1a64 h;
-    h.update_u64(machine_.config().seed);
-    h.update_u64(static_cast<uint64_t>(world_rank_));
+    util::Fnv1a64 h = noise_prefix_;
     h.update_u64(op_counter_);
     double u = static_cast<double>(h.digest() >> 11) /
                static_cast<double>(1ULL << 53);
@@ -298,23 +302,27 @@ int Rank::stream_of(int tag) const {
 }
 
 Rank::ChannelSendState& Rank::send_state(int dst, int ctx, int tag) {
-  return send_state_[StreamKey{dst, ctx, stream_of(tag)}];
+  Stream& st = streams_[StreamKey{dst, ctx, stream_of(tag)}];
+  st.has_send = true;
+  return st.send;
 }
 
 void Rank::clear_peer_received(int peer) {
-  for (auto& [key, ch] : send_state_) {
-    if (key.peer == peer) ch.peer_received = SeqWindow{};
-  }
+  streams_.for_each([peer](const StreamKey& key, Stream& st) {
+    if (key.peer == peer) st.send.peer_received = SeqWindow{};
+  });
 }
 
 void Rank::clear_peer_received_if(const std::function<bool(int)>& pred) {
-  for (auto& [key, ch] : send_state_) {
-    if (pred(key.peer)) ch.peer_received = SeqWindow{};
-  }
+  streams_.for_each([&pred](const StreamKey& key, Stream& st) {
+    if (st.has_send && pred(key.peer)) st.send.peer_received = SeqWindow{};
+  });
 }
 
 SeqWindow& Rank::recv_window(int src, int ctx, int tag) {
-  return recv_window_[StreamKey{src, ctx, stream_of(tag)}];
+  Stream& st = streams_[StreamKey{src, ctx, stream_of(tag)}];
+  st.has_recv = true;
+  return st.recv;
 }
 
 bool Rank::accept_seq(const Envelope& env) {
@@ -489,22 +497,30 @@ void Rank::complete_recv(const std::shared_ptr<RequestState>& req, const Envelop
 }
 
 void Rank::serialize_runtime(util::ByteWriter& w) const {
-  w.put<uint64_t>(send_state_.size());
-  for (const auto& [key, ch] : send_state_) {
+  // Both sections list their streams in StreamKey order, each behind its
+  // count.
+  uint64_t nsend = 0, nrecv = 0;
+  streams_.for_each_sorted([&](const StreamKey&, const Stream& st) {
+    nsend += st.has_send;
+    nrecv += st.has_recv;
+  });
+  w.put<uint64_t>(nsend);
+  streams_.for_each_sorted([&w](const StreamKey& key, const Stream& st) {
+    if (!st.has_send) return;
     // replay_pending is transient and deliberately not serialized: a rank may
     // snapshot while replaying for another cluster's recovery (the marker
     // wave never drains replays). If this snapshot is ever restored, the
     // replayer is reset and the still-recovering peers re-announce their
     // Rollbacks, which re-queues the replays from the restored log.
     w.put(key);
-    w.put<uint64_t>(ch.next_seq);
-    ch.peer_received.serialize(w);
-  }
-  w.put<uint64_t>(recv_window_.size());
-  for (const auto& [key, win] : recv_window_) {
+    w.put<uint64_t>(st.send.next_seq);
+    st.send.peer_received.serialize(w);
+  });
+  w.put<uint64_t>(nrecv);
+  for_each_recv_window([&w](const StreamKey& key, const SeqWindow& win) {
     w.put(key);
     win.serialize(w);
-  }
+  });
   w.put<uint64_t>(coll_seq_.size());
   for (const auto& [ctx, seq] : coll_seq_) {
     w.put<int>(ctx);
@@ -519,20 +535,19 @@ void Rank::serialize_runtime(util::ByteWriter& w) const {
 }
 
 void Rank::restore_runtime(util::ByteReader& r) {
-  send_state_.clear();
+  streams_.clear();
   auto ns = r.get<uint64_t>();
   for (uint64_t i = 0; i < ns; ++i) {
-    StreamKey key = r.get<StreamKey>();
-    ChannelSendState ch;
-    ch.next_seq = r.get<uint64_t>();
-    ch.peer_received = SeqWindow::deserialize(r);
-    send_state_[key] = std::move(ch);
+    Stream& st = streams_[r.get<StreamKey>()];
+    st.has_send = true;
+    st.send.next_seq = r.get<uint64_t>();
+    st.send.peer_received = SeqWindow::deserialize(r);
   }
-  recv_window_.clear();
   auto nw = r.get<uint64_t>();
   for (uint64_t i = 0; i < nw; ++i) {
-    StreamKey key = r.get<StreamKey>();
-    recv_window_[key] = SeqWindow::deserialize(r);
+    Stream& st = streams_[r.get<StreamKey>()];
+    st.has_recv = true;
+    st.recv = SeqWindow::deserialize(r);
   }
   coll_seq_.clear();
   auto nc = r.get<uint64_t>();
@@ -567,8 +582,7 @@ void Rank::restore_app_state() {
 
 void Rank::reset_for_restart() {
   match_.clear();
-  send_state_.clear();
-  recv_window_.clear();
+  streams_.clear();
   coll_seq_.clear();
   pending_payload_.clear();
   patterns_ = PatternBook{};

@@ -20,6 +20,7 @@
 #include "mpi/comm.hpp"
 #include "mpi/matching.hpp"
 #include "mpi/request.hpp"
+#include "mpi/stream_table.hpp"
 #include "mpi/types.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -173,21 +174,12 @@ class Rank {
     uint64_t replay_pending = 0;  // active replays gate new sends (FIFO)
   };
 
-  /// Sequence-number stream key: (peer, ctx, stream). The stream is -1 in
-  /// MPI-only mode (one stream per channel, the paper's base protocol) or
-  /// the message tag under MachineConfig::seq_per_tag (the Section 7
-  /// extension for MPI_THREAD_MULTIPLE).
-  struct StreamKey {
-    int peer = -1;
-    int ctx = 0;
-    int stream = -1;
-    auto operator<=>(const StreamKey&) const = default;
-  };
-
   /// Maps a message tag to its stream id under the active mode.
   int stream_of(int tag) const;
 
-  /// Sender-side state for stream (me -> dst, ctx, stream_of(tag)).
+  /// Sender-side state for stream (me -> dst, ctx, stream_of(tag)), created
+  /// on first use. Creating any stream may move every stream's state: do
+  /// not hold the reference across a park or another stream lookup.
   ChannelSendState& send_state(int dst, int ctx, int tag = 0);
 
   /// Recovery: wipes the LS-suppression windows of every stream toward
@@ -202,14 +194,21 @@ class Rank {
   /// clears a whole recovering cluster; per-peer calls would rescan the map
   /// once per member).
   void clear_peer_received_if(const std::function<bool(int)>& pred);
-  /// Receiver-side received-window for stream (src -> me, ctx, stream_of(tag)).
+  /// Receiver-side received-window for stream (src -> me, ctx,
+  /// stream_of(tag)), created on first use; same reference rule as
+  /// send_state.
   SeqWindow& recv_window(int src, int ctx, int tag = 0);
 
   MatchEngine& match_engine() { return match_; }
   PatternBook& patterns() { return patterns_; }
 
-  const std::map<StreamKey, SeqWindow>& all_recv_windows() const {
-    return recv_window_;
+  /// Calls fn(const StreamKey&, const SeqWindow&) for every received-window
+  /// in StreamKey order; fn must not create streams.
+  template <class Fn>
+  void for_each_recv_window(Fn&& fn) const {
+    streams_.for_each_sorted([&fn](const StreamKey& key, const Stream& st) {
+      if (st.has_recv) fn(key, st.recv);
+    });
   }
 
   /// Delivery path (event context): an envelope reached this rank's MPI
@@ -260,14 +259,23 @@ class Rank {
   void complete_recv(const std::shared_ptr<RequestState>& req, const Envelope& env,
                      Payload payload);
 
+  /// One sequence-number stream: this rank's send side toward the peer and
+  /// its receive side from it, each present once first used (the
+  /// checkpoint records exactly the streams either side has touched).
+  struct Stream {
+    ChannelSendState send;
+    SeqWindow recv;
+    bool has_send = false;
+    bool has_recv = false;
+  };
+
   Machine& machine_;
   int world_rank_;
   sim::Engine::TaskId task_ = sim::Engine::kInvalidTask;
 
   MatchEngine match_;
   PatternBook patterns_;
-  std::map<StreamKey, ChannelSendState> send_state_;
-  std::map<StreamKey, SeqWindow> recv_window_;
+  StreamTable<Stream> streams_;
   std::map<int, uint64_t> coll_seq_;  // per-ctx collective sequence
   uint64_t req_post_seq_ = 0;
   uint64_t op_counter_ = 0;
@@ -293,6 +301,8 @@ class Rank {
   bool has_frozen_ = false;
 
   util::Pcg32 rng_;
+  // compute()'s noise hash after its per-rank constant (seed, rank) prefix.
+  util::Fnv1a64 noise_prefix_;
   RankProfile profile_;
 
  public:

@@ -11,11 +11,19 @@
 
 #include "mpi/types.hpp"
 #include "sim/engine.hpp"
+#include "util/pool.hpp"
 
 namespace spbc::mpi {
 
 struct RequestState {
   enum class Kind : uint8_t { kSend, kRecv };
+
+  /// A fresh request. Each send and each reception makes one, so their
+  /// blocks are recycled instead of going back to malloc.
+  static std::shared_ptr<RequestState> make() {
+    return std::allocate_shared<RequestState>(
+        util::RecyclingAllocator<RequestState>{});
+  }
 
   Kind kind = Kind::kRecv;
 

@@ -10,22 +10,18 @@
 
 namespace spbc::sim {
 
-namespace {
-
 // Per-thread execution context: which engine/shard the current event belongs
 // to. Fibers run inside their resume event, so fiber-side calls (at, park,
 // wait) see the owning shard's context. Saved/restored around each event.
-struct ThreadCtx {
+struct Engine::ThreadCtx {
   Engine* eng = nullptr;
-  int exec = -1;                // exec shard executing, -1 = serial/none
+  ExecShard* sh = nullptr;      // exec shard executing, nullptr = serial/none
   int key = 0;                  // owner key shard of the current event
   bool parallel = false;        // inside a threaded window
   bool serial = false;          // inside a serial (barrier) event
   Engine::TaskId running_task = Engine::kInvalidTask;
 };
-thread_local ThreadCtx tl;
-
-}  // namespace
+thread_local Engine::ThreadCtx Engine::tl_;
 
 Engine::Engine(size_t default_stack_size)
     : default_stack_size_(default_stack_size) {
@@ -52,13 +48,11 @@ void Engine::set_shard_plan(int key_shards, int exec_shards) {
 }
 
 bool Engine::in_shard_event() const {
-  return tl.eng == this && !tl.serial && tl.exec >= 0;
+  return tl_.eng == this && tl_.sh != nullptr;
 }
 
 Time Engine::now() const {
-  if (tl.eng == this && !tl.serial && tl.exec >= 0)
-    return shards_[static_cast<size_t>(tl.exec)]->now;
-  return global_now_;
+  return in_shard_event() ? tl_.sh->now : global_now_;
 }
 
 // ---------------------------------------------------------------------------
@@ -74,13 +68,13 @@ EventKey Engine::stamp_key(Time t, const char* what) {
   // origin 0 with its shared counter, so same-time events keep their global
   // scheduling order (a wake queued on one shard and a kill on another
   // resolve in the order they were scheduled).
-  const uint32_t origin = tl.eng == this && (tl.serial || tl.exec >= 0)
-                              ? static_cast<uint32_t>(tl.key)
+  const uint32_t origin = tl_.eng == this && (tl_.serial || tl_.sh != nullptr)
+                              ? static_cast<uint32_t>(tl_.key)
                               : 0u;
   if (what != nullptr) {
     // Conservative-lookahead invariant, asserted in every mode so cheap
     // single-threaded runs validate what threaded windows rely on.
-    Time tau = shards_[static_cast<size_t>(tl.exec)]->now;
+    Time tau = tl_.sh->now;
     SPBC_ASSERT_MSG(t - tau >= lookahead_ - 1e-12 * (1.0 + std::abs(tau)),
                     what << " inside lookahead window: t=" << t
                          << " now=" << tau << " lookahead=" << lookahead_);
@@ -95,11 +89,10 @@ void Engine::at_on(int key_shard, Time t, std::function<void()> fn) {
 
 void Engine::post(int key_shard, EventQueue::Event&& ev) {
   SPBC_ASSERT(key_shard >= 0 && key_shard < key_shards());
-  const bool cross = in_shard_event() && key_shard != tl.key;
+  const bool cross = in_shard_event() && key_shard != tl_.key;
   ev.key = stamp_key(ev.key.t, cross ? "cross-shard schedule" : nullptr);
-  size_t qidx = static_cast<size_t>(exec_of(key_shard));
-  ExecShard& sh = *shards_[qidx];
-  if (tl.eng == this && tl.parallel && static_cast<int>(qidx) != tl.exec) {
+  ExecShard& sh = *shards_[static_cast<size_t>(exec_of(key_shard))];
+  if (tl_.eng == this && tl_.parallel && &sh != tl_.sh) {
     // Another worker owns that queue right now: hand over via mailbox; the
     // coordinator applies it between windows (t >= window end, see above).
     std::lock_guard<std::mutex> g(sh.mbox_mu);
@@ -116,7 +109,7 @@ void Engine::at_serial(Time t, std::function<void()> fn) {
       stamp_key(t, in_shard_event() ? "serial schedule" : nullptr);
   EventQueue::Event ev{key, EventQueue::Kind::kCall, key.shard, -1,
                        std::move(fn)};
-  if (tl.eng == this && tl.parallel) {
+  if (tl_.eng == this && tl_.parallel) {
     std::lock_guard<std::mutex> g(serial_mbox_mu_);
     serial_mbox_.push_back(std::move(ev));
     return;
@@ -131,7 +124,7 @@ void Engine::at(Time t, std::function<void()> fn) {
   // stopped usually orchestrate global actions (failure injection, recovery
   // continuations) — keep them at the barrier.
   if (in_shard_event())
-    at_on(tl.key, t, std::move(fn));
+    at_on(tl_.key, t, std::move(fn));
   else
     at_serial(t, std::move(fn));
 }
@@ -150,12 +143,12 @@ void Engine::run_serial(std::function<void()> fn) {
 // ---------------------------------------------------------------------------
 
 Engine::TaskId Engine::spawn(std::function<void()> body) {
-  int k = (tl.eng == this && (tl.serial || tl.exec >= 0)) ? tl.key : 0;
+  int k = (tl_.eng == this && (tl_.serial || tl_.sh != nullptr)) ? tl_.key : 0;
   return spawn_on(k, std::move(body));
 }
 
 Engine::TaskId Engine::spawn_on(int key_shard, std::function<void()> body) {
-  SPBC_ASSERT_MSG(!(tl.eng == this && tl.parallel),
+  SPBC_ASSERT_MSG(!(tl_.eng == this && tl_.parallel),
                   "spawn from a threaded window");
   SPBC_ASSERT(key_shard >= 0 && key_shard < key_shards());
   TaskId id = static_cast<TaskId>(tasks_.size());
@@ -175,35 +168,77 @@ void Engine::schedule_resume(TaskId id) {
   post(task.key_shard, {{now()}, EventQueue::Kind::kResume, 0, id, {}});
 }
 
+bool Engine::cond_met(const Task& t) const {
+  switch (t.cond) {
+    case Cond::kNone:
+      return true;
+    case Cond::kDeadline:
+      return now() >= t.deadline;
+    case Cond::kFlag:
+      return *static_cast<const bool*>(t.watch);
+    case Cond::kChange:
+      return *static_cast<const uint64_t*>(t.watch) != t.seen;
+  }
+  return true;
+}
+
 void Engine::resume_task(TaskId id) {
-  Task& t = tasks_[static_cast<size_t>(id)];
-  t.scheduled = false;
-  if (!t.fiber || t.fiber->finished()) return;
-  TaskId prev = tl.running_task;
-  tl.running_task = id;
-  t.fiber->resume();
-  tl.running_task = prev;
+  Task* t = &tasks_[static_cast<size_t>(id)];
+  t->scheduled = false;
+  if (!t->fiber || t->fiber->finished()) return;
+  // A parked fiber whose condition still fails would only re-check it and
+  // park again: skip the two switches. The event itself ran, with its key.
+  if (t->fiber->state() == Fiber::State::kParked &&
+      !t->fiber->kill_requested() && !cond_met(*t))
+    return;
+  TaskId prev = tl_.running_task;
+  tl_.running_task = id;
+  t->fiber->resume();
+  tl_.running_task = prev;
+  // The fiber may have spawned tasks, which can move tasks_.
+  t = &tasks_[static_cast<size_t>(id)];
   // Finished fibers release their stack back to the shard's pool right away
   // (this event runs on the owning shard, so the pool access is thread-safe).
-  if (t.fiber->finished()) t.fiber.reset();
+  if (t->fiber->finished()) t->fiber.reset();
 }
 
 void Engine::wait(Time dt) {
-  SPBC_ASSERT_MSG(tl.eng == this && tl.running_task != kInvalidTask,
+  SPBC_ASSERT_MSG(tl_.eng == this && tl_.running_task != kInvalidTask,
                   "wait outside fiber");
   SPBC_ASSERT_MSG(dt >= 0.0, "negative wait " << dt);
-  TaskId id = tl.running_task;
+  TaskId id = tl_.running_task;
   Time deadline = now() + dt;
-  post(tl.key, {{deadline}, EventQueue::Kind::kWake, 0, id, {}});
-  // Spurious wakes happen (message deliveries wake their rank's fiber);
-  // sleep again until the deadline actually passed.
-  while (now() < deadline) park();
+  post(tl_.key, {{deadline}, EventQueue::Kind::kWake, 0, id, {}});
+  // Spurious wakes happen (message deliveries wake their rank's fiber); the
+  // deadline condition keeps them from switching in before it passed.
+  tasks_[static_cast<size_t>(id)].deadline = deadline;
+  while (now() < deadline) park_on(Cond::kDeadline);
 }
 
-void Engine::park() {
-  SPBC_ASSERT_MSG(tl.eng == this && tl.running_task != kInvalidTask,
+void Engine::park_on(Cond cond) {
+  SPBC_ASSERT_MSG(tl_.eng == this && tl_.running_task != kInvalidTask,
                   "park outside fiber");
-  tasks_[static_cast<size_t>(tl.running_task)].fiber->yield();
+  Task& t = tasks_[static_cast<size_t>(tl_.running_task)];
+  t.cond = cond;
+  t.fiber->yield();
+}
+
+void Engine::park() { park_on(Cond::kNone); }
+
+void Engine::park_until(const bool& flag) {
+  SPBC_ASSERT_MSG(tl_.eng == this && tl_.running_task != kInvalidTask,
+                  "park outside fiber");
+  tasks_[static_cast<size_t>(tl_.running_task)].watch = &flag;
+  park_on(Cond::kFlag);
+}
+
+void Engine::park_until_changed(const uint64_t& counter) {
+  SPBC_ASSERT_MSG(tl_.eng == this && tl_.running_task != kInvalidTask,
+                  "park outside fiber");
+  Task& t = tasks_[static_cast<size_t>(tl_.running_task)];
+  t.watch = &counter;
+  t.seen = counter;
+  park_on(Cond::kChange);
 }
 
 void Engine::unpark(TaskId id) {
@@ -211,11 +246,11 @@ void Engine::unpark(TaskId id) {
   Task& task = tasks_[static_cast<size_t>(id)];
   if (!task.fiber || task.fiber->finished()) return;
   if (in_shard_event())
-    SPBC_ASSERT_MSG(task.key_shard == tl.key,
+    SPBC_ASSERT_MSG(task.key_shard == tl_.key,
                     "cross-shard unpark from shard context (route the event "
                     "to the task's shard or use a serial event): task "
                     << id << " '" << task.label << "' on shard "
-                    << task.key_shard << ", context shard " << tl.key);
+                    << task.key_shard << ", context shard " << tl_.key);
   if (task.fiber->state() != Fiber::State::kParked &&
       task.fiber->state() != Fiber::State::kReady)
     return;
@@ -227,7 +262,7 @@ void Engine::kill(TaskId id) {
   Task& task = tasks_[static_cast<size_t>(id)];
   if (!task.fiber || task.fiber->finished()) return;
   if (in_shard_event())
-    SPBC_ASSERT_MSG(task.key_shard == tl.key,
+    SPBC_ASSERT_MSG(task.key_shard == tl_.key,
                     "cross-shard kill from shard context (failure injection "
                     "must run in a serial event)");
   task.fiber->kill();
@@ -235,12 +270,13 @@ void Engine::kill(TaskId id) {
 }
 
 void Engine::unwind_parked() {
-  for (Task& t : tasks_) {
-    if (!t.fiber || t.fiber->state() != Fiber::State::kParked) continue;
-    t.fiber->kill();
-    t.fiber->resume();  // FiberKilled is thrown at the park
-    SPBC_ASSERT(t.fiber->finished());
-    t.fiber.reset();
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    Fiber* f = tasks_[i].fiber.get();
+    if (f == nullptr || f->state() != Fiber::State::kParked) continue;
+    f->kill();
+    f->resume();  // FiberKilled is thrown at the park
+    SPBC_ASSERT(f->finished());
+    tasks_[i].fiber.reset();
   }
 }
 
@@ -251,9 +287,9 @@ bool Engine::task_finished(TaskId id) const {
 }
 
 Engine::TaskId Engine::current_task() const {
-  SPBC_ASSERT_MSG(tl.eng == this && tl.running_task != kInvalidTask,
+  SPBC_ASSERT_MSG(tl_.eng == this && tl_.running_task != kInvalidTask,
                   "current_task outside fiber");
-  return tl.running_task;
+  return tl_.running_task;
 }
 
 size_t Engine::live_task_count() const {
@@ -272,8 +308,36 @@ void Engine::set_task_label(TaskId id, std::string label) {
 // Run loops
 // ---------------------------------------------------------------------------
 
-void Engine::exec_shard_one(int s, bool parallel) {
-  ExecShard& sh = *shards_[static_cast<size_t>(s)];
+void Engine::wake_task(TaskId id, const ExecShard& sh, bool parallel) {
+  const Task& t = tasks_[static_cast<size_t>(id)];
+  if (t.scheduled || !t.fiber || t.fiber->state() != Fiber::State::kParked) {
+    unpark(id);
+    return;
+  }
+  // unpark() would post a resume keyed (now, task shard, next seq). When no
+  // queued event has an earlier key, that resume is the next event popped:
+  // run it here, under the seq it would have taken. In a threaded window the
+  // worker pops its own queue next; the merge loop pops the global minimum.
+  const auto ks = static_cast<uint32_t>(t.key_shard);
+  const EventKey k{sh.now, ks, key_seq_[ks]};
+  bool next = sh.queue.empty() || k < sh.queue.next_key();
+  if (next && !parallel) {
+    for (const auto& other : shards_)
+      if (!other->queue.empty() && !(k < other->queue.next_key())) {
+        next = false;
+        break;
+      }
+    if (next && !serial_q_.empty() && !(k < serial_q_.next_key())) next = false;
+  }
+  if (!next) {
+    unpark(id);
+    return;
+  }
+  ++key_seq_[ks];
+  resume_task(id);
+}
+
+void Engine::exec_shard_one(ExecShard& sh, bool parallel) {
   EventQueue::Event ev = sh.queue.pop();
   SPBC_ASSERT(ev.key.t >= sh.now);
   sh.now = ev.key.t;
@@ -282,15 +346,15 @@ void Engine::exec_shard_one(int s, bool parallel) {
   const bool call = ev.kind == EventQueue::Kind::kCall;
   const int owner = call ? static_cast<int>(ev.owner)
                          : tasks_[static_cast<size_t>(ev.task)].key_shard;
-  ThreadCtx prev = tl;
-  tl = ThreadCtx{this, s, owner, parallel, false, kInvalidTask};
+  ThreadCtx prev = tl_;
+  tl_ = ThreadCtx{this, &sh, owner, parallel, false, kInvalidTask};
   if (call)
     ev.fn();
   else if (ev.kind == EventQueue::Kind::kResume)
     resume_task(ev.task);
   else
-    unpark(ev.task);
-  tl = prev;
+    wake_task(ev.task, sh, parallel);
+  tl_ = prev;
   ++sh.events;
 }
 
@@ -301,11 +365,11 @@ void Engine::exec_serial_one() {
   // holds an earlier event).
   global_now_ = std::max(global_now_, ev.key.t);
   for (auto& sh : shards_) sh->now = std::max(sh->now, ev.key.t);
-  ThreadCtx prev = tl;
-  tl = ThreadCtx{this, -1, static_cast<int>(ev.owner), false, true,
+  ThreadCtx prev = tl_;
+  tl_ = ThreadCtx{this, nullptr, static_cast<int>(ev.owner), false, true,
                  kInvalidTask};
   ev.fn();  // serial events are closures (at_serial)
-  tl = prev;
+  tl_ = prev;
   ++serial_events_;
 }
 
@@ -339,7 +403,7 @@ Time Engine::run_merge() {
     if (serial_best)
       exec_serial_one();
     else
-      exec_shard_one(best, false);
+      exec_shard_one(*shards_[static_cast<size_t>(best)], false);
   }
   deadlock_check();
   return global_now_;
@@ -379,7 +443,7 @@ Time Engine::run_threaded() {
         for (int s = w; s < nexec; s += nw) {
           ExecShard& sh = *shards_[static_cast<size_t>(s)];
           while (!sh.queue.empty() && sh.queue.next_time() < W)
-            exec_shard_one(s, true);
+            exec_shard_one(sh, true);
         }
         end_b.arrive_and_wait();
       }
@@ -412,7 +476,7 @@ Time Engine::run_threaded() {
     if (!(W > kmin.t)) {
       // No parallel room (zero lookahead or a serial event at the same
       // time): fall back to one deterministic sequential step.
-      exec_shard_one(smin, false);
+      exec_shard_one(*shards_[static_cast<size_t>(smin)], false);
       continue;
     }
     global_now_ = std::max(global_now_, kmin.t);

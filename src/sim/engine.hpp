@@ -30,7 +30,6 @@
 // their stacks back to the shard's pool immediately.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -115,6 +114,14 @@ class Engine {
   /// have arranged for the wake-up; parking with no possible waker deadlocks
   /// the simulation (detected: run() aborts with a diagnostic).
   void park();
+  /// park() for a fiber that waits for `flag` to become true, or for
+  /// `counter` to move from its value at the park. A resume that finds the
+  /// condition still unmet returns without switching to the fiber, which
+  /// would only re-check and park again; a kill always resumes. The
+  /// referenced word must outlive the park and be written only from the
+  /// task's own key shard.
+  void park_until(const bool& flag);
+  void park_until_changed(const uint64_t& counter);
 
   /// Scheduler/event-side: make a parked task runnable at the current time.
   /// Unparking a running or ready task is a no-op (the wake was already in
@@ -157,7 +164,8 @@ class Engine {
   void set_task_label(TaskId id, std::string label);
 
   struct Stats {
-    uint64_t events = 0;         // shard events executed
+    uint64_t events = 0;         // shard events executed (fused resumes
+                                 // run inside their wake, uncounted)
     uint64_t serial_events = 0;  // global-barrier events executed
     uint64_t windows = 0;        // parallel windows run (threaded only)
     size_t live_stacks = 0;      // fiber stacks currently in use
@@ -177,12 +185,21 @@ class Engine {
     std::mutex mbox_mu;
     std::vector<EventQueue::Event> mbox;
   };
+  /// What a parked fiber waits for (see park_until). kNone: any resume
+  /// runs it.
+  enum class Cond : uint8_t { kNone, kDeadline, kFlag, kChange };
   struct Task {
     std::unique_ptr<Fiber> fiber;
-    std::string label;
     bool scheduled = false;  // a resume event is pending
+    Cond cond = Cond::kNone;
     int key_shard = 0;
+    const void* watch = nullptr;  // kFlag: const bool*; kChange: uint64_t*
+    uint64_t seen = 0;            // kChange: *watch at the park
+    Time deadline = kTimeZero;    // kDeadline
+    std::string label;
   };
+  struct ThreadCtx;
+  static thread_local ThreadCtx tl_;
 
   int exec_of(int key_shard) const {
     return key_shard % static_cast<int>(shards_.size());
@@ -196,7 +213,11 @@ class Engine {
   void post(int key_shard, EventQueue::Event&& ev);
   void schedule_resume(TaskId id);
   void resume_task(TaskId id);
-  void exec_shard_one(int s, bool parallel);
+  void park_on(Cond cond);
+  bool cond_met(const Task& t) const;
+  /// A kWake event: unpark, with the resume fused in when it would pop next.
+  void wake_task(TaskId id, const ExecShard& sh, bool parallel);
+  void exec_shard_one(ExecShard& sh, bool parallel);
   void exec_serial_one();
   Time run_merge();
   Time run_threaded();
@@ -210,7 +231,7 @@ class Engine {
   std::vector<uint64_t> key_seq_;  // per key shard: next ordering seq
   Time global_now_ = kTimeZero;
   Time window_end_ = kTimeZero;  // published W for the current window
-  std::deque<Task> tasks_;
+  std::vector<Task> tasks_;  // indexed by TaskId; may move on spawn
   size_t default_stack_size_;
   int threads_ = 1;
   Time lookahead_ = 0.0;

@@ -11,8 +11,8 @@ namespace {
 constexpr uint32_t kKindShift = 30;
 constexpr uint32_t kRefMask = (1u << kKindShift) - 1;
 
-// Heap order: std::*_heap keeps the largest element on top. A functor, not
-// a function pointer, so the heap's sift loops inline the comparison.
+// Heap order: `after(a, b)` is true when a pops after b. A functor, not a
+// function pointer, so the sift loops inline the comparison.
 struct After {
   template <class Entry>
   bool operator()(const Entry& a, const Entry& b) const {
@@ -22,6 +22,41 @@ struct After {
   }
 };
 constexpr After after;
+
+// A 4-ary min-heap: half the depth of a binary heap, and a node's four
+// children share one 96-byte run of the array. Keys are unique, so the pop
+// order is the key order whatever the arity.
+constexpr size_t kArity = 4;
+
+template <class Entry>
+void sift_up(std::vector<Entry>& h, size_t i) {
+  const Entry e = h[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!after(h[parent], e)) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = e;
+}
+
+template <class Entry>
+void sift_down(std::vector<Entry>& h, size_t i) {
+  const size_t n = h.size();
+  const Entry e = h[i];
+  for (;;) {
+    const size_t first = kArity * i + 1;
+    if (first >= n) break;
+    size_t best = first;
+    const size_t end = std::min(first + kArity, n);
+    for (size_t c = first + 1; c < end; ++c)
+      if (after(h[best], h[c])) best = c;
+    if (!after(e, h[best])) break;
+    h[i] = h[best];
+    i = best;
+  }
+  h[i] = e;
+}
 }  // namespace
 
 void EventQueue::schedule(Event&& ev) {
@@ -48,7 +83,7 @@ void EventQueue::schedule(Event&& ev) {
   // newcomer joins the heap.
   if (has_front_ && after(front_, e)) std::swap(e, front_);
   heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), after);
+  sift_up(heap_, heap_.size() - 1);
 }
 
 EventKey EventQueue::next_key() const {
@@ -63,9 +98,10 @@ EventQueue::Event EventQueue::pop() {
   if (has_front_) {
     has_front_ = false;
   } else {
-    std::pop_heap(heap_.begin(), heap_.end(), after);
-    e = heap_.back();
+    e = heap_.front();
+    heap_.front() = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(heap_, 0);
   }
   const auto kind = static_cast<Kind>(e.ref >> kKindShift);
   const uint32_t ref = e.ref & kRefMask;

@@ -1,5 +1,5 @@
 #pragma once
-// Deterministic event queue: a binary min-heap ordered by (time, shard, seq).
+// Deterministic event queue: a 4-ary min-heap ordered by (time, shard, seq).
 //
 // The key is the global tie-break rule for the sharded engine: `shard` is the
 // *logical* (key) shard that scheduled the event and `seq` is that shard's
@@ -68,7 +68,7 @@ class EventQueue {
   };
   Entry front_{};
   bool has_front_ = false;   // front_ undercuts every heap entry
-  std::vector<Entry> heap_;  // min-heap on key via std::*_heap
+  std::vector<Entry> heap_;  // 4-ary min-heap on key
   struct Closure {
     EventFn fn;
     uint32_t owner;

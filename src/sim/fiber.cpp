@@ -1,5 +1,7 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+
 #include "util/assert.hpp"
 
 #if SPBC_TSAN
@@ -77,19 +79,37 @@ StackPool::StackPool(size_t stack_size) : stack_size_(stack_size) {
   SPBC_ASSERT(stack_size >= 16 * 1024);
 }
 
+StackPool::~StackPool() {
+  SPBC_ASSERT_MSG(live_ == 0, live_ << " fiber stack(s) outlive their pool");
+  for (unsigned char* slab : slabs_) {
+#if SPBC_ASAN
+    // Scope poison left on a stack must not outlive the mapping: the next
+    // mapping at this address would inherit it.
+    ASAN_UNPOISON_MEMORY_REGION(slab, stack_size_ * kStacksPerSlab);
+#endif
+    munmap(slab, stack_size_ * kStacksPerSlab);
+  }
+}
+
 unsigned char* StackPool::acquire() {
   unsigned char* s;
   if (!free_.empty()) {
-    s = free_.back().release();
+    s = free_.back();
     free_.pop_back();
 #if SPBC_ASAN
     // A fiber destroyed while parked leaves its frames' scope poison behind.
     ASAN_UNPOISON_MEMORY_REGION(s, stack_size_);
 #endif
   } else {
-    // Default-initialized: pages stay untouched until the fiber's call chain
-    // actually reaches them.
-    s = new unsigned char[stack_size_];
+    if (slabs_.empty() || carved_ == kStacksPerSlab) {
+      void* slab = mmap(nullptr, stack_size_ * kStacksPerSlab,
+                        PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      SPBC_ASSERT_MSG(slab != MAP_FAILED, "fiber stack slab mmap failed");
+      slabs_.push_back(static_cast<unsigned char*>(slab));
+      carved_ = 0;
+    }
+    s = slabs_.back() + stack_size_ * carved_++;
     ++allocated_;
   }
   ++live_;
@@ -100,7 +120,7 @@ unsigned char* StackPool::acquire() {
 void StackPool::release(unsigned char* stack) {
   SPBC_ASSERT(live_ > 0);
   --live_;
-  free_.emplace_back(stack);
+  free_.push_back(stack);
 }
 
 // ---------------------------------------------------------------------------

@@ -29,9 +29,12 @@
 // Stacks come from a StackPool: at 100k-rank scale one stack per rank is the
 // dominant allocation, so finished/killed fibers return their stack to the
 // pool for the next spawn instead of retaining it for the engine's lifetime.
-// Stacks are allocated with operator new[] *without* value-initialization:
-// untouched pages are never faulted in, so resident memory tracks the deepest
-// call chain actually reached, not the configured stack size.
+// The pool carves stacks from anonymous MAP_NORESERVE mappings of
+// kStacksPerSlab stacks each and unmaps them when it dies. Untouched pages
+// are never faulted in, so resident memory tracks the deepest call chain
+// actually reached, not the configured stack size, and no allocator header
+// or heap layout decides which pages a stack shares. One mapping per slab,
+// not per stack, keeps a 131k-rank run far below vm.max_map_count.
 //
 // Failure injection kills a fiber by resuming it with a kill flag; the next
 // yield point throws FiberKilled, unwinding the stack so RAII cleanup runs.
@@ -72,11 +75,16 @@ struct FiberKilled {};
 /// on the shard's owning thread.
 class StackPool {
  public:
+  static constexpr size_t kStacksPerSlab = 64;
+
   explicit StackPool(size_t stack_size);
+  ~StackPool();
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
 
   size_t stack_size() const { return stack_size_; }
 
-  /// Takes a stack from the free list (or allocates a fresh one).
+  /// Takes a stack from the free list (or carves a fresh one).
   unsigned char* acquire();
   /// Returns a stack to the free list.
   void release(unsigned char* stack);
@@ -91,7 +99,9 @@ class StackPool {
 
  private:
   size_t stack_size_;
-  std::vector<std::unique_ptr<unsigned char[]>> free_;
+  std::vector<unsigned char*> free_;
+  std::vector<unsigned char*> slabs_;  // each kStacksPerSlab stacks long
+  size_t carved_ = 0;                  // stacks carved from slabs_.back()
   size_t live_ = 0;
   size_t peak_live_ = 0;
   size_t allocated_ = 0;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace spbc::util {
@@ -21,23 +22,41 @@ Cli::Cli(int argc, char** argv) {
 }
 
 int64_t Cli::get_int(const std::string& key, int64_t def) const {
+  read_.insert(key);
   auto it = kv_.find(key);
   if (it == kv_.end() || it->second.empty()) return def;
   return std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
 double Cli::get_double(const std::string& key, double def) const {
+  read_.insert(key);
   auto it = kv_.find(key);
   if (it == kv_.end() || it->second.empty()) return def;
   return std::strtod(it->second.c_str(), nullptr);
 }
 
 std::string Cli::get_string(const std::string& key, const std::string& def) const {
+  read_.insert(key);
   auto it = kv_.find(key);
   if (it == kv_.end()) return def;
   return it->second;
 }
 
-bool Cli::get_flag(const std::string& key) const { return kv_.count(key) > 0; }
+bool Cli::get_flag(const std::string& key) const { return has(key); }
+
+bool Cli::has(const std::string& key) const {
+  read_.insert(key);
+  return kv_.count(key) > 0;
+}
+
+void Cli::reject_unknown() const {
+  bool unknown = false;
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) != 0) continue;
+    std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(2);
+}
 
 }  // namespace spbc::util

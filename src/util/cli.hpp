@@ -3,10 +3,13 @@
 //
 // All bench binaries must run with no arguments (the harness invokes them
 // bare), so every flag has a default; flags exist to scale experiments up or
-// down (--ranks, --iters, --seed, ...).
+// down (--ranks, --iters, --seed, ...). A binary calls reject_unknown() once
+// it has read every flag it takes, so a misspelt or stale flag stops the run
+// instead of being silently ignored.
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 namespace spbc::util {
@@ -21,10 +24,15 @@ class Cli {
   std::string get_string(const std::string& key, const std::string& def) const;
   bool get_flag(const std::string& key) const;  // present => true
 
-  bool has(const std::string& key) const { return kv_.count(key) > 0; }
+  bool has(const std::string& key) const;
+
+  /// Exits with status 2, naming each flag on stderr, when the command line
+  /// holds a flag that no get_* or has() call asked for.
+  void reject_unknown() const;
 
  private:
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace spbc::util

@@ -1,5 +1,5 @@
 #pragma once
-// Recycling object pool for per-message heap blocks.
+// Recycling pools for per-message heap blocks.
 //
 // The transport allocates one block per in-flight message (envelope + payload
 // + incarnation stamps) and frees it at arrival — at 100k ranks that is the
@@ -12,8 +12,10 @@
 // under the threaded shard executor. The critical section is a pointer swap.
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 namespace spbc::util {
@@ -56,6 +58,73 @@ class ObjectPool {
   std::mutex mu_;
   std::vector<T*> free_;
   std::atomic<size_t> allocated_{0};
+};
+
+/// Allocator that recycles single-object blocks through a per-thread free
+/// list, for objects made and dropped once per message through
+/// std::allocate_shared (one block holds the control block and the object,
+/// so the list only ever sees the rebound block type). A block freed on
+/// another thread than the one that made it (the threaded executor) joins
+/// the freeing thread's list. A list keeps at most kMaxFree blocks and frees
+/// them when its thread exits.
+template <typename T>
+class RecyclingAllocator {
+ public:
+  using value_type = T;
+  static constexpr size_t kMaxFree = size_t{1} << 16;
+
+  RecyclingAllocator() = default;
+  template <typename U>
+  RecyclingAllocator(const RecyclingAllocator<U>&) {}  // NOLINT: rebind
+
+  T* allocate(size_t n) {
+    FreeList& fl = free_list();
+    if (n == 1 && fl.head != nullptr) {
+      Node* b = fl.head;
+      fl.head = b->next;
+      --fl.size;
+      return reinterpret_cast<T*>(b);
+    }
+    return static_cast<T*>(::operator new(n * sizeof(T)));
+  }
+
+  void deallocate(T* p, size_t n) {
+    FreeList& fl = free_list();
+    if (n != 1 || fl.size >= kMaxFree) {
+      ::operator delete(p);
+      return;
+    }
+    Node* b = reinterpret_cast<Node*>(p);
+    b->next = fl.head;
+    fl.head = b;
+    ++fl.size;
+  }
+
+  template <typename U>
+  bool operator==(const RecyclingAllocator<U>&) const {
+    return true;
+  }
+
+ private:
+  static_assert(sizeof(T) >= sizeof(void*), "block too small to link");
+  struct Node {
+    Node* next;
+  };
+  struct FreeList {
+    Node* head = nullptr;
+    size_t size = 0;
+    ~FreeList() {
+      while (head != nullptr) {
+        Node* b = head;
+        head = b->next;
+        ::operator delete(b);
+      }
+    }
+  };
+  static FreeList& free_list() {
+    static thread_local FreeList fl;
+    return fl;
+  }
 };
 
 }  // namespace spbc::util

@@ -198,6 +198,108 @@ TEST(Engine, KillUnwindsStackWithDestructors) {
   EXPECT_TRUE(e.task_finished(id));
 }
 
+// The wake path: fibers parked on a deadline (wait), a flag (park_until) and
+// a counter (park_until_changed), spurious unparks from another fiber and
+// from events, same-time ties between deadline wakes, events and fiber
+// steps, a condition set without an unpark, and a kill of a fiber parked
+// with an unmet condition. Each fiber records every return from a blocking
+// call; c_switches counts how often C's loop body ran.
+struct WakePathRun {
+  std::vector<std::string> trace;
+  int c_switches = 0;
+  bool e_unwound = false;
+};
+
+WakePathRun run_wake_path_scenario() {
+  Engine e;
+  WakePathRun out;
+  bool flag_c = false, flag_e = false;
+  uint64_t counter_d = 0;
+  auto note = [&](const std::string& what) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3f %s", e.now(), what.c_str());
+    out.trace.emplace_back(buf);
+  };
+  struct Sentinel {
+    bool* flag;
+    ~Sentinel() { *flag = true; }
+  };
+  const Engine::TaskId a = e.spawn([&] {
+    for (int i = 0; i < 4; ++i) {
+      e.wait(0.5 * (i + 1));  // deadlines 0.5, 1.5, 3.0, 5.0
+      note("A" + std::to_string(i));
+    }
+  });
+  const Engine::TaskId c = e.spawn([&] {
+    while (!flag_c) {
+      ++out.c_switches;
+      e.park_until(flag_c);
+    }
+    note("C");
+  });
+  const Engine::TaskId d = e.spawn([&] {
+    for (int i = 0; i < 2; ++i) {
+      const uint64_t seen = counter_d;
+      while (counter_d == seen) e.park_until_changed(counter_d);
+      note("D" + std::to_string(counter_d));
+    }
+  });
+  const Engine::TaskId x = e.spawn([&] {
+    Sentinel s{&out.e_unwound};
+    while (!flag_e) e.park_until(flag_e);
+    note("E must not run");
+  });
+  e.spawn([&] {
+    for (int i = 0; i < 12; ++i) {
+      e.wait(0.25);
+      note("F" + std::to_string(i));
+      for (Engine::TaskId t : {a, c, d, x}) e.unpark(t);
+      // Lands between a deadline wake stamped earlier and the resume that
+      // wake posts: a wake fused ahead of it would reorder the trace.
+      e.after(0.25, [&note, i] { note("G" + std::to_string(i)); });
+    }
+  });
+  e.at(0.5, [&] {
+    note("ev");
+    e.unpark(a);
+    e.unpark(c);
+  });
+  e.at(1.0, [&] {
+    ++counter_d;
+    e.unpark(d);
+  });
+  e.at(1.25, [&] { flag_c = true; });  // no unpark: F's next one finds it
+  e.at(2.0, [&] { e.kill(x); });
+  e.at(2.5, [&] {
+    ++counter_d;
+    e.unpark(d);
+    e.unpark(a);
+  });
+  e.run();
+  EXPECT_TRUE(e.task_finished(x));
+  return out;
+}
+
+TEST(Engine, WakePathKeepsTheResumeOrder) {
+  // Every fiber step, in the order the engine produced it before resumes
+  // that only re-park were skipped and deadline wakes fused with their
+  // resume.
+  const std::vector<std::string> expected{
+      "0.250 F0",  "0.500 ev",  "0.500 G0",  "0.500 A0",  "0.500 F1",
+      "0.750 G1",  "0.750 F2",  "1.000 G2",  "1.000 D1",  "1.000 F3",
+      "1.250 G3",  "1.250 F4",  "1.250 C",   "1.500 G4",  "1.500 A1",
+      "1.500 F5",  "1.750 G5",  "1.750 F6",  "2.000 G6",  "2.000 F7",
+      "2.250 G7",  "2.250 F8",  "2.500 G8",  "2.500 D2",  "2.500 F9",
+      "2.750 G9",  "2.750 F10", "3.000 G10", "3.000 A2",  "3.000 F11",
+      "3.250 G11", "5.000 A3"};
+  const WakePathRun run = run_wake_path_scenario();
+  EXPECT_EQ(run.trace, expected);
+  EXPECT_TRUE(run.e_unwound);
+  // C's body ran once: every spurious resume before flag_c was set found
+  // its condition unmet and skipped the switch.
+  EXPECT_EQ(run.c_switches, 1);
+}
+
 TEST(Engine, DeadlockDetectedGracefully) {
   Engine e;
   e.set_abort_on_deadlock(false);

@@ -153,5 +153,24 @@ TEST(Cli, ParsesDoubles) {
   EXPECT_DOUBLE_EQ(cli.get_double("scale", 1.0), 0.5);
 }
 
+TEST(Cli, AcceptsEveryFlagThatWasRead) {
+  const char* argv[] = {"prog", "--ranks=64", "--quiet", "--mode", "x"};
+  Cli cli(5, const_cast<char**>(argv));
+  cli.get_int("ranks", 0);
+  cli.has("quiet");
+  cli.get_string("mode", "");
+  cli.get_flag("absent");
+  cli.reject_unknown();  // returns: nothing left unread
+  SUCCEED();
+}
+
+TEST(Cli, RejectsAnUnreadFlagByName) {
+  const char* argv[] = {"prog", "--ranks=64", "--bogus-flag=3"};
+  Cli cli(3, const_cast<char**>(argv));
+  cli.get_int("ranks", 0);
+  EXPECT_EXIT(cli.reject_unknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --bogus-flag");
+}
+
 }  // namespace
 }  // namespace spbc::util
