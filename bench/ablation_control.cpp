@@ -232,10 +232,9 @@ int main(int argc, char** argv) {
   ctrl.spbc.control.max_interval = t_base;
   ctrl.spbc.control.scrub_period =
       o.scrub_period < 0 ? 0.02 * t_base : o.scrub_period;
-  ctrl.spbc.control.escalation = o.escalate;
-  ctrl.spbc.control.escalated.kind = ckpt::SchemeKind::kReedSolomon;
-  ctrl.spbc.control.escalated.rs_k = o.rs_k;
-  ctrl.spbc.control.escalated.rs_m = o.rs_m;
+  if (o.escalate)
+    ctrl.spbc.control.escalation = ckpt::RedundancyConfig{
+        ckpt::SchemeKind::kReedSolomon, /*group_size=*/4, o.rs_k, o.rs_m};
   Outcome controller = run_one(ctrl, cluster_of, sched, t_base, o.shards);
   add_row("controller", o.escalate ? "xor->rs" : "xor", "auto", controller);
   std::printf("%s\n", table.render().c_str());

@@ -122,6 +122,22 @@ inline BenchOpts parse_opts(const util::Cli& cli) {
                  o.scheme.c_str());
     std::exit(2);
   }
+  // The redundancy schemes assert on these shapes rather than clamp them.
+  auto reject = [](const char* flag, int value, const char* rule) {
+    std::fprintf(stderr, "invalid --%s=%d (%s)\n", flag, value, rule);
+    std::exit(2);
+  };
+  if (o.rs_k < 1) reject("rs-k", o.rs_k, "must be >= 1");
+  if (o.rs_m < 1) reject("rs-m", o.rs_m, "must be >= 1");
+  // The Cauchy family of an RS(k, m) group spans (k+m)(m+1) field elements.
+  if (o.rs_k > 256 || o.rs_m > 256 || (o.rs_k + o.rs_m) * (o.rs_m + 1) > 256) {
+    std::fprintf(stderr,
+                 "invalid --rs-k=%d --rs-m=%d ((rs-k + rs-m) * (rs-m + 1) "
+                 "must be <= 256)\n",
+                 o.rs_k, o.rs_m);
+    std::exit(2);
+  }
+  if (o.group_size < 2) reject("group-size", o.group_size, "must be >= 2");
   return o;
 }
 

@@ -190,16 +190,25 @@ int main(int argc, char** argv) {
                 cc);
   }
 
-  util::Table table({"Ranks", "Events", "Wall (s)", "Events/s", "Windows",
-                     "Peak stacks", "Stacks alloc", "VmHWM (MB)"});
+  // Events/s is the gated rate, but an engine change that needs fewer events
+  // per token lowers it while the workload finishes sooner; rank*iters/s
+  // (tokens consumed per wall second) counts the work itself.
+  util::Table table({"Ranks", "Events", "Wall (s)", "Events/s",
+                     "rank*iters/s", "Windows", "Peak stacks", "Stacks alloc",
+                     "VmHWM (MB)"});
   bool ok = true;
   for (int ranks : rank_rows) {
     RunOut out = run_workload(ranks, clusters, iters, shards, threads);
     const double eps =
         out.wall_sec > 0 ? static_cast<double>(out.events) / out.wall_sec : 0;
+    const double work_per_sec =
+        out.wall_sec > 0
+            ? static_cast<double>(ranks) * iters / out.wall_sec
+            : 0;
     const double rss_mb = static_cast<double>(vm_hwm_kb()) / 1024.0;
     table.add_row({std::to_string(ranks), std::to_string(out.events),
                    util::Table::fmt(out.wall_sec, 3), util::Table::fmt(eps, 0),
+                   util::Table::fmt(work_per_sec, 0),
                    std::to_string(out.windows),
                    std::to_string(out.peak_live_stacks),
                    std::to_string(out.stacks_allocated),

@@ -6,9 +6,9 @@
 // logged) with a slice of compute per batch, roughly the comm/compute ratio
 // of the paper's kernels. The paper reports the resulting failure-free
 // overhead at 0.07%..1.14%; the absolute per-message append cost
-// (SpbcConfig::log_overhead + bytes / log_memcpy_bw) is also derived from
-// the elapsed-time delta so the constant is visible directly, not only as a
-// percentage of an application run.
+// (core::SpbcProtocol::log_cost) is also derived from the elapsed-time delta
+// so the constant is visible directly, not only as a percentage of an
+// application run.
 //
 // Flags: --ranks --ppn --batches --batch --bytes --compute-us --seed
 

@@ -31,21 +31,9 @@
 
 namespace spbc::baselines {
 
-struct HydeeConfig {
-  core::SpbcConfig base;
-  // Calibrated to a software coordinator reached over IPoIB (the prototype
-  // the paper measured): a round-trip plus dependency bookkeeping costs
-  // tens to hundreds of microseconds per replayed message. Message-dense
-  // replays (LU's wavefront pencils) consume faster than the coordinator
-  // can grant, which is what pushes HydEE's recovery above the failure-free
-  // time in Fig. 6; coarse-grained replays (BT/SP) hide most of it.
-  sim::Time coordinator_latency = sim::usec(40.0);  // one-way
-  sim::Time service_time = sim::usec(30.0);         // per request at coordinator
-};
-
 class HydeeProtocol : public core::SpbcProtocol {
  public:
-  explicit HydeeProtocol(HydeeConfig cfg);
+  explicit HydeeProtocol(core::SpbcConfig cfg);
 
   bool pattern_matching_enabled() const override { return false; }
 
@@ -77,11 +65,10 @@ class HydeeProtocol : public core::SpbcProtocol {
   };
 
   // The coordinator's state is machine-global, so both run in serial
-  // context (coordinator_latency exceeds the engine lookahead).
+  // context (the coordinator latency exceeds the engine lookahead).
   void coordinator_enqueue(PendingGrant g);
   void try_grant();
 
-  HydeeConfig hcfg_;
   // Coordinator state: one causally ordered queue and one outstanding grant
   // for the whole machine; a FIFO server models the coordinator's CPU.
   std::deque<PendingGrant> pending_;

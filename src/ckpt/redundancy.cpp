@@ -188,7 +188,9 @@ class PartnerScheme : public RedundancyScheme {
 class GroupedScheme : public RedundancyScheme {
  public:
   GroupedScheme(const mpi::Machine& machine, int group_size)
-      : machine_(machine), group_size_(group_size < 2 ? 2 : group_size) {}
+      : machine_(machine), group_size_(group_size) {
+    SPBC_ASSERT_MSG(group_size_ >= 2, "group size " << group_size_ << " < 2");
+  }
 
   std::vector<int> group_of(int rank) const override {
     std::vector<int> members = group_ranks(rank);
@@ -399,9 +401,9 @@ class XorGroupScheme : public GroupedScheme {
 class ReedSolomonScheme : public GroupedScheme {
  public:
   ReedSolomonScheme(const mpi::Machine& machine, int k, int m)
-      : GroupedScheme(machine, (k < 1 ? 1 : k) + (m < 1 ? 1 : m)),
-        k_(k < 1 ? 1 : k),
-        m_(m < 1 ? 1 : m) {
+      : GroupedScheme(machine, k + m), k_(k), m_(m) {
+    SPBC_ASSERT_MSG(k_ >= 1 && m_ >= 1, "RS needs k, m >= 1: k=" << k_
+                                                                << " m=" << m_);
     // The global Cauchy family needs G data columns + G*m parity rows of
     // distinct field elements.
     SPBC_ASSERT_MSG(group_size_ * (m_ + 1) <= 256,

@@ -11,8 +11,8 @@ namespace spbc::ckpt {
 void StagingArea::attach(mpi::Machine& machine) {
   machine_ = &machine;
   scheme_ = RedundancyScheme::make(cfg_.redundancy, machine);
-  if (cfg_.prepare_escalated)
-    escalated_scheme_ = RedundancyScheme::make(cfg_.escalated, machine);
+  if (cfg_.escalated)
+    escalated_scheme_ = RedundancyScheme::make(*cfg_.escalated, machine);
   // Node-indexed state covers the spare pool too: a spare that swaps in
   // hosts fragments and queues like any compute node.
   const int nodes = machine.topology().total_nodes();
@@ -112,7 +112,7 @@ sim::Time StagingArea::write(int rank, uint64_t epoch, uint64_t bytes,
   // yet at attach time (set_cluster_of reshapes the queues). Before the app
   // runs, writes cannot race; afterwards the atomic exchange keeps the
   // kick-off single-shot across shard events.
-  if (cfg_.scrub_period > 0 && !scrub_started_.exchange(true))
+  if (scrub_period_ > 0 && !scrub_started_.exchange(true))
     schedule_scrub();
   // A resident is writing again: the node is back in service.
   node_down_[static_cast<size_t>(node)].store(0, std::memory_order_relaxed);
@@ -747,8 +747,8 @@ void StagingArea::scrub_probe(int rank, uint64_t epoch, size_t frag_idx) {
 }
 
 void StagingArea::schedule_scrub() {
-  if (cfg_.scrub_period <= 0 || !async()) return;
-  machine_->engine().after_serial(cfg_.scrub_period, [this] {
+  if (scrub_period_ <= 0 || !async()) return;
+  machine_->engine().after_serial(scrub_period_, [this] {
     // Stop when the machine wound down: run() ends only once the event
     // queues drain, so an unconditional self-reschedule would never let it.
     if (machine_->engine().live_task_count() == 0) return;

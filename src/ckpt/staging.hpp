@@ -91,15 +91,11 @@ struct StagingConfig {
   StorageCostModel model{};
   /// What the remote-redundancy hop places (see redundancy.hpp).
   RedundancyConfig redundancy{};
-  /// Background scrub: period of the audit wave that probes every live
-  /// fragment's digest for silent loss (0 disables). Requires async staging;
-  /// attach() schedules the first wave.
-  sim::Time scrub_period = 0;
-  /// Pre-build a second, stronger scheme the control plane can escalate to
-  /// (e.g. XOR -> RS) without reconfiguring the machine. Epochs written
-  /// while escalated pin the escalated scheme for their whole lifetime.
-  bool prepare_escalated = false;
-  RedundancyConfig escalated{SchemeKind::kReedSolomon, 4, 4, 2};
+  /// A second, stronger scheme attach() pre-builds so the control plane can
+  /// escalate to it (e.g. XOR -> RS) without reconfiguring the machine.
+  /// Epochs written while escalated pin the escalated scheme for their whole
+  /// lifetime. Unset = no escalation.
+  std::optional<RedundancyConfig> escalated{};
   /// Multi-job PFS interference windows (empty = dedicated PFS, costs
   /// byte-identical to the pre-hostile pipeline). Appended last so existing
   /// positional initializers stay valid.
@@ -182,7 +178,7 @@ class StagingArea : public ResidencyView {
   const RedundancyScheme& active_scheme() const;
   bool scheme_escalated() const { return active_scheme_ != 0; }
   /// Serial context only: route future epochs through the escalated (or
-  /// base) scheme. No-op unless `prepare_escalated` built one at attach.
+  /// base) scheme. No-op unless attach() built one from `escalated`.
   void set_scheme_escalated(bool escalated);
 
   /// The buddy rank whose node hosts this rank's PARTNER copies: the same
@@ -273,10 +269,18 @@ class StagingArea : public ResidencyView {
   /// its host to the owner over the real network (it contends like any
   /// other transfer); a digest mismatch drops the fragment dead and
   /// re-encodes it through the re-protection path while the LOCAL data
-  /// still exists. attach() self-schedules a wave every
-  /// `StagingConfig::scrub_period` while the machine has live fibers; tests
-  /// may also drive waves manually.
+  /// still exists. Under async staging, set_scrub() self-schedules a wave
+  /// every `period` from the first staged write while the machine has live
+  /// fibers; tests may also drive waves manually.
   void run_scrub_wave();
+  /// Sets the audit cadence (0 = none) and an optional serial-context
+  /// callback run at each scheduled wave — the control plane's periodic
+  /// (time-based, not failure-driven) policy hook.
+  void set_scrub(sim::Time period, std::function<void(sim::Time)> tick) {
+    scrub_period_ = period;
+    scrub_tick_ = std::move(tick);
+  }
+  sim::Time scrub_period() const { return scrub_period_; }
 
   /// Highest epoch of `rank` flushed to PFS (0 = none). Monotonic — PFS
   /// copies survive every failure — and therefore usable as the Store's
@@ -388,23 +392,17 @@ class StagingArea : public ResidencyView {
   StagingConfig cfg_;
   mpi::Machine* machine_ = nullptr;
   std::unique_ptr<RedundancyScheme> scheme_;
-  /// The stronger scheme escalation switches to (prepare_escalated).
+  /// The stronger scheme escalation switches to (cfg_.escalated).
   std::unique_ptr<RedundancyScheme> escalated_scheme_;
   /// 0 = base, 1 = escalated; written in serial context only, read by the
   /// write path after the serial barrier (the node_storage_gen_ idiom).
   uint8_t active_scheme_ = 0;
-  /// Optional serial-context callback run at each scheduled scrub wave —
-  /// the control plane's periodic (time-based, not failure-driven) hook.
+  /// Scrub cadence and per-wave callback (set_scrub).
+  sim::Time scrub_period_ = 0;
   std::function<void(sim::Time)> scrub_tick_;
   /// Single-shot kick-off of the scrub cadence (first staged write).
   std::atomic<bool> scrub_started_{false};
 
- public:
-  void set_scrub_tick(std::function<void(sim::Time)> tick) {
-    scrub_tick_ = std::move(tick);
-  }
-
- private:
   // Per-rank entry rows (epoch -> Entry): a row is mutated only from its
   // rank's shard (writes, drain-chain callbacks routed home) or from serial
   // recovery context, so concurrent shard threads never share one.

@@ -38,8 +38,9 @@ struct PartitionResult {
 
 struct PartitionConfig {
   Objective objective = Objective::kMinTotalLogged;
-  /// Debug/property-test mode: every applied refinement move is cross-checked
-  /// against a from-scratch logged_bytes() recompute.
+  /// Property-test mode, set only by test_clustering: every applied
+  /// refinement move is cross-checked against a from-scratch logged_bytes()
+  /// recompute.
   bool validate_deltas = false;
 };
 

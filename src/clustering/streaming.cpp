@@ -10,7 +10,8 @@ namespace {
 
 /// Exact cut change of moving every rank of a unit to `to`, evaluated by
 /// applying the per-rank moves sequentially on `scratch` (cut_delta is exact
-/// only against the map it is given, so batch members must see each other).
+/// only against the map it is given, so the unit's ranks must see each
+/// other).
 /// Mutates `scratch`; callers pass a throwaway copy.
 int64_t unit_delta(const CommGraph& graph, std::vector<int>& scratch,
                    const std::vector<int>& ranks, int to) {
@@ -24,12 +25,12 @@ int64_t unit_delta(const CommGraph& graph, std::vector<int>& scratch,
 
 }  // namespace
 
-std::vector<NodeMove> StreamingRepartitioner::plan(
-    const CommGraph& graph, const std::vector<int>& cluster_of,
-    const std::vector<int>& unit_of_rank, int nclusters) const {
+std::optional<NodeMove> plan_node_move(const CommGraph& graph,
+                                       const std::vector<int>& cluster_of,
+                                       const std::vector<int>& unit_of_rank,
+                                       int nclusters) {
   SPBC_ASSERT(cluster_of.size() == unit_of_rank.size());
-  std::vector<NodeMove> moves;
-  if (nclusters <= 1 || cluster_of.empty()) return moves;
+  if (nclusters <= 1 || cluster_of.empty()) return std::nullopt;
 
   // Group ranks by colocation unit and check the invariant: one cluster per
   // unit. Units are dense-ish small ints (physical node ids).
@@ -51,40 +52,31 @@ std::vector<NodeMove> StreamingRepartitioner::plan(
     ++cluster_units[static_cast<size_t>(c)];
   }
 
-  std::vector<int> scratch = cluster_of;
-  for (int round = 0; round < cfg_.max_moves; ++round) {
-    int best_unit = -1, best_to = -1;
-    int64_t best_delta = 0;  // only strictly negative (cut-reducing) moves
-    for (size_t u = 0; u < unit_ranks.size(); ++u) {
-      if (unit_ranks[u].empty()) continue;
-      const int from = unit_cluster[u];
-      if (cluster_units[static_cast<size_t>(from)] <= cfg_.min_cluster_nodes)
-        continue;  // source would fall below the floor
-      for (int to = 0; to < nclusters; ++to) {
-        if (to == from) continue;
-        std::vector<int> trial = scratch;
-        const int64_t delta = unit_delta(graph, trial, unit_ranks[u], to);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_unit = static_cast<int>(u);
-          best_to = to;
-        }
+  int best_unit = -1, best_to = -1;
+  int64_t best_delta = 0;  // only strictly negative (cut-reducing) moves
+  for (size_t u = 0; u < unit_ranks.size(); ++u) {
+    if (unit_ranks[u].empty()) continue;
+    const int from = unit_cluster[u];
+    if (cluster_units[static_cast<size_t>(from)] <= 1)
+      continue;  // the move would empty its source cluster
+    for (int to = 0; to < nclusters; ++to) {
+      if (to == from) continue;
+      std::vector<int> trial = cluster_of;
+      const int64_t delta = unit_delta(graph, trial, unit_ranks[u], to);
+      if (delta < best_delta) {
+        best_delta = delta;
+        best_unit = static_cast<int>(u);
+        best_to = to;
       }
     }
-    if (best_unit < 0) break;  // no strictly-improving move remains
-    NodeMove mv;
-    mv.unit = best_unit;
-    mv.ranks = unit_ranks[static_cast<size_t>(best_unit)];
-    mv.from = unit_cluster[static_cast<size_t>(best_unit)];
-    mv.to = best_to;
-    mv.gain = -best_delta;
-    for (int r : mv.ranks) scratch[static_cast<size_t>(r)] = best_to;
-    --cluster_units[static_cast<size_t>(mv.from)];
-    ++cluster_units[static_cast<size_t>(best_to)];
-    unit_cluster[static_cast<size_t>(best_unit)] = best_to;
-    moves.push_back(std::move(mv));
   }
-  return moves;
+  if (best_unit < 0) return std::nullopt;  // no strictly-improving move
+  NodeMove mv;
+  mv.unit = best_unit;
+  mv.ranks = unit_ranks[static_cast<size_t>(best_unit)];
+  mv.from = unit_cluster[static_cast<size_t>(best_unit)];
+  mv.to = best_to;
+  return mv;
 }
 
 }  // namespace spbc::clustering

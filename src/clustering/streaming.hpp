@@ -6,63 +6,45 @@
 // communication pattern drifts (adaptive meshes, phase changes), the pinned
 // map's cut — and with it the volume of logged inter-cluster traffic — decays.
 // This module closes the loop: it consumes the live TrafficMatrix-derived
-// CommGraph and proposes a small batch of *node-granular* moves (whole
-// colocation units, preserving the Section 6.1 node-colocation constraint)
-// that each strictly reduce the logged volume under the current map.
+// CommGraph and proposes one *node-granular* move (a whole colocation unit,
+// preserving the Section 6.1 node-colocation constraint) that strictly
+// reduces the logged volume under the current map.
 //
 // Deliberately not a re-run of the full partitioner: a full repartition can
 // relabel everything, which would force a global checkpoint-group membership
-// reshuffle. Moves here are incremental — a bounded number of units per
-// cadence tick, evaluated with CommGraph::cut_delta (O(degree) per
-// candidate), applied sequentially on a scratch map so a batch's gain is
-// exact, with a min-cluster-size guard so no cluster collapses. The protocol
-// layer (core/spbc.cpp) migrates one unit at a time through a quiescence
-// bridge; determinism rules are in DESIGN.md §14.
+// reshuffle. Moves here are incremental — one unit per cadence tick,
+// evaluated with CommGraph::cut_delta (O(degree) per rank), never emptying
+// a cluster. The protocol layer (core/spbc.cpp) migrates the unit through a
+// quiescence bridge; determinism rules are in DESIGN.md §14.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "clustering/comm_graph.hpp"
 
 namespace spbc::clustering {
 
-struct RepartitionConfig {
-  /// Most colocation units moved per plan() call (one cadence tick).
-  int max_moves = 1;
-  /// A move may not shrink its source cluster below this many units.
-  int min_cluster_nodes = 1;
-};
-
 /// One planned migration: a whole colocation unit (physical node) and its
-/// resident ranks, from its current cluster to `to`. `gain` is the exact
-/// logged-bytes reduction of applying this move after the ones before it in
-/// the returned batch.
+/// resident ranks, from its current cluster to `to`.
 struct NodeMove {
   int unit = -1;
   std::vector<int> ranks;
   int from = -1;
   int to = -1;
-  int64_t gain = 0;
 };
 
-class StreamingRepartitioner {
- public:
-  explicit StreamingRepartitioner(RepartitionConfig cfg = {}) : cfg_(cfg) {}
-
-  /// Plans up to max_moves strictly-gain-positive unit moves under the
-  /// current map. `unit_of_rank` is the PHYSICAL colocation unit of each
-  /// rank (mpi::Machine::node_of — after a shrunk restart two logical nodes
-  /// can share one unit and then migrate together). Requires every rank of a
-  /// unit to share a cluster (the colocation invariant); deterministic for a
-  /// given (graph, map, grouping): candidates are scanned in (unit, cluster)
-  /// order and ties break toward the lowest ids.
-  std::vector<NodeMove> plan(const CommGraph& graph,
-                             const std::vector<int>& cluster_of,
-                             const std::vector<int>& unit_of_rank,
-                             int nclusters) const;
-
- private:
-  RepartitionConfig cfg_;
-};
+/// The single best strictly-gain-positive unit move under the current map,
+/// or none. `unit_of_rank` is the PHYSICAL colocation unit of each rank
+/// (mpi::Machine::node_of — after a shrunk restart two logical nodes can
+/// share one unit and then migrate together). Requires every rank of a unit
+/// to share a cluster (the colocation invariant), and never empties a
+/// cluster. Deterministic for a given (graph, map, grouping): candidates
+/// are scanned in (unit, cluster) order and ties break toward the lowest
+/// ids.
+std::optional<NodeMove> plan_node_move(const CommGraph& graph,
+                                       const std::vector<int>& cluster_of,
+                                       const std::vector<int>& unit_of_rank,
+                                       int nclusters);
 
 }  // namespace spbc::clustering

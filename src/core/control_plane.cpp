@@ -5,13 +5,26 @@
 
 namespace spbc::core {
 
+namespace {
+// Gaps before an observed rate replaces its prior.
+constexpr int kMinSamples = 2;
+// Clamp on the redundancy and PFS epoch strides.
+constexpr uint64_t kMaxLevelStride = 64;
+// Snapshot-size seed for the Daly cost terms until a real write is seen.
+constexpr uint64_t kSnapshotBytesHint = 1 << 20;
+// Correlated double losses before the scheme escalates.
+constexpr uint64_t kEscalateAfter = 2;
+// No double loss for this long de-escalates.
+constexpr sim::Time kCalmPeriod = 5.0;
+}  // namespace
+
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                            const ckpt::StorageCostModel& model)
     : cfg_(cfg),
       model_(model),
-      any_(cfg.window, cfg.min_samples, cfg.prior_mtbf),
-      storage_(cfg.window, cfg.min_samples, cfg.prior_storage_mtbf),
-      dbl_(cfg.window, cfg.min_samples, cfg.prior_double_mtbf) {}
+      any_(kRateWindow, kMinSamples, cfg.prior_mtbf),
+      storage_(kRateWindow, kMinSamples, cfg.prior_storage_mtbf),
+      dbl_(kRateWindow, kMinSamples, cfg.prior_double_mtbf) {}
 
 void ControlPlane::note_failure(sim::Time now, bool storage_lost, int node) {
   if (!cfg_.enabled) return;
@@ -33,7 +46,7 @@ void ControlPlane::note_failure(sim::Time now, bool storage_lost, int node) {
     last_storage_loss_ = -1.0;
     last_storage_node_ = -1;
     if (cfg_.escalation && !escalated_ &&
-        double_losses_ >= static_cast<uint64_t>(cfg_.escalate_after)) {
+        double_losses_ >= kEscalateAfter) {
       escalated_ = true;
       ++escalations_;
       if (staging_ != nullptr) staging_->set_scheme_escalated(true);
@@ -52,7 +65,7 @@ void ControlPlane::on_tick(sim::Time now) {
 
 void ControlPlane::maybe_deescalate(sim::Time now) {
   if (!cfg_.escalation || !escalated_) return;
-  if (last_double_ >= 0 && now - last_double_ >= cfg_.calm_period) {
+  if (last_double_ >= 0 && now - last_double_ >= kCalmPeriod) {
     escalated_ = false;
     ++deescalations_;
     if (staging_ != nullptr) staging_->set_scheme_escalated(false);
@@ -72,7 +85,7 @@ void ControlPlane::publish_snapshot_bytes() {
 }
 
 uint64_t ControlPlane::snapshot_bytes() const {
-  return published_bytes_ > 0 ? published_bytes_ : cfg_.snapshot_bytes_hint;
+  return published_bytes_ > 0 ? published_bytes_ : kSnapshotBytesHint;
 }
 
 sim::Time ControlPlane::local_interval() const {
@@ -94,7 +107,7 @@ uint64_t ControlPlane::redundancy_stride() const {
   // bandwidth term is a real cost against the rollback depth a skipped hop
   // buys.
   const double c = std::max(
-      cfg_.async_staging
+      async_staging()
           ? static_cast<double>(bytes) / model_.partner_bw
           : model_.write_time(ckpt::StorageLevel::kPartner, bytes) -
                 model_.write_time(ckpt::StorageLevel::kLocal, bytes),
@@ -103,20 +116,20 @@ uint64_t ControlPlane::redundancy_stride() const {
   const double stride = std::round(t / local_interval());
   return std::clamp<uint64_t>(
       stride < 1.0 ? 1 : static_cast<uint64_t>(stride), 1,
-      cfg_.max_level_stride);
+      kMaxLevelStride);
 }
 
 uint64_t ControlPlane::pfs_stride() const {
   const uint64_t bytes = snapshot_bytes();
   const double c =
-      cfg_.async_staging
+      async_staging()
           ? static_cast<double>(bytes) / model_.pfs_bw
           : model_.write_time(ckpt::StorageLevel::kPfs, bytes);
   const double t = std::sqrt(2.0 * std::max(c, 1e-9) * dbl_.mtbf() * domains_);
   const double stride = std::round(t / local_interval());
   return std::clamp<uint64_t>(
       stride < 1.0 ? 1 : static_cast<uint64_t>(stride), 1,
-      cfg_.max_level_stride);
+      kMaxLevelStride);
 }
 
 ckpt::LevelPlan ControlPlane::plan_for_epoch(uint64_t epoch) const {

@@ -40,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <optional>
 
 #include "ckpt/staging.hpp"
 #include "ckpt/store.hpp"
@@ -97,8 +98,6 @@ struct ControlPlaneConfig {
   bool enabled = false;
 
   // ---- failure-rate estimation ----
-  int window = 32;      // inter-failure gaps kept per failure class
-  int min_samples = 2;  // gaps before the observed rate replaces the prior
   double prior_mtbf = 10.0;          // any-failure prior (virtual seconds)
   double prior_storage_mtbf = 20.0;  // node-loss (storage-destroying) prior
   double prior_double_mtbf = 200.0;  // correlated double-loss prior
@@ -109,33 +108,23 @@ struct ControlPlaneConfig {
   // ---- interval planner ----
   sim::Time min_interval = 1e-3;  // clamps on the LOCAL epoch interval
   sim::Time max_interval = 60.0;
-  uint64_t max_level_stride = 64;  // clamp on redundancy/PFS epoch strides
-  /// Snapshot-size seed for the Daly cost terms until a real write is seen.
-  uint64_t snapshot_bytes_hint = 1 << 20;
-  /// Set by the protocol from SpbcConfig::async_staging: under async staging
-  /// the redundancy hop and the PFS flush run in the background, so their
-  /// app-visible incremental cost is the bandwidth they occupy (bytes/bw),
-  /// not the full latency-dominated write time — the strides must not buy
-  /// rollback depth to save latency the app never sees.
-  bool async_staging = false;
 
   // ---- background scrubbing ----
-  sim::Time scrub_period = 0;  // 0 = no audit wave (forwarded to staging)
+  /// Period of the staging area's audit wave, which doubles as the control
+  /// plane's time-based policy tick (0 = neither). Requires async staging.
+  sim::Time scrub_period = 0;
 
   // ---- scheme escalation ----
-  bool escalation = false;
-  int escalate_after = 2;       // double-loss events before promoting
-  sim::Time calm_period = 5.0;  // no double loss for this long -> demote
-  ckpt::RedundancyConfig escalated{ckpt::SchemeKind::kReedSolomon, 4, 4, 2};
+  /// The stronger scheme new epochs switch to after correlated double
+  /// losses (e.g. XOR -> RS(k, m)); unset = no escalation.
+  std::optional<ckpt::RedundancyConfig> escalation;
 
   // ---- online repartitioning ----
   /// Cadence of the streaming repartitioner's drift check (0 = never): every
-  /// period the protocol asks clustering::StreamingRepartitioner for
-  /// cut-reducing node moves against the live traffic matrix and migrates
-  /// them through the quiescence bridge (DESIGN.md §14).
+  /// period the protocol asks clustering::plan_node_move for a
+  /// cut-reducing node move against the live traffic matrix and migrates it
+  /// through the quiescence bridge (DESIGN.md §14).
   sim::Time repartition_period = 0;
-  /// Most colocation units migrated per cadence tick.
-  int repartition_max_moves = 1;
 };
 
 struct ControlPlaneStats {
@@ -161,8 +150,13 @@ class ControlPlane {
   ControlPlane(const ControlPlaneConfig& cfg,
                const ckpt::StorageCostModel& model);
 
-  /// Wires the staging area escalation switches (may be null in unit tests:
-  /// the policy state machine still runs, only the switch is skipped).
+  /// Inter-failure gaps each estimator keeps.
+  static constexpr int kRateWindow = 32;
+
+  /// Wires the staging area: its escalation switch, and whether its levels
+  /// stall the app (sync) or run in the background (async). May be null in
+  /// unit tests: the policy state machine still runs, only the switch is
+  /// skipped, and the strides cost the levels as sync writes.
   void attach(ckpt::StagingArea* staging) { staging_ = staging; }
 
   /// Containment domains (the protocol's cluster count, wired before the
@@ -229,6 +223,11 @@ class ControlPlane {
 
  private:
   uint64_t snapshot_bytes() const;
+  /// Under async staging the redundancy hop and the PFS flush run in the
+  /// background, so their app-visible incremental cost is the bandwidth they
+  /// occupy (bytes/bw), not the full latency-dominated write time — the
+  /// strides must not buy rollback depth to save latency the app never sees.
+  bool async_staging() const { return staging_ != nullptr && staging_->async(); }
   void maybe_deescalate(sim::Time now);
   void publish_snapshot_bytes();
 

@@ -61,26 +61,13 @@ void tree_neighbors(int idx, int k, std::vector<int>& out) {
 
 }  // namespace
 
-namespace {
-// The control plane needs to know whether staging levels are app-visible
-// stalls (sync) or background traffic (async) when costing its strides.
-core::ControlPlaneConfig with_staging_mode(core::ControlPlaneConfig c,
-                                           bool async_staging) {
-  c.async_staging = async_staging;
-  return c;
-}
-}  // namespace
-
 SpbcProtocol::SpbcProtocol(SpbcConfig cfg)
     : cfg_(cfg),
       staging_(ckpt::StagingConfig{cfg.storage, cfg.async_staging,
                                    cfg.storage_model, cfg.redundancy,
-                                   cfg.control.scrub_period,
-                                   /*prepare_escalated=*/cfg.control.escalation,
-                                   cfg.control.escalated,
+                                   cfg.control.escalation,
                                    cfg.pfs_interference}),
-      control_(with_staging_mode(cfg.control, cfg.async_staging),
-               cfg.storage_model) {}
+      control_(cfg.control, cfg.storage_model) {}
 
 void SpbcProtocol::attach(mpi::Machine& machine) {
   machine_ = &machine;
@@ -88,7 +75,8 @@ void SpbcProtocol::attach(mpi::Machine& machine) {
   control_.attach(&staging_);
   // The scrub cadence doubles as the control plane's time-based policy tick
   // (de-escalation on calm must not wait for the next failure).
-  staging_.set_scrub_tick([this](sim::Time now) { control_.on_tick(now); });
+  staging_.set_scrub(cfg_.control.scrub_period,
+                     [this](sim::Time now) { control_.on_tick(now); });
   int n = machine.nranks();
   // Pre-size per-rank and per-cluster state: under the threaded shard
   // executor, lazy growth from concurrent shard events would be a
@@ -209,7 +197,7 @@ sim::Time SpbcProtocol::on_send(mpi::Rank& sender, const mpi::Envelope& env,
   // inter-cluster message of the execution.
   logs_[static_cast<size_t>(env.src)].append(env, payload);
   sender.profile_mut().bytes_logged += env.bytes;
-  return cfg_.log_overhead + static_cast<double>(env.bytes) / cfg_.log_memcpy_bw;
+  return log_cost(env.bytes);
 }
 
 bool SpbcProtocol::should_transmit(mpi::Rank& sender, const mpi::Envelope& env) {
@@ -1205,18 +1193,12 @@ void SpbcProtocol::try_announce_migration() {
   }
   clustering::CommGraph graph =
       clustering::CommGraph::from_traffic(n, machine_->traffic());
-  clustering::RepartitionConfig rc;
-  rc.max_moves = cfg_.control.repartition_max_moves < 1
-                     ? 1
-                     : cfg_.control.repartition_max_moves;
-  const std::vector<clustering::NodeMove> moves =
-      clustering::StreamingRepartitioner(rc).plan(graph, cluster_of, unit_of,
-                                                  nclusters);
-  if (moves.empty()) return;
-  // The bridge carries ONE unit at a time; later planned moves are recomputed
-  // by the next announce against the post-flip map (their gains assumed the
-  // earlier moves already applied).
-  const clustering::NodeMove& mv = moves.front();
+  const std::optional<clustering::NodeMove> move =
+      clustering::plan_node_move(graph, cluster_of, unit_of, nclusters);
+  if (!move) return;
+  // The bridge carries ONE unit at a time; the next announce plans against
+  // the post-flip map.
+  const clustering::NodeMove& mv = *move;
   if (!cluster_quiescent(mv.from) || !cluster_quiescent(mv.to)) return;
   migration_.active = true;
   migration_.ranks = mv.ranks;

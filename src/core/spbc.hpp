@@ -61,11 +61,6 @@ struct SpbcConfig {
   /// the Figure 2 scenario — tests rely on this switch.
   bool pattern_ids = true;
 
-  /// Sender-side logging cost model: one memcpy of the payload into the log
-  /// plus fixed bookkeeping. This is the failure-free overhead of Table 2.
-  double log_memcpy_bw = 4.0e9;  // bytes/s
-  sim::Time log_overhead = sim::nsec(120);
-
   /// Replay flow-control window (Section 5.2.2; the paper settled on 50).
   int replay_window = 50;
 
@@ -120,7 +115,8 @@ struct SpbcConfig {
   /// commit can prune the retained captures (a cluster that never reaches
   /// its periodic boundary would otherwise retain them unboundedly — see
   /// ROADMAP). 0 disables the bound; the high-water mark is always tracked
-  /// (ckpt::Store::capture_hwm_bytes).
+  /// (ckpt::Store::capture_hwm_bytes). No bench sets a bound; the staging
+  /// and redundancy tests set one to drive forced waves and capture spills.
   uint64_t capture_bytes_bound = 0;
 
   /// Extension: reclaim log entries once the destination cluster checkpoints
@@ -132,7 +128,7 @@ struct SpbcConfig {
   /// Young/Daly interval, per-epoch level plans pace the redundancy hop and
   /// the PFS flush, a background scrub wave audits staged fragments for
   /// silent loss (control.scrub_period), and the redundancy scheme can
-  /// escalate to control.escalated under correlated double losses. When
+  /// escalate to control.escalation under correlated double losses. When
   /// disabled (the default), the static checkpoint_every schedule and
   /// full-depth writes are bit-for-bit unchanged.
   ControlPlaneConfig control{};
@@ -154,6 +150,12 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   void stamp_envelope(mpi::Rank& sender, mpi::Envelope& env) override;
   sim::Time on_send(mpi::Rank& sender, const mpi::Envelope& env,
                     const mpi::Payload& payload) override;
+  /// Sender-side logging cost charged by on_send: one memcpy of the payload
+  /// into the log (4 GB/s) plus fixed bookkeeping (120 ns). This is the
+  /// failure-free overhead of Table 2.
+  static sim::Time log_cost(uint64_t bytes) {
+    return sim::nsec(120) + static_cast<double>(bytes) / 4.0e9;
+  }
   bool should_transmit(mpi::Rank& sender, const mpi::Envelope& env) override;
   void on_delivered(mpi::Rank& receiver, const mpi::Envelope& env,
                     const mpi::Payload& payload) override;

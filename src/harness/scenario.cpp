@@ -35,6 +35,12 @@ double ScenarioResult::normalized_rework() const {
 
 namespace {
 
+// Leaf switches of the kSwitch failure-domain geometry.
+constexpr int kSwitchCount = 2;
+// Gap between the node failures of one domain loss: inside the control
+// plane's default correlation window (50 ms).
+constexpr sim::Time kDomainStagger = 0.01;
+
 mpi::MachineConfig machine_config_for(const ScenarioConfig& cfg) {
   mpi::MachineConfig mc = cfg.machine;
   mc.nranks = cfg.nranks;
@@ -55,9 +61,8 @@ std::vector<int> domain_nodes(const HostileConfig& h, int nodes,
       break;
     }
     case FailureDomain::kSwitch: {
-      SPBC_ASSERT(h.switch_count > 0);
       for (int n = 0; n < nodes; ++n)
-        if (n % h.switch_count == d.index % h.switch_count) out.push_back(n);
+        if (n % kSwitchCount == d.index % kSwitchCount) out.push_back(n);
       break;
     }
     case FailureDomain::kPsu: {
@@ -84,9 +89,7 @@ std::unique_ptr<mpi::ProtocolHooks> make_protocol(const ScenarioConfig& cfg) {
       return std::make_unique<core::SpbcProtocol>(c);
     }
     case ProtocolKind::kHydee: {
-      baselines::HydeeConfig h = cfg.hydee;
-      h.base = cfg.spbc;
-      return std::make_unique<baselines::HydeeProtocol>(h);
+      return std::make_unique<baselines::HydeeProtocol>(cfg.spbc);
     }
   }
   SPBC_UNREACHABLE("protocol kind");
@@ -171,10 +174,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
     SPBC_ASSERT_MSG(at > 0, "process-only failures require a positive time");
     machine.inject_failure(at, victim, mpi::FailureKind::kProcessOnly);
   }
-  for (const auto& [at, victim] : cfg.permanent_failures) {
-    SPBC_ASSERT_MSG(at > 0, "permanent failures require a positive time");
-    machine.inject_failure(at, victim, mpi::FailureKind::kNodePermanent);
-  }
   if (!cfg.silent_losses.empty()) {
     auto* spbc = dynamic_cast<core::SpbcProtocol*>(&machine.protocol());
     SPBC_ASSERT_MSG(spbc != nullptr,
@@ -199,7 +198,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
     for (int node : domain_nodes(cfg.hostile, machine.topology().nodes(), d)) {
       int victim = node * cfg.ranks_per_node;
       if (victim >= cfg.nranks) continue;
-      machine.inject_failure(d.at + i * cfg.hostile.domain_stagger, victim);
+      machine.inject_failure(d.at + i * kDomainStagger, victim);
       ++domain_injected;
       ++i;
     }

@@ -38,13 +38,15 @@ const char* protocol_name(ProtocolKind k);
 /// Hardware failure domains for correlated multi-node losses (hostile
 /// workload matrix; DESIGN.md §16). Geometry over PHYSICAL node ids:
 ///   kRack:   contiguous blocks of HostileConfig::rack_size nodes
-///   kSwitch: leaf switch `s` serves every node with n % switch_count == s
+///   kSwitch: two leaf switches; switch `s` serves every node with
+///            n % 2 == s % 2
 ///   kPsu:    a power rail feeds node pairs {2k, 2k+1}
 enum class FailureDomain { kRack, kSwitch, kPsu };
 
-/// One correlated domain loss: every node in the domain fails, staggered by
-/// HostileConfig::domain_stagger so the control plane's correlation window
-/// (ControlPlaneConfig::correlation_window) sees them as correlated doubles.
+/// One correlated domain loss: every node in the domain fails, 10 ms apart,
+/// inside the control plane's default correlation window
+/// (ControlPlaneConfig::correlation_window, 50 ms), which therefore sees
+/// them as correlated doubles.
 struct DomainFailure {
   sim::Time at = 0;
   FailureDomain domain = FailureDomain::kRack;
@@ -56,13 +58,11 @@ struct DomainFailure {
 /// they act on: app_cfg.burst_*, machine.straggler_*, machine.net.partitions
 /// and spbc.pfs_interference. Defaults inject nothing.
 struct HostileConfig {
-  // Expanded into one per-node failure each, staggered by domain_stagger;
-  // the machine's default_failure_kind decides severity, so elastic suites
-  // get permanent losses for free.
+  // Expanded into one staggered per-node failure each; the machine's
+  // default_failure_kind decides severity, so elastic suites get permanent
+  // losses for free.
   std::vector<DomainFailure> domain_failures;
   int rack_size = 4;
-  int switch_count = 2;
-  sim::Time domain_stagger = 0.01;  // < correlation_window (0.05) by default
 };
 
 struct ScenarioConfig {
@@ -72,9 +72,8 @@ struct ScenarioConfig {
   int nclusters = 4;  // hierarchical protocols only
   ProtocolKind protocol = ProtocolKind::kSpbc;
   apps::AppConfig app_cfg;
-  core::SpbcConfig spbc;
-  baselines::HydeeConfig hydee;  // .base is overwritten with `spbc`
-  mpi::MachineConfig machine;    // nranks/ranks_per_node overwritten
+  core::SpbcConfig spbc;  // also configures the HydEE baseline
+  mpi::MachineConfig machine;  // nranks/ranks_per_node overwritten
 
   /// Cluster map: from the clustering tool (traced short run) or a block
   /// partition of nodes.
@@ -94,14 +93,9 @@ struct ScenarioConfig {
   /// Process-only failures (mpi::FailureKind::kProcessOnly): the cluster's
   /// processes die and restart, but node-local storage survives — the
   /// benign failure class the control plane's estimator must separate from
-  /// storage-destroying node losses.
+  /// storage-destroying node losses. No bench injects them;
+  /// test_control_plane does, to check that separation.
   std::vector<std::pair<sim::Time, int>> process_only_failures;
-  /// Permanent node losses (mpi::FailureKind::kNodePermanent): the victim's
-  /// node never returns. Its residents are rebound onto a pooled spare
-  /// (hot-swap; machine.spare_nodes) or, with the pool exhausted, packed
-  /// onto surviving nodes (shrunk restart), and their state is rebuilt from
-  /// redundancy shares.
-  std::vector<std::pair<sim::Time, int>> permanent_failures;
   /// Silent fragment losses (absolute virtual time, selection salt): at each
   /// time one live staged fragment — picked deterministically by the salt —
   /// is corrupted without killing anything. Only background scrubbing or a

@@ -11,7 +11,6 @@ constexpr uint64_t kHeaderBytes = 64;
 
 Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
     : cfg_(cfg),
-      engine_(cfg.fiber_stack_bytes),
       topo_(sim::Topology::for_ranks(cfg.nranks, cfg.ranks_per_node,
                                      cfg.spare_nodes)),
       net_(engine_, topo_, cfg.net),

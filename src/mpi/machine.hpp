@@ -46,15 +46,17 @@ struct MachineConfig {
   /// never-returning node loss without touching the injection sites.
   FailureKind default_failure_kind = FailureKind::kNodeLoss;
   net::NetworkParams net;
-  uint64_t eager_threshold = 64 * 1024;  // bytes; above -> rendezvous
-  sim::Time poll_overhead = sim::nsec(120);  // test/iprobe CPU cost
+  /// Bytes; larger messages take the rendezvous path. Only tests lower it,
+  /// to push their small messages through rendezvous.
+  uint64_t eager_threshold = 64 * 1024;
   // Section 7 extension (hybrid MPI+threads, MPI_THREAD_MULTIPLE): when
   // multiple threads of one process send over the same channel with distinct
   // tags, the per-channel total send order is lost but each (channel, tag)
   // sub-stream can stay deterministic. This switch moves sequence numbers,
   // received-windows, and replay ordering from (src,dst,comm) channels to
   // (src,dst,comm,tag) streams — the paper's proposed fix ("associate a
-  // sequence number with each (channel,tag) tuple").
+  // sequence number with each (channel,tag) tuple"). No shipped app is
+  // hybrid; the hybrid-stream tests turn it on.
   bool seq_per_tag = false;
   // OS/system noise: each compute block is stretched by up to this fraction,
   // as a pure function of (seed, rank, op index) — identical when the block
@@ -65,12 +67,13 @@ struct MachineConfig {
   double compute_noise_frac = 0.0;
   sim::Time failure_detection_delay = sim::msec(1.0);
   sim::Time restart_delay = sim::msec(5.0);  // process relaunch + ckpt read
-  size_t fiber_stack_bytes = 256 * 1024;
   uint64_t seed = 1;
-  bool record_send_trace = false;  // per-channel send hashes (determinism checks)
+  /// Per-channel send hashes (Machine::send_trace), for the determinism
+  /// tests that compare runs channel by channel.
+  bool record_send_trace = false;
   bool abort_on_deadlock = true;
-  // Table 1's 512-cluster row (pure message logging) intentionally violates
-  // the one-cluster-per-node rule; benches flip this off for that row.
+  // Pure message logging (Table 1's 512-cluster row) intentionally violates
+  // the one-cluster-per-node rule; the harness turns this off for it.
   bool enforce_node_colocation = true;
   // Always true; kept until the next spbc_bench revision stops setting them.
   bool aggregate_rollbacks = true;

@@ -6,6 +6,11 @@
 
 namespace spbc::mpi {
 
+namespace {
+// CPU cost of one test/iprobe poll.
+constexpr sim::Time kPollOverhead = sim::nsec(120);
+}  // namespace
+
 Rank::Rank(Machine& machine, int world_rank)
     : machine_(machine),
       world_rank_(world_rank),
@@ -177,13 +182,13 @@ bool Rank::test(Request& req) {
   bump_op_counter();
   // Polling costs CPU and is a scheduling point; without this, test loops
   // would spin forever in a cooperative simulator.
-  machine_.engine().wait(machine_.config().poll_overhead);
+  machine_.engine().wait(kPollOverhead);
   return req.complete();
 }
 
 bool Rank::iprobe(int src, int tag, const Comm& comm, Status* status) {
   bump_op_counter();
-  machine_.engine().wait(machine_.config().poll_overhead);
+  machine_.engine().wait(kPollOverhead);
   RequestState probe;
   probe.match_src = (src == kAnySource) ? kAnySource : comm.world_rank(src);
   probe.match_tag = tag;

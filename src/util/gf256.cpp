@@ -125,64 +125,4 @@ bool invert(Matrix& mat) {
   return true;
 }
 
-Matrix matmul(const Matrix& lhs, const Matrix& rhs) {
-  SPBC_ASSERT(lhs.cols == rhs.rows);
-  Matrix out(lhs.rows, rhs.cols);
-  for (int r = 0; r < lhs.rows; ++r) {
-    for (int i = 0; i < lhs.cols; ++i) {
-      const uint8_t f = lhs.at(r, i);
-      if (f == 0) continue;
-      for (int c = 0; c < rhs.cols; ++c)
-        out.at(r, c) ^= mul(f, rhs.at(i, c));
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<uint8_t>> rs_encode(
-    int k, int m, const std::vector<std::vector<uint8_t>>& data) {
-  SPBC_ASSERT(static_cast<int>(data.size()) == k);
-  const size_t len = data.empty() ? 0 : data.front().size();
-  for (const std::vector<uint8_t>& d : data) SPBC_ASSERT(d.size() == len);
-  const Matrix c = cauchy_parity_matrix(k, m);
-  std::vector<std::vector<uint8_t>> parity(
-      static_cast<size_t>(m), std::vector<uint8_t>(len, 0));
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < k; ++j)
-      mul_add(parity[static_cast<size_t>(i)].data(),
-              data[static_cast<size_t>(j)].data(), len, c.at(i, j));
-  return parity;
-}
-
-bool rs_reconstruct(int k, int m, const std::vector<Shard>& shards,
-                    size_t shard_len, std::vector<std::vector<uint8_t>>* out) {
-  SPBC_ASSERT(out != nullptr);
-  if (static_cast<int>(shards.size()) < k) return false;
-  // Decode matrix: the k rows of the stacked [I; C] generator that the
-  // chosen survivors correspond to. Duplicate or out-of-range indices make
-  // it singular and are rejected by invert().
-  const Matrix c = cauchy_parity_matrix(k, m);
-  Matrix dec(k, k);
-  std::vector<const std::vector<uint8_t>*> src(static_cast<size_t>(k));
-  for (int r = 0; r < k; ++r) {
-    const Shard& s = shards[static_cast<size_t>(r)];
-    if (s.index < 0 || s.index >= k + m || s.bytes == nullptr ||
-        s.bytes->size() != shard_len)
-      return false;
-    if (s.index < k) {
-      dec.at(r, s.index) = 1;
-    } else {
-      for (int j = 0; j < k; ++j) dec.at(r, j) = c.at(s.index - k, j);
-    }
-    src[static_cast<size_t>(r)] = s.bytes;
-  }
-  if (!invert(dec)) return false;
-  out->assign(static_cast<size_t>(k), std::vector<uint8_t>(shard_len, 0));
-  for (int j = 0; j < k; ++j)
-    for (int r = 0; r < k; ++r)
-      mul_add((*out)[static_cast<size_t>(j)].data(),
-              src[static_cast<size_t>(r)]->data(), shard_len, dec.at(j, r));
-  return true;
-}
-
 }  // namespace spbc::util::gf256

@@ -1,5 +1,5 @@
 #pragma once
-// GF(256) arithmetic and a systematic Reed-Solomon erasure codec.
+// GF(256) arithmetic for the Reed-Solomon redundancy scheme.
 //
 // The Reed-Solomon redundancy scheme (ckpt/redundancy.hpp, kReedSolomon)
 // protects a checkpoint group against up to m concurrent node losses by
@@ -7,7 +7,9 @@
 // erasure-code regime (any k of the k+m fragments reconstruct the data).
 // This header is the arithmetic kernel underneath: the field, the encode
 // matrix, and the Gaussian-elimination solver the restore planner uses to
-// prove (or reject) a decode before any network read is scheduled.
+// prove (or reject) a decode before any network read is scheduled. Runs
+// never encode bytes: the scheme is a cost and liveness model, and the byte
+// level decode lives in the failure-matrix test oracle (DESIGN.md §11).
 //
 //   * Field: GF(2^8) with the primitive polynomial x^8+x^4+x^3+x^2+1
 //     (0x11D, the polynomial jerasure and ISA-L use), generator 2. mul/div
@@ -19,10 +21,6 @@
 //     [I; C] generator are invertible, so any loss pattern of <= m
 //     fragments decodes. (A plain Vandermonde matrix does not survive the
 //     systematic reduction with this guarantee, hence Cauchy.)
-//   * Codec: rs_encode folds k equal-length data shards into m parity
-//     shards; rs_reconstruct solves for the missing data shards from any k
-//     survivors, and reports failure (rather than garbage) when fewer than
-//     k survive or a caller hands it a singular selection.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,27 +64,5 @@ Matrix cauchy_parity_matrix(int k, int m);
 /// when the matrix is singular — the "singular submatrix rejection" path a
 /// caller must treat as "this fragment selection cannot decode".
 bool invert(Matrix& mat);
-
-/// Multiply out = lhs * rhs.
-Matrix matmul(const Matrix& lhs, const Matrix& rhs);
-
-/// Systematic encode: k data shards (equal length) -> m parity shards.
-/// parity[i] = sum_j C(i,j) * data[j], C = cauchy_parity_matrix(k, m).
-std::vector<std::vector<uint8_t>> rs_encode(
-    int k, int m, const std::vector<std::vector<uint8_t>>& data);
-
-/// One surviving fragment handed to the decoder: its codeword row index
-/// (0..k-1 = data shard id, k..k+m-1 = parity shard id) and its bytes.
-struct Shard {
-  int index = -1;
-  const std::vector<uint8_t>* bytes = nullptr;
-};
-
-/// Reconstruct all k data shards from any k survivors of the k+m codeword.
-/// Returns false when fewer than k distinct shards are given or the decode
-/// matrix is singular (duplicate / out-of-range indices); `out` is resized
-/// to k shards on success.
-bool rs_reconstruct(int k, int m, const std::vector<Shard>& shards,
-                    size_t shard_len, std::vector<std::vector<uint8_t>>* out);
 
 }  // namespace spbc::util::gf256

@@ -65,6 +65,9 @@ TEST(RateEstimator, StepChangeReconvergesWithinWindowEvents) {
 // Interval planner: generalized Young/Daly against the storage cost model
 // ---------------------------------------------------------------------------
 
+// Snapshot size the planner assumes until a real write is seen.
+constexpr uint64_t kSnapshotHint = 1 << 20;
+
 core::ControlPlaneConfig enabled_config() {
   core::ControlPlaneConfig cfg;
   cfg.enabled = true;
@@ -77,8 +80,6 @@ TEST(ControlPlane, StaticMtbfConvergesToClosedFormYoungDaly) {
   // sqrt(2 * C * MTBF) for the true rate.
   const double kTrueMtbf = 5.0;
   core::ControlPlaneConfig cfg = enabled_config();
-  cfg.window = 64;
-  cfg.snapshot_bytes_hint = 1 << 20;
   ckpt::StorageCostModel model;
   core::ControlPlane cp(cfg, model);
 
@@ -89,8 +90,7 @@ TEST(ControlPlane, StaticMtbfConvergesToClosedFormYoungDaly) {
     t += -kTrueMtbf * std::log(1.0 - u);
     cp.note_failure(t, /*storage_lost=*/true, /*node=*/i % 7);
   }
-  const double c =
-      model.write_time(ckpt::StorageLevel::kLocal, cfg.snapshot_bytes_hint);
+  const double c = model.write_time(ckpt::StorageLevel::kLocal, kSnapshotHint);
   const double closed_form = std::sqrt(2.0 * c * kTrueMtbf);
   EXPECT_NEAR(cp.local_interval(), closed_form, 0.10 * closed_form);
 
@@ -104,15 +104,14 @@ TEST(ControlPlane, StaticMtbfConvergesToClosedFormYoungDaly) {
 
 TEST(ControlPlane, StepChangeRetunesTheIntervalWithinWindow) {
   core::ControlPlaneConfig cfg = enabled_config();
-  cfg.window = 8;
   ckpt::StorageCostModel model;
   core::ControlPlane cp(cfg, model);
   double t = 0;
   for (int i = 0; i < 20; ++i) cp.note_failure(t += 20.0, true, i % 5);
   const double before = cp.local_interval();
-  for (int i = 0; i < cfg.window; ++i) cp.note_failure(t += 0.2, true, i % 5);
-  const double c =
-      model.write_time(ckpt::StorageLevel::kLocal, cfg.snapshot_bytes_hint);
+  for (int i = 0; i < core::ControlPlane::kRateWindow; ++i)
+    cp.note_failure(t += 0.2, true, i % 5);
+  const double c = model.write_time(ckpt::StorageLevel::kLocal, kSnapshotHint);
   // Fully re-converged: the interval is the closed form for the NEW rate
   // (tolerance only for the accumulated-sum rounding of the gap times).
   const double target = std::max(std::sqrt(2.0 * c * 0.2), cfg.min_interval);
@@ -129,7 +128,7 @@ TEST(ControlPlane, StridesOrderByLevelCostAndPlanHonorsThem) {
   const uint64_t pfs = cp.pfs_stride();
   EXPECT_GE(red, 1u);
   EXPECT_GE(pfs, 1u);
-  EXPECT_LE(pfs, cfg.max_level_stride);
+  EXPECT_LE(pfs, 64u);  // the stride clamp
   // PFS writes are far costlier and double losses far rarer than single
   // node losses under the default model/priors, so the PFS stride must not
   // be shorter than the redundancy stride.
@@ -166,10 +165,8 @@ TEST(ControlPlane, RarerDoubleLossesStretchThePfsStride) {
 
 TEST(ControlPlane, EscalatesOnCorrelatedDoublesAndCalmsDown) {
   core::ControlPlaneConfig cfg = enabled_config();
-  cfg.escalation = true;
-  cfg.escalate_after = 2;
+  cfg.escalation = ckpt::RedundancyConfig{ckpt::SchemeKind::kReedSolomon};
   cfg.correlation_window = 0.05;
-  cfg.calm_period = 5.0;
   core::ControlPlane cp(cfg, ckpt::StorageCostModel{});
 
   // Pair 1: two storage losses on distinct nodes within the window.
@@ -193,7 +190,7 @@ TEST(ControlPlane, EscalatesOnCorrelatedDoublesAndCalmsDown) {
   cp.note_failure(40.01, false, 7);
   EXPECT_EQ(cp.stats().double_losses, 1u);
 
-  // Pair 2 crosses the threshold: escalate.
+  // Pair 2 crosses the threshold (two doubles): escalate.
   cp.note_failure(50.0, true, 1);
   cp.note_failure(50.03, true, 2);
   EXPECT_EQ(cp.stats().double_losses, 2u);
@@ -203,7 +200,7 @@ TEST(ControlPlane, EscalatesOnCorrelatedDoublesAndCalmsDown) {
   // Still inside the calm period: stays escalated.
   cp.on_tick(54.0);
   EXPECT_TRUE(cp.escalated());
-  // Calm period with no further double loss: de-escalate.
+  // A calm period (5 s) with no further double loss: de-escalate.
   cp.on_tick(55.1);
   EXPECT_FALSE(cp.escalated());
   EXPECT_EQ(cp.stats().deescalations, 1u);

@@ -48,9 +48,7 @@ TEST(Hydee, CoordinatorGrantsEveryReplayedMessage) {
   mpi::MachineConfig mc = cfg.machine;
   mc.nranks = cfg.nranks;
   mc.ranks_per_node = cfg.ranks_per_node;
-  baselines::HydeeConfig hcfg;
-  hcfg.base = cfg.spbc;
-  auto proto = std::make_unique<baselines::HydeeProtocol>(hcfg);
+  auto proto = std::make_unique<baselines::HydeeProtocol>(cfg.spbc);
   baselines::HydeeProtocol* p = proto.get();
   mpi::Machine machine(mc, std::move(proto));
   machine.set_cluster_of(harness::compute_cluster_map(cfg));
@@ -130,8 +128,7 @@ TEST(Hydee, IdenticalAcrossShardLayouts) {
 }
 
 TEST(Hydee, NoPatternIdMatching) {
-  baselines::HydeeConfig hcfg;
-  baselines::HydeeProtocol p(hcfg);
+  baselines::HydeeProtocol p(core::SpbcConfig{});
   EXPECT_FALSE(p.pattern_matching_enabled());
 }
 

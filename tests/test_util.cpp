@@ -1,11 +1,10 @@
-// Unit tests: utilities (serialization, RNG, stats, tables, CLI).
+// Unit tests: utilities (serialization, RNG, tables, CLI).
 
 #include <gtest/gtest.h>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace spbc::util {
@@ -86,38 +85,6 @@ TEST(Rng, Fnv1aMatchesKnownVector) {
   EXPECT_EQ(h.digest(), 14695981039346656037ULL);
   h.update("a", 1);
   EXPECT_EQ(h.digest(), 0xaf63dc4c8601ec8cULL);
-}
-
-TEST(Stats, RunningStatsBasics) {
-  RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
-}
-
-TEST(Stats, MergeEqualsCombined) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    double x = i * 0.7;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Stats, SamplesPercentile) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
 }
 
 TEST(Table, RendersAlignedColumns) {
