@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   bench::print_header("Ablation: clustering objective (Section 6.6)", o);
 
   int nodes = o.ranks / o.ppn;
-  int k = std::min(static_cast<int>(cli.get_int("clusters", 8)), nodes);
+  int k = std::min(cli.get_int32("clusters", 8), nodes);
   cli.reject_unknown();
 
   util::Table table({"App", "Strategy", "partition ms", "total logged MB/s",

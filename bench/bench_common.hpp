@@ -91,10 +91,10 @@ struct BenchOpts {
 /// the same Cli, then calls cli.reject_unknown().
 inline BenchOpts parse_opts(const util::Cli& cli) {
   BenchOpts o;
-  o.ranks = static_cast<int>(cli.get_int("ranks", o.ranks));
-  o.ppn = static_cast<int>(cli.get_int("ppn", o.ppn));
-  o.iters = static_cast<int>(cli.get_int("iters", o.iters));
-  o.ckpt_every = static_cast<int>(cli.get_int("ckpt-every", o.ckpt_every));
+  o.ranks = cli.get_int32("ranks", o.ranks);
+  o.ppn = cli.get_int32("ppn", o.ppn);
+  o.iters = cli.get_int32("iters", o.iters);
+  o.ckpt_every = cli.get_int32("ckpt-every", o.ckpt_every);
   o.seed = static_cast<uint64_t>(cli.get_int("seed", 1));
   o.msg_scale = cli.get_double("msg-scale", 1.0);
   o.compute_scale = cli.get_double("compute-scale", 1.0);
@@ -102,20 +102,20 @@ inline BenchOpts parse_opts(const util::Cli& cli) {
   o.net_jitter = cli.get_double("jitter", o.net_jitter);
   if (cli.get_flag("block-clustering")) o.use_clustering_tool = false;
   o.scheme = cli.get_string("scheme", "");
-  o.group_size = static_cast<int>(cli.get_int("group-size", o.group_size));
-  o.rs_k = static_cast<int>(cli.get_int("rs-k", o.rs_k));
-  o.rs_m = static_cast<int>(cli.get_int("rs-m", o.rs_m));
-  o.shards = static_cast<int>(cli.get_int("shards", o.shards));
-  o.threads = static_cast<int>(cli.get_int("threads", o.threads));
+  o.group_size = cli.get_int32("group-size", o.group_size);
+  o.rs_k = cli.get_int32("rs-k", o.rs_k);
+  o.rs_m = cli.get_int32("rs-m", o.rs_m);
+  o.shards = cli.get_int32("shards", o.shards);
+  o.threads = cli.get_int32("threads", o.threads);
   o.mtbf_drift = cli.get_double("mtbf-drift", o.mtbf_drift);
   o.scrub_period = cli.get_double("scrub-period", o.scrub_period);
   o.escalate = cli.get_flag("escalate");
-  o.spares = static_cast<int>(cli.get_int("spares", o.spares));
+  o.spares = cli.get_int32("spares", o.spares);
   o.repart_period = cli.get_double("repart-period", o.repart_period);
   o.compress = cli.get_flag("compress");
-  o.delta_blocks = static_cast<int>(cli.get_int("delta-blocks", o.delta_blocks));
-  o.full_stride = static_cast<int>(cli.get_int("full-stride", o.full_stride));
-  o.state_bytes = static_cast<int>(cli.get_int("state-bytes", o.state_bytes));
+  o.delta_blocks = cli.get_int32("delta-blocks", o.delta_blocks);
+  o.full_stride = cli.get_int32("full-stride", o.full_stride);
+  o.state_bytes = cli.get_int32("state-bytes", o.state_bytes);
   o.mutation_rate = cli.get_double("mutate", o.mutation_rate);
   if (!o.scheme.empty() && !ckpt::parse_scheme(o.scheme)) {
     std::fprintf(stderr, "unknown --scheme=%s (single|partner|xor|rs)\n",

@@ -154,16 +154,16 @@ uint64_t vm_hwm_kb() {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const int clusters = static_cast<int>(cli.get_int("clusters", 64));
-  const int iters = static_cast<int>(cli.get_int("iters", 4));
-  const int shards = static_cast<int>(cli.get_int("shards", 0));
-  const int threads = static_cast<int>(cli.get_int("threads", 1));
+  const int clusters = cli.get_int32("clusters", 64);
+  const int iters = cli.get_int32("iters", 4);
+  const int shards = cli.get_int32("shards", 0);
+  const int threads = cli.get_int32("threads", 1);
   const double min_eps = cli.get_double("min-events-per-sec", 0.0);
   const double max_rss_mb = cli.get_double("max-rss-mb", 0.0);
 
   std::vector<int> rank_rows = {16384, 65536, 131072};
   if (cli.has("ranks"))
-    rank_rows = {static_cast<int>(cli.get_int("ranks", 16384))};
+    rank_rows = {cli.get_int32("ranks", 16384)};
   const bool skip_selfcheck = cli.get_flag("skip-selfcheck");
   cli.reject_unknown();
 

@@ -103,10 +103,10 @@ RunOut run_stream(const Opts& o, uint64_t bytes, bool with_spbc) {
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   Opts o;
-  o.ranks = static_cast<int>(cli.get_int("ranks", o.ranks));
-  o.ppn = static_cast<int>(cli.get_int("ppn", std::min(o.ppn, o.ranks / 2)));
-  o.batches = static_cast<int>(cli.get_int("batches", o.batches));
-  o.batch = static_cast<int>(cli.get_int("batch", o.batch));
+  o.ranks = cli.get_int32("ranks", o.ranks);
+  o.ppn = cli.get_int32("ppn", std::min(o.ppn, o.ranks / 2));
+  o.batches = cli.get_int32("batches", o.batches);
+  o.batch = cli.get_int32("batch", o.batch);
   o.compute_us = cli.get_double("compute-us", o.compute_us);
   o.seed = static_cast<uint64_t>(cli.get_int("seed", 1));
   cli.reject_unknown();

@@ -20,8 +20,8 @@ using namespace spbc;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   std::string app = cli.get_string("app", "MiniGhost");
-  int nranks = static_cast<int>(cli.get_int("ranks", 64));
-  int ppn = static_cast<int>(cli.get_int("ppn", 8));
+  int nranks = cli.get_int32("ranks", 64);
+  int ppn = cli.get_int32("ppn", 8);
   cli.reject_unknown();
 
   std::printf("Clustering study: %s at %d ranks (%d per node)\n\n", app.c_str(),

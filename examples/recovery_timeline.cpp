@@ -17,8 +17,8 @@ using namespace spbc;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  int nranks = static_cast<int>(cli.get_int("ranks", 32));
-  int nclusters = static_cast<int>(cli.get_int("clusters", 4));
+  int nranks = cli.get_int32("ranks", 32);
+  int nclusters = cli.get_int32("clusters", 4);
   cli.reject_unknown();
 
   std::printf("Recovery timeline: MiniGhost, %d ranks, %d clusters\n\n", nranks,

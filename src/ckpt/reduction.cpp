@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace spbc::ckpt {
 
@@ -47,8 +48,12 @@ std::vector<unsigned char> make_state(const StateModelConfig& cfg, int rank) {
   return buf;
 }
 
-void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
-                  int rank, uint64_t epoch) {
+namespace {
+// Rewrites round(mutation_rate * nblocks) (at least 1) state blocks of `buf`
+// for `epoch` and reports each rewritten byte range to `on_rewrite(off, len)`.
+template <typename F>
+void rewrite_blocks(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
+                    int rank, uint64_t epoch, F&& on_rewrite) {
   if (cfg.bytes == 0) return;
   const uint32_t bb = cfg.block_bytes ? cfg.block_bytes : 4096;
   const uint64_t nblocks = (cfg.bytes + bb - 1) / bb;
@@ -65,7 +70,14 @@ void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
     const uint64_t off = b * bb;
     const uint64_t len = std::min<uint64_t>(bb, cfg.bytes - off);
     fill_synth_block(buf.data() + off, len, block_seed(cfg, rank, epoch, b));
+    on_rewrite(off, len);
   }
+}
+}  // namespace
+
+void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
+                  int rank, uint64_t epoch) {
+  rewrite_blocks(buf, cfg, rank, epoch, [](uint64_t, uint64_t) {});
 }
 
 namespace {
@@ -109,7 +121,7 @@ uint64_t hash_block(const unsigned char* p, uint64_t len) {
 }
 }  // namespace
 
-std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
+std::vector<uint64_t> hash_blocks(std::span<const unsigned char> bytes,
                                   uint32_t block_bytes) {
   const uint32_t bb = block_bytes ? block_bytes : 4096;
   const uint64_t n = bytes.size();
@@ -119,6 +131,28 @@ std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
     hashes[b] = hash_block(bytes.data() + off, std::min<uint64_t>(bb, n - off));
   }
   return hashes;
+}
+
+StateImage::StateImage(const StateModelConfig& cfg, int rank, uint32_t hash_block)
+    : bytes_(make_state(cfg, rank)), hash_block_(hash_block) {
+  if (hash_block_ != 0) hashes_ = hash_blocks(bytes_, hash_block_);
+}
+
+void StateImage::evolve(const StateModelConfig& cfg, int rank, uint64_t epoch) {
+  const uint64_t hb = hash_block_;
+  const uint64_t n = bytes_.size();
+  rewrite_blocks(bytes_, cfg, rank, epoch, [&](uint64_t off, uint64_t len) {
+    if (hb == 0) return;
+    // The rewritten range may span several hash blocks (or share one with
+    // other rewrites) when the state and delta block sizes differ.
+    for (uint64_t h = off / hb; h * hb < off + len; ++h)
+      hashes_[h] = hash_block(bytes_.data() + h * hb, std::min<uint64_t>(hb, n - h * hb));
+  });
+}
+
+void StateImage::restore(util::ByteReader& reader) {
+  reader.get_raw(bytes_.data(), bytes_.size());
+  if (hash_block_ != 0) hashes_ = hash_blocks(bytes_, hash_block_);
 }
 
 }  // namespace spbc::ckpt

@@ -22,7 +22,12 @@
 // control plane only ever see post-reduction sizes. See DESIGN.md §15.
 
 #include <cstdint>
+#include <span>
 #include <vector>
+
+namespace spbc::util {
+class ByteReader;
+}
 
 namespace spbc::ckpt {
 
@@ -47,6 +52,9 @@ struct ReductionConfig {
   bool compress = false;
 
   bool enabled() const { return delta || compress; }
+  /// Granularity at which captures are hashed: the delta block size when
+  /// delta encoding is on, else 0 (captures are not hashed).
+  uint32_t hash_block() const { return delta ? (block_bytes ? block_bytes : 4096) : 0; }
 };
 
 /// Per-rank synthetic evolving application state, AMG/miniFE-style: a buffer
@@ -86,7 +94,35 @@ void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
 /// block's hash differs from its predecessor's, and any single changed byte
 /// is guaranteed to show. Values depend on the host's byte order, so they
 /// are never persisted or compared across processes.
-std::vector<uint64_t> hash_blocks(const std::vector<unsigned char>& bytes,
+std::vector<uint64_t> hash_blocks(std::span<const unsigned char> bytes,
                                   uint32_t block_bytes);
+
+/// A rank's synthetic state image together with its per-block hashes at the
+/// capture's delta granularity, kept equal to hash_blocks(bytes()) by every
+/// mutation: construction hashes the epoch-0 image, evolve() rehashes only
+/// the blocks it rewrote, restore() rehashes the restored image once. A
+/// capture refers to the image and its hashes instead of copying and
+/// rehashing them each epoch (Snapshot::image; DESIGN.md §15).
+class StateImage {
+ public:
+  StateImage() = default;
+  /// The rank's epoch-0 image (make_state), hashed at `hash_block` bytes per
+  /// block; 0 keeps no hashes.
+  StateImage(const StateModelConfig& cfg, int rank, uint32_t hash_block);
+
+  /// evolve_state to `epoch`, then rehashes the blocks it rewrote.
+  void evolve(const StateModelConfig& cfg, int rank, uint64_t epoch);
+  /// Reads the image back from a capture (ByteWriter::put_raw layout) and
+  /// rehashes it.
+  void restore(util::ByteReader& reader);
+
+  const std::vector<unsigned char>& bytes() const { return bytes_; }
+  const std::vector<uint64_t>& hashes() const { return hashes_; }
+
+ private:
+  std::vector<unsigned char> bytes_;
+  std::vector<uint64_t> hashes_;
+  uint32_t hash_block_ = 0;
+};
 
 }  // namespace spbc::ckpt

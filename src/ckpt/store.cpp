@@ -29,18 +29,27 @@ sim::Time StorageCostModel::read_time(StorageLevel level, uint64_t bytes) const 
 
 SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
   Row& r = row(rank);
+  const uint32_t bb = reduction_.block_bytes ? reduction_.block_bytes : 4096;
+  // The image stays a separate segment only where its blocks are whole
+  // capture blocks with known hashes; anywhere else it joins the tail.
+  if (!snap.image.empty() && (!reduction_.delta || snap.image.size() % bb != 0)) {
+    snap.bytes.insert(snap.bytes.begin(), snap.image.begin(), snap.image.end());
+    snap.image = {};
+    snap.image_hashes = {};
+  }
+  const std::span<const unsigned char> image = snap.image;
+  const std::span<const unsigned char> tail = snap.bytes;
+
   SaveInfo info;
-  info.raw_bytes = snap.bytes.size();
+  info.raw_bytes = image.size() + tail.size();
 
   StoredSnapshot s;
   s.taken_at = snap.taken_at;
   s.epoch = snap.epoch;
-  s.raw_size = snap.bytes.size();
+  s.raw_size = info.raw_bytes;
   s.chain_base = snap.epoch;
 
-  const uint32_t bb = reduction_.block_bytes ? reduction_.block_bytes : 4096;
-  const uint32_t nblocks =
-      static_cast<uint32_t>((snap.bytes.size() + bb - 1) / bb);
+  const uint32_t nblocks = static_cast<uint32_t>((s.raw_size + bb - 1) / bb);
   info.blocks_total = nblocks;
   info.blocks_changed = nblocks;
 
@@ -48,7 +57,12 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
   bool have_payload = false;
   if (reduction_.delta) {
     s.block_bytes = bb;
-    s.block_hashes = hash_blocks(snap.bytes, bb);
+    // The image's hashes come with it; only the tail's blocks are hashed.
+    SPBC_ASSERT(snap.image_hashes.size() == image.size() / bb);
+    s.block_hashes.reserve(nblocks);
+    s.block_hashes.assign(snap.image_hashes.begin(), snap.image_hashes.end());
+    const std::vector<uint64_t> tail_hashes = hash_blocks(tail, bb);
+    s.block_hashes.insert(s.block_hashes.end(), tail_hashes.begin(), tail_hashes.end());
     // Delta eligibility: the immediately-preceding epoch is still stored at
     // the same granularity, and appending to its chain stays within the
     // full-capture stride. A replaced same-epoch snapshot re-diffs against
@@ -71,10 +85,14 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
         info.blocks_changed = static_cast<uint32_t>(s.changed.size());
         payload.reserve(s.changed.size() * bb);
         for (uint32_t b : s.changed) {
+          // A block lies wholly in one segment: the image is block-aligned.
           const uint64_t off = static_cast<uint64_t>(b) * bb;
-          const uint64_t len = std::min<uint64_t>(bb, s.raw_size - off);
-          payload.insert(payload.end(), snap.bytes.begin() + static_cast<long>(off),
-                         snap.bytes.begin() + static_cast<long>(off + len));
+          const std::span<const unsigned char> block =
+              off < image.size()
+                  ? image.subspan(off, bb)
+                  : tail.subspan(off - image.size(),
+                                 std::min<uint64_t>(bb, s.raw_size - off));
+          payload.insert(payload.end(), block.begin(), block.end());
         }
         have_payload = true;
       } else {
@@ -82,7 +100,16 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
       }
     }
   }
-  if (!have_payload) payload = std::move(snap.bytes);
+  if (!have_payload) {
+    if (image.empty()) {
+      payload = std::move(snap.bytes);
+    } else {
+      // A full capture owns its bytes: the one copy of the image.
+      payload.reserve(s.raw_size);
+      payload.assign(image.begin(), image.end());
+      payload.insert(payload.end(), tail.begin(), tail.end());
+    }
+  }
 
   if (reduction_.compress) {
     std::vector<unsigned char> enc = util::codec::lz_compress(payload);

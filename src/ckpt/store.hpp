@@ -67,10 +67,17 @@ struct StorageCostModel {
   sim::Time read_time(StorageLevel level, uint64_t bytes) const;
 };
 
+/// A capture as the protocol hands it to Store::save. Its logical bytes are
+/// `image` followed by `bytes`: a rank's state image rides by reference, with
+/// its per-block hashes at the store's delta granularity, so save() neither
+/// copies nor rehashes it when it can diff it block by block. The spans must
+/// stay valid for the save() call only; the store keeps none of them.
 struct Snapshot {
   sim::Time taken_at = 0;
   uint64_t epoch = 0;  // checkpoint wave number
   std::vector<unsigned char> bytes;
+  std::span<const unsigned char> image{};
+  std::span<const uint64_t> image_hashes{};
 };
 
 /// What save() actually wrote: the caller stages `stored_bytes` (the encoded
@@ -141,7 +148,11 @@ class Store {
 
   /// Saves `snap` under (rank, snap.epoch), replacing a same-epoch snapshot.
   /// Applies the configured reduction: delta-encodes against the previous
-  /// epoch's hash index when eligible, then compresses. `force_full` pins a
+  /// epoch's hash index when eligible, then compresses. A referenced image
+  /// is taken with its hashes and never copied for a delta when delta
+  /// encoding is on and its size is a multiple of the block size; otherwise
+  /// it is prepended to `bytes` first, and the stored form is the same
+  /// either way. `force_full` pins a
   /// full capture regardless of eligibility — migration boundary/pin epochs
   /// must be renameable, and a renamed delta would orphan its chain.
   SaveInfo save(int rank, Snapshot snap, bool force_full = false);

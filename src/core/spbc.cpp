@@ -89,7 +89,8 @@ void SpbcProtocol::attach(mpi::Machine& machine) {
   synth_state_.assign(static_cast<size_t>(n), {});
   if (cfg_.state_model.bytes > 0) {
     for (int r = 0; r < n; ++r)
-      synth_state_[static_cast<size_t>(r)] = ckpt::make_state(cfg_.state_model, r);
+      synth_state_[static_cast<size_t>(r)] =
+          ckpt::StateImage(cfg_.state_model, r, cfg_.reduction.hash_block());
   }
   replayers_.resize(static_cast<size_t>(n));
   facade_.assign(static_cast<size_t>(n), {});
@@ -351,7 +352,7 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   const uint64_t epoch = cs.snap_epoch + 1;
 
   // --- the cut: capture local state, no coordination, no parking ---------
-  util::ByteWriter w;
+  ckpt::Snapshot snap;
   if (cfg_.state_model.bytes > 0) {
     // Synthetic evolving state: mutate a deterministic subset of blocks for
     // this epoch, then capture the buffer. Keyed by (seed, rank, epoch)
@@ -359,11 +360,15 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
     // and identical delta chains. It leads the capture, raw (its length is
     // fixed by the state model): at offset 0 its blocks stay aligned from
     // epoch to epoch, so the growing log and runtime state behind it cannot
-    // shift them and unchanged blocks hash equal (DESIGN.md §15).
-    std::vector<unsigned char>& buf = synth_state_[static_cast<size_t>(me)];
-    ckpt::evolve_state(buf, cfg_.state_model, me, epoch);
-    w.put_raw(buf.data(), buf.size());
+    // shift them and unchanged blocks hash equal (DESIGN.md §15). The
+    // capture refers to the image and the hashes it keeps; the store copies
+    // only what it stores.
+    ckpt::StateImage& state = synth_state_[static_cast<size_t>(me)];
+    state.evolve(cfg_.state_model, me, epoch);
+    snap.image = state.bytes();
+    snap.image_hashes = state.hashes();
   }
+  util::ByteWriter w;
   w.put<uint64_t>(epoch);
   w.put<uint64_t>(cs.calls);
   rank.serialize_runtime(w);
@@ -372,7 +377,6 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   rank.serialize_app(app);
   w.put_bytes(app.bytes().data(), app.size());
 
-  ckpt::Snapshot snap;
   snap.taken_at = machine_->engine().now();
   snap.epoch = epoch;
   snap.bytes = w.take();
@@ -881,7 +885,8 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
     cs = CkptLocal{};
     cs.last_cut = machine_->engine().now();
     if (cfg_.state_model.bytes > 0)
-      synth_state_[static_cast<size_t>(r)] = ckpt::make_state(cfg_.state_model, r);
+      synth_state_[static_cast<size_t>(r)] =
+          ckpt::StateImage(cfg_.state_model, r, cfg_.reduction.hash_block());
     return;
   }
   // Decode the stored form: roll the delta chain forward from its full base
@@ -889,11 +894,7 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   std::vector<unsigned char> scratch;
   const std::vector<unsigned char>& bytes = store_.materialize(r, epoch, scratch);
   util::ByteReader reader(bytes);
-  if (cfg_.state_model.bytes > 0) {
-    std::vector<unsigned char>& buf = synth_state_[static_cast<size_t>(r)];
-    buf.resize(cfg_.state_model.bytes);
-    reader.get_raw(buf.data(), buf.size());
-  }
+  if (cfg_.state_model.bytes > 0) synth_state_[static_cast<size_t>(r)].restore(reader);
   const uint64_t snap_epoch = reader.get<uint64_t>();
   SPBC_ASSERT_MSG(snap_epoch == epoch, "snapshot/epoch mismatch for rank " << r);
   cs.epoch = epoch;

@@ -172,9 +172,10 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   SenderLog& log_of_mut(int rank);
   const Replayer& replayer_of(int rank) const;
   const ckpt::Store& store() const { return store_; }
-  /// The rank's synthetic evolving state (empty when state_model is off):
-  /// as of its latest cut, or as restored by its latest rollback.
-  const std::vector<unsigned char>& synthetic_state(int rank) const {
+  /// The rank's synthetic evolving state and its block hashes (empty when
+  /// state_model is off): as of its latest cut, or as restored by its latest
+  /// rollback.
+  const ckpt::StateImage& synthetic_state(int rank) const {
     return synth_state_[static_cast<size_t>(rank)];
   }
   const ckpt::StagingArea& staging() const { return staging_; }
@@ -380,7 +381,7 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   // Mutated from the rank's own shard at its epoch cut, captured at offset 0
   // of the snapshot and read back from it on restore, so delta captures see
   // realistic block-level churn without a real application.
-  std::vector<std::vector<unsigned char>> synth_state_;
+  std::vector<ckpt::StateImage> synth_state_;
   // Per-rank facade sessions/regions (only touched by facade-driven apps;
   // pattern-API apps never allocate region bytes). Sized in attach().
   std::vector<FacadeState> facade_;

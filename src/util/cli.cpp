@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace spbc::util {
 
@@ -26,6 +27,16 @@ int64_t Cli::get_int(const std::string& key, int64_t def) const {
   auto it = kv_.find(key);
   if (it == kv_.end() || it->second.empty()) return def;
   return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+int Cli::get_int32(const std::string& key, int def) const {
+  const int64_t v = get_int(key, def);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "--%s=%s does not fit in an int\n", key.c_str(),
+                 kv_.at(key).c_str());
+    std::exit(2);
+  }
+  return static_cast<int>(v);
 }
 
 double Cli::get_double(const std::string& key, double def) const {

@@ -20,6 +20,9 @@ class Cli {
 
   /// --key=value or --key value. Returns default when absent.
   int64_t get_int(const std::string& key, int64_t def) const;
+  /// get_int for an `int` setting: exits with status 2, naming the flag on
+  /// stderr, when the value does not fit in an int.
+  int get_int32(const std::string& key, int def) const;
   double get_double(const std::string& key, double def) const;
   std::string get_string(const std::string& key, const std::string& def) const;
   bool get_flag(const std::string& key) const;  // present => true

@@ -1,5 +1,6 @@
 #include "util/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <memory>
@@ -160,10 +161,23 @@ bool lz_decompress(const unsigned char* enc, size_t n, unsigned char* out,
       std::memcpy(dst, dst - offset, mlen);
     } else if (offset == 1) {
       std::memset(dst, dst[-1], mlen);  // a constant run
-    } else {
-      // Self-overlapping match: each byte may read one this match wrote.
+    } else if (offset >= 8) {
+      // Self-overlapping match: a step may read bytes this match wrote, but
+      // each 8-byte chunk ends at or before the chunk it fills begins.
       const unsigned char* src = dst - offset;
-      for (size_t i = 0; i < mlen; ++i) dst[i] = src[i];
+      size_t i = 0;
+      for (; i + 8 <= mlen; i += 8) std::memcpy(dst + i, src + i, 8);
+      std::memcpy(dst + i, src + i, mlen - i);  // shorter than the offset
+    } else {
+      // A short period (2..7 bytes): lay down one period, then keep doubling
+      // the periodic prefix — dst[0..done) is whole periods, so copying its
+      // head after it continues the pattern.
+      std::memcpy(dst, dst - offset, offset);
+      for (size_t done = offset; done < mlen;) {
+        const size_t len = std::min(done, mlen - done);
+        std::memcpy(dst + done, dst, len);
+        done += len;
+      }
     }
     op += mlen;
   }

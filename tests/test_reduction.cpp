@@ -23,6 +23,7 @@
 #include "mpi/machine.hpp"
 #include "util/codec.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace spbc {
 namespace {
@@ -144,8 +145,9 @@ TEST(Codec, TokenStreamIsPinned) {
 
 TEST(Codec, RoundTripsShortOffsetOverlaps) {
   // A period-p run encodes as a match at offset p. The decoder fills offset
-  // 1, copies offsets of at least the match length in one go, and copies
-  // the rest byte by byte; lengths straddle 8 and 16 bytes.
+  // 1, copies offsets of at least the match length in one go, copies
+  // offsets 8 and up in 8-byte chunks and replicates shorter periods;
+  // lengths straddle 8 and 16 bytes.
   util::Pcg32 rng(5, 5);
   for (uint32_t period = 1; period <= 9; ++period) {
     for (uint32_t mlen : {6u, 7u, 8u, 9u, 15u, 16u, 17u, 18u, 19u, 300u}) {
@@ -460,6 +462,146 @@ TEST(DeltaStore, MissingPredecessorForcesFull) {
   EXPECT_TRUE(store.save(0, std::move(c)).full);
 }
 
+// A capture that refers to a StateImage (image span + its hashes, runtime
+// tail in `bytes`) must store exactly what the same capture stores as one
+// flat byte vector. One shape of the randomized run below.
+struct EquivalenceShape {
+  const char* name;
+  uint64_t image_bytes;
+  uint32_t state_block;
+  uint32_t delta_block;
+  bool delta;
+  uint64_t full_stride;
+};
+
+void expect_same_stored(const ckpt::StoredSnapshot& a, const ckpt::StoredSnapshot& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.taken_at, b.taken_at) << where;
+  EXPECT_EQ(a.epoch, b.epoch) << where;
+  EXPECT_EQ(a.raw_size, b.raw_size) << where;
+  EXPECT_EQ(a.chain_base, b.chain_base) << where;
+  EXPECT_EQ(a.compressed, b.compressed) << where;
+  EXPECT_EQ(a.block_bytes, b.block_bytes) << where;
+  EXPECT_EQ(a.changed, b.changed) << where;
+  EXPECT_EQ(a.block_hashes, b.block_hashes) << where;
+  EXPECT_TRUE(a.enc == b.enc) << where;
+}
+
+void run_equivalence(const EquivalenceShape& shape) {
+  SCOPED_TRACE(shape.name);
+  ckpt::StateModelConfig sm;
+  sm.bytes = shape.image_bytes;
+  sm.block_bytes = shape.state_block;
+  sm.mutation_rate = 0.15;
+  sm.seed = 11;
+  ckpt::ReductionConfig red;
+  red.delta = shape.delta;
+  red.block_bytes = shape.delta_block;
+  red.full_stride = shape.full_stride;
+  red.compress = true;
+  ckpt::Store by_ref;  // image span + hashes
+  ckpt::Store flat;    // image ++ tail in one vector
+  by_ref.set_reduction(red);
+  flat.set_reduction(red);
+
+  constexpr int kRank = 0;
+  ckpt::StateImage state(sm, kRank, red.hash_block());
+  util::Pcg32 rng(shape.image_bytes ^ shape.delta_block, 3);
+  // Runtime tail: a slowly growing, mostly stable byte string, so its
+  // blocks are sometimes equal to the predecessor's and sometimes not.
+  std::vector<unsigned char> tail(100, 7);
+
+  uint64_t epoch = 0;
+  bool rolled_back = false;
+  bool renamed = false;
+  for (int step = 1; step <= 32; ++step) {
+    ++epoch;
+    state.evolve(sm, kRank, epoch);
+    if (red.delta) {
+      EXPECT_EQ(state.hashes(), ckpt::hash_blocks(state.bytes(), red.hash_block()));
+    }
+    tail.resize(tail.size() + rng.next_bounded(48), static_cast<unsigned char>(step));
+    for (uint32_t k = rng.next_bounded(3); k > 0; --k)
+      tail[rng.next_bounded(static_cast<uint32_t>(tail.size()))] =
+          static_cast<unsigned char>(rng.next_u32());
+    const bool force_full = rng.next_bounded(8) == 0 || step == 24;
+    const std::string where = "step " + std::to_string(step) + " epoch " +
+                              std::to_string(epoch);
+
+    ckpt::Snapshot a;
+    a.taken_at = static_cast<double>(step);
+    a.epoch = epoch;
+    a.bytes = tail;
+    a.image = state.bytes();
+    a.image_hashes = state.hashes();
+    ckpt::Snapshot b;
+    b.taken_at = a.taken_at;
+    b.epoch = epoch;
+    b.bytes = state.bytes();
+    b.bytes.insert(b.bytes.end(), tail.begin(), tail.end());
+    const ckpt::SaveInfo ia = by_ref.save(kRank, std::move(a), force_full);
+    const ckpt::SaveInfo ib = flat.save(kRank, b, force_full);
+    EXPECT_EQ(ia.raw_bytes, ib.raw_bytes) << where;
+    EXPECT_EQ(ia.stored_bytes, ib.stored_bytes) << where;
+    EXPECT_EQ(ia.chain_base, ib.chain_base) << where;
+    EXPECT_EQ(ia.full, ib.full) << where;
+    EXPECT_EQ(ia.blocks_total, ib.blocks_total) << where;
+    EXPECT_EQ(ia.blocks_changed, ib.blocks_changed) << where;
+    expect_same_stored(by_ref.at_epoch(kRank, epoch), flat.at_epoch(kRank, epoch), where);
+    std::vector<unsigned char> sa, sb;
+    EXPECT_TRUE(by_ref.materialize(kRank, epoch, sa) == b.bytes) << where;
+    EXPECT_TRUE(flat.materialize(kRank, epoch, sb) == b.bytes) << where;
+
+    if (step == 14) {
+      // Roll back to an earlier epoch (a delta one when deltas are on) and
+      // re-execute from its materialized image, as restore_rank does.
+      uint64_t to = epoch - 2;
+      while (red.delta && to > 1 && by_ref.at_epoch(kRank, to).full()) --to;
+      by_ref.drop_epochs_above(kRank, to);
+      flat.drop_epochs_above(kRank, to);
+      std::vector<unsigned char> scratch;
+      const std::vector<unsigned char>& img = by_ref.materialize(kRank, to, scratch);
+      util::ByteReader reader(img);
+      state.restore(reader);
+      if (red.delta) {
+        EXPECT_EQ(state.hashes(), ckpt::hash_blocks(state.bytes(), red.hash_block()));
+      }
+      tail.assign(img.begin() + static_cast<long>(sm.bytes), img.end());
+      rolled_back = rolled_back || !by_ref.at_epoch(kRank, to).full() || !red.delta;
+      epoch = to;
+    }
+    if (step == 24) {
+      // The migration flip: re-key the forced-full epoch; the next capture
+      // chains off the renamed one.
+      by_ref.rename_epoch(kRank, epoch, epoch + 5);
+      flat.rename_epoch(kRank, epoch, epoch + 5);
+      epoch += 5;
+      expect_same_stored(by_ref.at_epoch(kRank, epoch), flat.at_epoch(kRank, epoch),
+                         where + " renamed");
+      renamed = true;
+    }
+  }
+  EXPECT_TRUE(rolled_back);
+  EXPECT_TRUE(renamed);
+  EXPECT_EQ(by_ref.total_bytes_written(), flat.total_bytes_written());
+  EXPECT_EQ(by_ref.delta_snapshots(), flat.delta_snapshots());
+  if (red.delta) {
+    EXPECT_GT(by_ref.delta_snapshots(), 0u);
+  }
+}
+
+TEST(StoreEquivalence, ImageByReferenceStoresWhatFlatBytesStore) {
+  const EquivalenceShape shapes[] = {
+      {"aligned", 16384, 1024, 1024, true, 4},
+      {"unbounded chains", 16384, 1024, 1024, true, 0},
+      {"image not a block multiple", 16000, 1000, 1024, true, 4},
+      {"state blocks smaller than delta blocks", 16384, 384, 1024, true, 6},
+      {"state blocks larger than delta blocks", 16384, 1536, 512, true, 6},
+      {"delta off", 16384, 1024, 1024, false, 4},
+  };
+  for (const EquivalenceShape& shape : shapes) run_equivalence(shape);
+}
+
 // Chain-aware staging: a delta head is only recoverable while every chain
 // element is, and execute_restore walks the whole chain.
 TEST(StagingChain, RecoverabilitySpansTheChain) {
@@ -555,7 +697,7 @@ class CaptureProbe : public core::SpbcProtocol {
       const int r = rank.rank();
       const uint64_t epoch = snapshot_epoch(r);
       const bool delta = epoch > 0 && !store().at_epoch(r, epoch).full();
-      restored.push_back({r, epoch, delta, synthetic_state(r)});
+      restored.push_back({r, epoch, delta, synthetic_state(r).bytes()});
     }
   }
 

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "apps/app.hpp"
 #include "baselines/presets.hpp"
+#include "ckpt/reduction.hpp"
 #include "core/spbc.hpp"
 #include "mpi/machine.hpp"
 
@@ -244,6 +248,100 @@ TEST(SpbcProtocol, StagingSettingsReachStagingAndControlPlane) {
   const uint64_t waves = st.stats().scrub_waves;
   EXPECT_GT(waves, 0u);
   EXPECT_LE(waves, static_cast<uint64_t>(res.finish_time / 0.004));
+}
+
+// Records what each rollback restored, and checks at every respawn that the
+// rank's state image still carries the hashes of its bytes.
+class RestoreProbe : public core::SpbcProtocol {
+ public:
+  using SpbcProtocol::SpbcProtocol;
+
+  void on_rank_start(Rank& rank, bool restarted) override {
+    SpbcProtocol::on_rank_start(rank, restarted);
+    const int r = rank.rank();
+    // A rollback to sigma_0 respawns the rank as a fresh start.
+    if (starts[r]++ == 0) return;
+    const uint64_t epoch = snapshot_epoch(r);
+    if (!restarted)
+      ++to_epoch0;
+    else if (!store().at_epoch(r, epoch).full())
+      ++to_delta;
+    const ckpt::StateImage& st = synthetic_state(r);
+    if (st.hashes() != ckpt::hash_blocks(st.bytes(), config().reduction.hash_block()))
+      ++stale_after_restore;
+  }
+
+  std::map<int, int> starts;
+  int to_epoch0 = 0;
+  int to_delta = 0;
+  int stale_after_restore = 0;
+};
+
+struct ProbeRun {
+  std::unique_ptr<Machine> machine;
+  RestoreProbe* probe = nullptr;
+  std::map<int, uint64_t> checksums;
+  sim::Time finish = 0;
+};
+
+ProbeRun run_probe(const core::SpbcConfig& scfg,
+                   const std::vector<std::pair<sim::Time, int>>& failures) {
+  MachineConfig mc;
+  mc.nranks = 16;
+  mc.ranks_per_node = 4;
+  auto proto = std::make_unique<RestoreProbe>(scfg);
+  ProbeRun out;
+  out.probe = proto.get();
+  out.machine = std::make_unique<Machine>(mc, std::move(proto));
+  out.machine->set_cluster_of({0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3});
+  const apps::AppInfo& info = apps::find_app("MiniGhost");
+  apps::AppConfig ac;
+  ac.iters = 12;
+  ac.validate = true;
+  ac.checksums = &out.checksums;
+  out.machine->launch([&info, ac](Rank& r) { info.main(r, ac); });
+  for (const auto& [t, victim] : failures) out.machine->inject_failure(t, victim);
+  const mpi::RunResult res = out.machine->run();
+  EXPECT_TRUE(res.completed);
+  out.finish = res.finish_time;
+  return out;
+}
+
+// The state image keeps its block hashes equal to its bytes through every
+// cut, every restore to a delta epoch and every restore to sigma_0, so the
+// capture can hand them to the store instead of rehashing the image; and
+// restored runs still end on the failure-free checksums. State blocks of
+// 384 bytes straddle the 256-byte delta blocks, so one rewrite dirties
+// several hashes.
+TEST(SpbcProtocol, StateImageHashesSurviveRestores) {
+  core::SpbcConfig scfg;
+  scfg.checkpoint_every = 2;
+  scfg.storage = ckpt::StorageLevel::kPfs;
+  scfg.async_staging = true;
+  scfg.reduction.delta = true;
+  scfg.reduction.block_bytes = 256;
+  scfg.reduction.full_stride = 4;
+  scfg.reduction.compress = true;
+  scfg.state_model.bytes = 4096;
+  scfg.state_model.block_bytes = 384;
+  scfg.state_model.mutation_rate = 0.2;
+  scfg.state_model.seed = 7;
+
+  const ProbeRun ff = run_probe(scfg, {});
+  ASSERT_FALSE(ff.checksums.empty());
+  // An early failure in cluster 0 (before its first commit: sigma_0) and a
+  // late one in cluster 2 (mid-chain: a delta epoch).
+  const ProbeRun fr = run_probe(scfg, {{ff.finish * 0.1, 1}, {ff.finish * 0.6, 9}});
+  const RestoreProbe& p = *fr.probe;
+  EXPECT_GT(p.to_epoch0, 0);
+  EXPECT_GT(p.to_delta, 0);
+  EXPECT_EQ(p.stale_after_restore, 0);
+  for (int r = 0; r < 16; ++r) {
+    const ckpt::StateImage& st = p.synthetic_state(r);
+    EXPECT_EQ(st.hashes(), ckpt::hash_blocks(st.bytes(), scfg.reduction.block_bytes))
+        << "rank " << r;
+  }
+  EXPECT_EQ(fr.checksums, ff.checksums);
 }
 
 }  // namespace
