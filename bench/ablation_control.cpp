@@ -79,11 +79,8 @@ Schedule make_schedule(const harness::ScenarioConfig& cfg,
   mc.ranks_per_node = cfg.ranks_per_node;
   mpi::Machine probe(mc, std::make_unique<core::SpbcProtocol>(cfg.spbc));
   probe.set_cluster_of(cluster_of);
-  ckpt::RedundancyConfig xor_cfg;
-  xor_cfg.kind = ckpt::SchemeKind::kXorGroup;
-  xor_cfg.group_size = o.group_size;
   std::unique_ptr<ckpt::RedundancyScheme> xorg =
-      ckpt::RedundancyScheme::make(xor_cfg, probe);
+      ckpt::RedundancyScheme::make(bench::xor_scheme(o), probe);
 
   auto in_group = [&](int a, int b) {
     const std::vector<int> g = xorg->group_of(a);
@@ -152,7 +149,7 @@ int main(int argc, char** argv) {
       bench::make_config(o, app, k, harness::ProtocolKind::kSpbc);
   base.spbc.storage = ckpt::StorageLevel::kPfs;
   base.spbc.async_staging = true;
-  base.spbc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
+  base.spbc.redundancy = bench::xor_scheme(o);
   // A storage model where scheduling decisions carry real cost: a LOCAL
   // write the app actually waits for (serialization + device latency), and
   // a PFS whose per-process bandwidth share lags far behind the burst rate —
@@ -205,14 +202,15 @@ int main(int argc, char** argv) {
 
   // Static arms: full-depth staging every epoch, no controller, no scrub.
   std::vector<Outcome> statics;
-  for (ckpt::SchemeKind kind :
-       {ckpt::SchemeKind::kXorGroup, ckpt::SchemeKind::kReedSolomon}) {
+  const std::pair<const char*, ckpt::RedundancyConfig> static_schemes[] = {
+      {"xor", bench::xor_scheme(o)}, {"rs", bench::rs_scheme(o)}};
+  for (const auto& [scheme, red] : static_schemes) {
     for (int every : {1, 2, 4}) {
       harness::ScenarioConfig cfg = base;
-      cfg.spbc.redundancy.kind = kind;
+      cfg.spbc.redundancy = red;
       cfg.spbc.checkpoint_every = static_cast<uint64_t>(every);
       Outcome out = run_one(cfg, cluster_of, sched, t_base, o.shards);
-      add_row("static", ckpt::scheme_name(kind), std::to_string(every), out);
+      add_row("static", scheme, std::to_string(every), out);
       statics.push_back(out);
     }
   }
@@ -233,8 +231,7 @@ int main(int argc, char** argv) {
   ctrl.spbc.control.scrub_period =
       o.scrub_period < 0 ? 0.02 * t_base : o.scrub_period;
   if (o.escalate)
-    ctrl.spbc.control.escalation = ckpt::RedundancyConfig{
-        ckpt::SchemeKind::kReedSolomon, /*group_size=*/4, o.rs_k, o.rs_m};
+    ctrl.spbc.control.escalation = bench::rs_scheme(o);
   Outcome controller = run_one(ctrl, cluster_of, sched, t_base, o.shards);
   add_row("controller", o.escalate ? "xor->rs" : "xor", "auto", controller);
   std::printf("%s\n", table.render().c_str());

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   base.spbc.control.repartition_period = 0;
   base.spbc.storage = ckpt::StorageLevel::kPfs;
   base.spbc.async_staging = true;
-  base.spbc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
+  base.spbc.redundancy = bench::xor_scheme(o);
   // Same cost regime as ablation_control: a LOCAL write the app waits for
   // and a PFS far slower than the burst rate, so restores that fall through
   // to the PFS (or rework from lost progress) carry real cost — the regime

@@ -126,10 +126,10 @@ int main(int argc, char** argv) {
 
   const struct {
     const char* name;
-    ckpt::SchemeKind kind;
-  } schemes[] = {{"single", ckpt::SchemeKind::kSingle},
-                 {"xor", ckpt::SchemeKind::kXorGroup},
-                 {"rs", ckpt::SchemeKind::kReedSolomon}};
+    ckpt::RedundancyConfig red;
+  } schemes[] = {{"single", {ckpt::SchemeKind::kSingle}},
+                 {"xor", bench::xor_scheme(o)},
+                 {"rs", bench::rs_scheme(o)}};
 
   util::Table table({"Scheme", "Shape", "t_base", "Finish", "Lost work",
                      "Recov", "Shape stat"});
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
 
     for (const auto& sch : schemes) {
       harness::ScenarioConfig cfg = base;
-      cfg.spbc.redundancy.kind = sch.kind;
+      cfg.spbc.redundancy = sch.red;
       shape.apply(cfg, t_probe);
       if (shape.domain_blast) {
         cfg.hostile.domain_failures.push_back(

@@ -168,14 +168,14 @@ int main(int argc, char** argv) {
   constexpr double kFailFrac = 0.8;
   struct SchemeMode {
     const char* name;
-    ckpt::SchemeKind kind;
+    ckpt::RedundancyConfig red;
     int losses;  // in-group node losses the failure probe injects
   };
   const SchemeMode schemes[] = {
-      {"single", ckpt::SchemeKind::kSingle, 1},
-      {"partner", ckpt::SchemeKind::kPartner, 1},
-      {"xor", ckpt::SchemeKind::kXorGroup, 1},
-      {"rs", ckpt::SchemeKind::kReedSolomon, 2},
+      {"single", {ckpt::SchemeKind::kSingle}, 1},
+      {"partner", {ckpt::SchemeKind::kPartner}, 1},
+      {"xor", bench::xor_scheme(o), 1},
+      {"rs", bench::rs_scheme(o), 2},
   };
   util::Table st3({"Scheme", "losses", "redundancy KB", "wire KB L/P/F",
                    "overhead %", "restores L/P/F", "rebuilds", "rebuild KB",
@@ -186,8 +186,7 @@ int main(int argc, char** argv) {
   for (const SchemeMode& s : schemes) {
     harness::ScenarioConfig cfg =
         mode_config(base, ckpt::StorageLevel::kPfs, true);
-    cfg.spbc.redundancy.kind = s.kind;
-    cfg.spbc.redundancy.group_size = o.group_size;
+    cfg.spbc.redundancy = s.red;
     cfg.spbc.storage_model.pfs_bw = 2.0e6;  // floors lag; locals persist
     harness::ScenarioResult ff3 = harness::run_failure_free(cfg);
     if (!ff3.run.completed) {

@@ -35,7 +35,8 @@ struct BenchOpts {
   bool use_clustering_tool = true;
   // Staging redundancy scheme override (--scheme {single,partner,xor,rs},
   // --group-size for XOR, --rs-k/--rs-m for Reed-Solomon); empty = the
-  // config default (partner).
+  // config default (partner). XOR is a preset: --scheme=xor --group-size=G
+  // runs RS(G-1, 1) (see xor_scheme below).
   std::string scheme;
   int group_size = 4;
   int rs_k = 4;
@@ -117,7 +118,7 @@ inline BenchOpts parse_opts(const util::Cli& cli) {
   o.full_stride = cli.get_int32("full-stride", o.full_stride);
   o.state_bytes = cli.get_int32("state-bytes", o.state_bytes);
   o.mutation_rate = cli.get_double("mutate", o.mutation_rate);
-  if (!o.scheme.empty() && !ckpt::parse_scheme(o.scheme)) {
+  if (!o.scheme.empty() && o.scheme != "xor" && !ckpt::parse_scheme(o.scheme)) {
     std::fprintf(stderr, "unknown --scheme=%s (single|partner|xor|rs)\n",
                  o.scheme.c_str());
     std::exit(2);
@@ -137,8 +138,20 @@ inline BenchOpts parse_opts(const util::Cli& cli) {
                  o.rs_k, o.rs_m);
     std::exit(2);
   }
-  if (o.group_size < 2) reject("group-size", o.group_size, "must be >= 2");
+  // The XOR preset is RS(G-1, 1), whose Cauchy family spans 2G elements.
+  if (o.group_size < 2 || o.group_size > 128)
+    reject("group-size", o.group_size, "must be in [2, 128]");
   return o;
+}
+
+/// XOR parity over --group-size=G node groups: the RS(G-1, 1) preset.
+inline ckpt::RedundancyConfig xor_scheme(const BenchOpts& o) {
+  return {ckpt::SchemeKind::kReedSolomon, o.group_size - 1, 1};
+}
+
+/// RS(--rs-k, --rs-m).
+inline ckpt::RedundancyConfig rs_scheme(const BenchOpts& o) {
+  return {ckpt::SchemeKind::kReedSolomon, o.rs_k, o.rs_m};
 }
 
 inline harness::ScenarioConfig make_config(const BenchOpts& o, const std::string& app,
@@ -155,10 +168,14 @@ inline harness::ScenarioConfig make_config(const BenchOpts& o, const std::string
   cfg.app_cfg.msg_scale = o.msg_scale;
   cfg.app_cfg.compute_scale = o.compute_scale;
   cfg.spbc.checkpoint_every = static_cast<uint64_t>(o.ckpt_every);
-  if (!o.scheme.empty()) cfg.spbc.redundancy.kind = *ckpt::parse_scheme(o.scheme);
-  cfg.spbc.redundancy.group_size = o.group_size;
-  cfg.spbc.redundancy.rs_k = o.rs_k;
-  cfg.spbc.redundancy.rs_m = o.rs_m;
+  if (o.scheme == "xor") {
+    cfg.spbc.redundancy = xor_scheme(o);
+  } else {
+    if (!o.scheme.empty())
+      cfg.spbc.redundancy.kind = *ckpt::parse_scheme(o.scheme);
+    cfg.spbc.redundancy.rs_k = o.rs_k;
+    cfg.spbc.redundancy.rs_m = o.rs_m;
+  }
   cfg.machine.seed = o.seed;
   cfg.machine.compute_noise_frac = o.compute_noise;
   cfg.machine.net.jitter_frac = o.net_jitter;

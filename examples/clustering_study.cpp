@@ -4,14 +4,11 @@
 //
 // Usage: ./build/examples/clustering_study [--app=MiniGhost] [--ranks=64]
 
-#include <algorithm>
 #include <cstdio>
 
-#include "apps/app.hpp"
-#include "baselines/presets.hpp"
 #include "clustering/comm_graph.hpp"
 #include "clustering/partitioner.hpp"
-#include "mpi/machine.hpp"
+#include "harness/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -28,27 +25,16 @@ int main(int argc, char** argv) {
               nranks, ppn);
 
   // 1. Trace a few iterations (the paper's methodology, Section 6.1).
-  mpi::MachineConfig mc;
-  mc.nranks = nranks;
-  mc.ranks_per_node = ppn;
-  mpi::Machine machine(mc, baselines::make_native());
-  machine.set_cluster_of(baselines::single_cluster_map(nranks));
-  const apps::AppInfo& info = apps::find_app(app);
-  apps::AppConfig acfg;
-  acfg.iters = 4;
-  machine.launch([&info, acfg](mpi::Rank& r) { info.main(r, acfg); });
-  mpi::RunResult rr = machine.run();
-  if (!rr.completed) {
-    std::printf("trace run failed\n");
-    return 1;
-  }
-  std::printf("traced %.1f MB of traffic over %.3fs of virtual time\n\n",
-              static_cast<double>(machine.network().bytes_submitted()) / 1e6,
-              rr.finish_time);
+  harness::ScenarioConfig cfg;
+  cfg.app = app;
+  cfg.nranks = nranks;
+  cfg.ranks_per_node = ppn;
+  cfg.trace_iters = 4;
+  clustering::CommGraph graph = harness::trace_comm_graph(cfg);
+  std::printf("traced %.1f MB of traffic\n\n",
+              static_cast<double>(graph.total_bytes()) / 1e6);
 
   // 2. Partition for a range of cluster counts and both objectives.
-  clustering::CommGraph graph =
-      clustering::CommGraph::from_traffic(nranks, machine.traffic());
   sim::Topology topo = sim::Topology::for_ranks(nranks, ppn);
   clustering::Partitioner part(graph, topo);
 

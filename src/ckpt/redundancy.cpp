@@ -11,24 +11,9 @@
 
 namespace spbc::ckpt {
 
-const char* scheme_name(SchemeKind kind) {
-  switch (kind) {
-    case SchemeKind::kSingle:
-      return "single";
-    case SchemeKind::kPartner:
-      return "partner";
-    case SchemeKind::kXorGroup:
-      return "xor";
-    case SchemeKind::kReedSolomon:
-      return "rs";
-  }
-  return "?";
-}
-
 std::optional<SchemeKind> parse_scheme(const std::string& name) {
   if (name == "single") return SchemeKind::kSingle;
   if (name == "partner") return SchemeKind::kPartner;
-  if (name == "xor" || name == "xor-group") return SchemeKind::kXorGroup;
   if (name == "rs" || name == "reed-solomon") return SchemeKind::kReedSolomon;
   return std::nullopt;
 }
@@ -178,198 +163,16 @@ class PartnerScheme : public RedundancyScheme {
 };
 
 // ---------------------------------------------------------------------------
-// Shared grouping for the group-parity schemes (XOR, Reed-Solomon): node ids
-// are stable-sorted by their residents' cluster and dealt round-robin into
-// ceil(nodes/G) groups, so consecutive same-cluster nodes land in different
-// groups and each group spans as many failure domains as the machine allows.
-// A rank's protection group is the same node-local slot on each node of its
-// node group (block placement guarantees the slot exists).
-// ---------------------------------------------------------------------------
-class GroupedScheme : public RedundancyScheme {
- public:
-  GroupedScheme(const mpi::Machine& machine, int group_size)
-      : machine_(machine), group_size_(group_size) {
-    SPBC_ASSERT_MSG(group_size_ >= 2, "group size " << group_size_ << " < 2");
-  }
-
-  std::vector<int> group_of(int rank) const override {
-    std::vector<int> members = group_ranks(rank);
-    members.erase(std::remove(members.begin(), members.end(), rank),
-                  members.end());
-    return members;
-  }
-
- protected:
-  /// Every rank of `rank`'s protection group, `rank` included, ordered by
-  /// node id — the stable symbol positions the RS scheme keys its Cauchy
-  /// rows on.
-  std::vector<int> group_ranks(int rank) const {
-    build_groups();
-    const sim::Topology& topo = machine_.topology();
-    const int ppn = topo.ranks_per_node();
-    const int slot = rank % ppn;
-    const std::vector<int>& nodes = group_nodes(topo.node_of(rank));
-    std::vector<int> members;
-    members.reserve(nodes.size());
-    for (int n : nodes) members.push_back(n * ppn + slot);
-    return members;
-  }
-
-  const mpi::Machine& machine_;
-  int group_size_;
-
- private:
-  void build_groups() const {
-    if (!node_group_.empty()) return;
-    const sim::Topology& topo = machine_.topology();
-    const int nodes = topo.nodes();
-    const int ppn = topo.ranks_per_node();
-    std::vector<int> order(static_cast<size_t>(nodes));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return machine_.cluster_of(a * ppn) < machine_.cluster_of(b * ppn);
-    });
-    const int ngroups = (nodes + group_size_ - 1) / group_size_;
-    node_group_.assign(static_cast<size_t>(nodes), 0);
-    groups_.assign(static_cast<size_t>(ngroups), {});
-    for (size_t i = 0; i < order.size(); ++i) {
-      const int g = static_cast<int>(i) % ngroups;
-      node_group_[static_cast<size_t>(order[i])] = g;
-      groups_[static_cast<size_t>(g)].push_back(order[i]);
-    }
-    for (std::vector<int>& g : groups_) std::sort(g.begin(), g.end());
-  }
-
-  const std::vector<int>& group_nodes(int node) const {
-    build_groups();
-    return groups_[static_cast<size_t>(node_group_[static_cast<size_t>(node)])];
-  }
-
-  mutable std::vector<int> node_group_;           // node -> group id (lazy)
-  mutable std::vector<std::vector<int>> groups_;  // group id -> node ids
-};
-
-// ---------------------------------------------------------------------------
-// kXorGroup: RAID-5-style rotating parity across a group of G nodes.
-//
-// Encoding model: when rank r's B-byte snapshot lands at LOCAL, its folded
-// parity contribution — one segment of ceil(B/(G-1)) bytes — is placed on a
-// rotating host pi(r, e) in the group (rotation by epoch and by member index
-// so parity spreads across members within an epoch, as RAID-5 rotates parity
-// across disks). The group's segments collectively implement SCR's chunked
-// XOR: the wire and the host store carry only the folded segment, i.e. the
-// in-network-reduction bound of the reduce-scatter a real implementation
-// runs.
-//
-// Liveness (conservative single-loss rule): epoch e of r is rebuildable
-// without the PFS iff r's parity segment is live on a surviving node AND
-// every other group member still holds its own epoch-e LOCAL data. Any
-// double in-group loss therefore falls back to the PFS frontier epoch.
-//
-// Rebuild: the replacement node streams one folded contribution of
-// ceil(B/(G-1)) bytes from every surviving member plus the parity segment —
-// ~B * G/(G-1) total, each read a real net::Transfer that contends with
-// application traffic.
-// ---------------------------------------------------------------------------
-class XorGroupScheme : public GroupedScheme {
- public:
-  XorGroupScheme(const mpi::Machine& machine, int group_size)
-      : GroupedScheme(machine, group_size) {}
-
-  SchemeKind kind() const override { return SchemeKind::kXorGroup; }
-
-  PlacementPlan encode(int rank, uint64_t epoch, uint64_t bytes,
-                       const ResidencyView& view) const override {
-    PlacementPlan plan;
-    const std::vector<int> members = group_of(rank);
-    if (members.empty()) return plan;
-    const std::vector<Fragment>* frags = view.fragments(rank, epoch);
-    if (frags != nullptr) {
-      for (const Fragment& f : *frags)
-        if (f.live && f.parity) return plan;  // still protected
-    }
-    const uint64_t chunk = parity_bytes(bytes, members.size() + 1);
-    // Rotate the parity host by epoch and by the member's own position so
-    // one epoch's parity segments spread across the whole group.
-    const size_t start = static_cast<size_t>(
-        (epoch + static_cast<uint64_t>(rank)) % members.size());
-    for (size_t k = 0; k < members.size(); ++k) {
-      const int host = members[(start + k) % members.size()];
-      if (!view.node_in_service(machine_.node_of(host))) continue;
-      plan.steps.push_back(PlacementStep{host, chunk, /*parity=*/true});
-      break;
-    }
-    return plan;
-  }
-
-  bool recoverable_without_pfs(int rank, uint64_t epoch,
-                               const ResidencyView& view) const override {
-    if (view.has_local(rank, epoch)) return true;
-    return rebuildable(rank, epoch, view);
-  }
-
-  RestorePlan restore_plan(int rank, uint64_t epoch, const ResidencyView& view,
-                           const StorageCostModel& model) const override {
-    RestorePlan plan;
-    const uint64_t bytes = view.snapshot_bytes(rank, epoch);
-    if (view.has_local(rank, epoch)) {
-      plan.source = RestorePlan::Source::kLocal;
-      plan.direct_cost = model.read_time(StorageLevel::kLocal, bytes);
-      return plan;
-    }
-    if (rebuildable(rank, epoch, view)) {
-      plan.source = RestorePlan::Source::kRebuild;
-      const std::vector<int> members = group_of(rank);
-      const uint64_t chunk = parity_bytes(bytes, members.size() + 1);
-      for (int m : members)
-        plan.reads.push_back(RestorePlan::Read{m, chunk});
-      // The parity segment itself streams from its (surviving) host.
-      const std::vector<Fragment>* frags = view.fragments(rank, epoch);
-      for (const Fragment& f : *frags) {
-        if (f.live && f.parity) {
-          plan.reads.push_back(RestorePlan::Read{f.host_rank, f.bytes});
-          break;
-        }
-      }
-      return plan;
-    }
-    if (view.has_pfs(rank, epoch)) {
-      plan.source = RestorePlan::Source::kPfs;
-      plan.direct_cost = model.read_time(StorageLevel::kPfs, bytes);
-    }
-    return plan;
-  }
-
- private:
-  static uint64_t parity_bytes(uint64_t bytes, size_t group_nodes) {
-    const uint64_t g = group_nodes > 1 ? static_cast<uint64_t>(group_nodes) : 2;
-    return (bytes + g - 2) / (g - 1);  // ceil(B / (G-1))
-  }
-
-  bool rebuildable(int rank, uint64_t epoch,
-                   const ResidencyView& view) const {
-    const std::vector<Fragment>* frags = view.fragments(rank, epoch);
-    if (frags == nullptr) return false;
-    bool parity_live = false;
-    for (const Fragment& f : *frags)
-      if (f.live && f.parity) parity_live = true;
-    if (!parity_live) return false;
-    const std::vector<int> members = group_of(rank);
-    if (members.empty()) return false;
-    // Strict RAID-5 rule: every other member's epoch-e data must survive.
-    // Checkpoint ids align across the machine under the periodic SPMD
-    // schedule (as SCR's dataset ids do across a job); a member that never
-    // cut or already pruned epoch e fails the check and the caller falls
-    // back to the PFS.
-    for (int m : members)
-      if (!view.has_local(m, epoch)) return false;
-    return true;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // kReedSolomon: GF(256) systematic Reed-Solomon parity across a group of
-// G = k + m nodes (util/gf256.hpp holds the arithmetic).
+// G = k + m nodes (util/gf256.hpp holds the arithmetic). XOR group parity
+// (RAID-5) is the RS(G-1, 1) setting of the same scheme.
+//
+// Grouping: node ids are stable-sorted by their residents' cluster and dealt
+// round-robin into ceil(nodes/G) groups, so consecutive same-cluster nodes
+// land in different groups and each group spans as many failure domains as
+// the machine allows. A rank's protection group is the same node-local slot
+// on each node of its node group (block placement guarantees the slot
+// exists).
 //
 // Encoding model (rotated MDS erasure coding, a la RAID-6 / Ceph EC pools,
 // cooperative across the group like SCR's chunked XOR): conceptually the
@@ -383,11 +186,12 @@ class XorGroupScheme : public GroupedScheme {
 // (row = member_position * m + share), so a re-protection re-places the
 // same symbol on a new host.
 //
-// Liveness (exact symbol-model rule): with r's LOCAL copy dead, epoch e is
-// rebuildable without the PFS iff the number of live parity shares in the
-// whole group (on in-service hosts) is at least the number of unknown
-// members (those whose epoch-e LOCAL is dead or missing). Cauchy rows are
-// linearly independent in any subset, so the count comparison is exactly
+// Liveness (count model, capped at the code's distance): with r's LOCAL
+// copy dead, epoch e is rebuildable without the PFS iff at most m members
+// are unknown (their epoch-e LOCAL is dead or missing; r counts) and the
+// number of live parity shares in the whole group (on in-service hosts) is
+// at least the number of unknown members. Cauchy rows are linearly
+// independent in any subset, so within the distance the count comparison is
 // decode solvability; the restore planner still solves the actual decode
 // submatrix and rejects a singular selection defensively. Any m concurrent
 // in-group node losses keep every member rebuildable (each stripe row
@@ -398,19 +202,26 @@ class XorGroupScheme : public GroupedScheme {
 // contribution from every known member plus one live parity share per
 // unknown member — ~B * (k+m)/k total, each read a real net::Transfer.
 // ---------------------------------------------------------------------------
-class ReedSolomonScheme : public GroupedScheme {
+class ReedSolomonScheme : public RedundancyScheme {
  public:
   ReedSolomonScheme(const mpi::Machine& machine, int k, int m)
-      : GroupedScheme(machine, k + m), k_(k), m_(m) {
+      : machine_(machine), k_(k), m_(m) {
     SPBC_ASSERT_MSG(k_ >= 1 && m_ >= 1, "RS needs k, m >= 1: k=" << k_
                                                                 << " m=" << m_);
     // The global Cauchy family needs G data columns + G*m parity rows of
     // distinct field elements.
-    SPBC_ASSERT_MSG(group_size_ * (m_ + 1) <= 256,
+    SPBC_ASSERT_MSG((k_ + m_) * (m_ + 1) <= 256,
                     "RS group too large for GF(256): k=" << k_ << " m=" << m_);
   }
 
   SchemeKind kind() const override { return SchemeKind::kReedSolomon; }
+
+  std::vector<int> group_of(int rank) const override {
+    std::vector<int> members = group_ranks(rank);
+    members.erase(std::remove(members.begin(), members.end(), rank),
+                  members.end());
+    return members;
+  }
 
   PlacementPlan encode(int rank, uint64_t epoch, uint64_t bytes,
                        const ResidencyView& view) const override {
@@ -504,6 +315,43 @@ class ReedSolomonScheme : public GroupedScheme {
   }
 
  private:
+  /// Every rank of `rank`'s protection group, `rank` included, ordered by
+  /// node id — the stable symbol positions the Cauchy rows are keyed on.
+  std::vector<int> group_ranks(int rank) const {
+    build_groups();
+    const sim::Topology& topo = machine_.topology();
+    const int ppn = topo.ranks_per_node();
+    const int slot = rank % ppn;
+    const std::vector<int>& nodes = groups_[static_cast<size_t>(
+        node_group_[static_cast<size_t>(topo.node_of(rank))])];
+    std::vector<int> members;
+    members.reserve(nodes.size());
+    for (int n : nodes) members.push_back(n * ppn + slot);
+    return members;
+  }
+
+  void build_groups() const {
+    if (!node_group_.empty()) return;
+    const sim::Topology& topo = machine_.topology();
+    const int nodes = topo.nodes();
+    const int ppn = topo.ranks_per_node();
+    std::vector<int> order(static_cast<size_t>(nodes));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return machine_.cluster_of(a * ppn) < machine_.cluster_of(b * ppn);
+    });
+    const int group_size = k_ + m_;
+    const int ngroups = (nodes + group_size - 1) / group_size;
+    node_group_.assign(static_cast<size_t>(nodes), 0);
+    groups_.assign(static_cast<size_t>(ngroups), {});
+    for (size_t i = 0; i < order.size(); ++i) {
+      const int g = static_cast<int>(i) % ngroups;
+      node_group_[static_cast<size_t>(order[i])] = g;
+      groups_[static_cast<size_t>(g)].push_back(order[i]);
+    }
+    for (std::vector<int>& g : groups_) std::sort(g.begin(), g.end());
+  }
+
   uint64_t share_bytes(uint64_t bytes) const {
     const uint64_t k = static_cast<uint64_t>(k_);
     return (bytes + k - 1) / k;  // ceil(B / k)
@@ -545,6 +393,7 @@ class ReedSolomonScheme : public GroupedScheme {
     }
     const int u = static_cast<int>(unknowns.size());
     if (u == 0) return false;  // nothing to rebuild (caller saw LOCAL dead)
+    if (u > m_) return false;  // beyond the code's distance
     if (static_cast<int>(live_shares.size()) < u) return false;
 
     // Solve the decode submatrix: chosen parity rows x unknown columns. A
@@ -588,7 +437,10 @@ class ReedSolomonScheme : public GroupedScheme {
     return it->second;
   }
 
+  const mpi::Machine& machine_;
   int k_, m_;
+  mutable std::vector<int> node_group_;           // node -> group id (lazy)
+  mutable std::vector<std::vector<int>> groups_;  // group id -> node ids
   mutable std::map<int, util::gf256::Matrix> family_cache_;
 };
 
@@ -601,8 +453,6 @@ std::unique_ptr<RedundancyScheme> RedundancyScheme::make(
       return std::make_unique<SingleScheme>();
     case SchemeKind::kPartner:
       return std::make_unique<PartnerScheme>(machine);
-    case SchemeKind::kXorGroup:
-      return std::make_unique<XorGroupScheme>(machine, cfg.group_size);
     case SchemeKind::kReedSolomon:
       return std::make_unique<ReedSolomonScheme>(machine, cfg.rs_k, cfg.rs_m);
   }

@@ -4,10 +4,10 @@
 // SCR's redundancy descriptor (Moody et al., SC'10 — `scr_reddesc`) showed
 // that the *shape* of a checkpoint's redundancy is a policy, not a property
 // of the write path: SINGLE (node-local only), PARTNER (full copy on a buddy
-// node), XOR (RAID-5-style rotating parity across a small group of nodes
-// spanning failure domains) trade write bandwidth against failure coverage.
-// This header extracts that decision out of ckpt::StagingArea: staging no
-// longer knows what redundancy *means*, it only executes placement plans.
+// node), XOR (RAID-5-style parity across a small group of nodes spanning
+// failure domains) trade write bandwidth against failure coverage. This
+// header extracts that decision out of ckpt::StagingArea: staging no longer
+// knows what redundancy *means*, it only executes placement plans.
 //
 // A scheme answers three questions:
 //   * encode  — which fragments (full copies or parity) to place where when
@@ -15,17 +15,16 @@
 //   * liveness — is epoch e of a rank reconstructible without reading the
 //     PFS, given the current residency (LOCAL copies, fragments, dead nodes);
 //   * rebuild — the cheapest live reconstruction: a direct read (LOCAL, a
-//     remote full copy, the PFS) or an event-driven XOR rebuild whose reads
-//     ride net::Network and therefore contend like real traffic.
+//     remote full copy, the PFS) or an event-driven erasure-code rebuild
+//     whose reads ride net::Network and therefore contend like real traffic.
 //
 // The kPartner scheme reproduces the pre-refactor buddy-copy behavior
-// bit-identically (same mapping, same costs, same restore-source counts);
-// kXorGroup stores ~1/(G-1) of the partner-copy bytes per snapshot while
-// still tolerating any single in-group node loss; kReedSolomon generalizes
-// the group parity to GF(256) Reed-Solomon (util/gf256.hpp): m parity
-// shares of ceil(B/k) bytes per snapshot — (m/k)x the partner bytes —
-// tolerating any m concurrent in-group node losses (the liveness lattice
-// SINGLE < PARTNER < XOR < RS).
+// bit-identically (same mapping, same costs, same restore-source counts).
+// kReedSolomon is the one group-parity family: GF(256) Reed-Solomon
+// (util/gf256.hpp) over groups of k+m nodes, m parity shares of ceil(B/k)
+// bytes per snapshot — (m/k)x the partner bytes — tolerating any m
+// concurrent in-group node losses. XOR parity over G-node groups is its
+// RS(G-1, 1) setting. The liveness lattice is SINGLE < PARTNER < RS(k, m).
 
 #include <cstdint>
 #include <memory>
@@ -45,27 +44,24 @@ namespace spbc::ckpt {
 enum class SchemeKind : uint8_t {
   kSingle,       // LOCAL only: no remote redundancy (fast, no node-loss cover)
   kPartner,      // full copy on a cross-failure-domain buddy node (the default)
-  kXorGroup,     // rotating parity across a group of G nodes spanning domains
   kReedSolomon,  // GF(256) RS(k, m): m parity shares, any-m-loss tolerance
+                 // (XOR group parity over G nodes is RS(G-1, 1))
 };
 
-const char* scheme_name(SchemeKind kind);
 std::optional<SchemeKind> parse_scheme(const std::string& name);
 
 struct RedundancyConfig {
   SchemeKind kind = SchemeKind::kPartner;
-  /// XOR group span in nodes (>= 2 to place any parity). Groups are dealt
-  /// round-robin over the cluster-sorted node list so each group spans as
-  /// many failure domains (clusters) as possible.
-  int group_size = 4;
   /// Reed-Solomon shape: groups of k+m nodes, m parity shares of
   /// ceil(B/k) bytes per snapshot, any m in-group node losses tolerated.
+  /// Groups are dealt round-robin over the cluster-sorted node list so each
+  /// group spans as many failure domains (clusters) as possible.
   int rs_k = 4;
   int rs_m = 2;
 };
 
 /// One remote protection fragment of a (rank, epoch) snapshot: a full copy
-/// (PARTNER) or a folded parity segment (XOR). Fragments are recorded when
+/// (PARTNER) or a parity share (RS). Fragments are recorded when
 /// their placement starts and turn live when the copy lands; a host node's
 /// death flips them dead again.
 struct Fragment {
@@ -74,8 +70,8 @@ struct Fragment {
   uint64_t bytes = 0;
   bool parity = false;  // full copy otherwise
   bool live = false;
-  /// Logical share id within the owner's redundancy set (0 for PARTNER and
-  /// XOR; 0..m-1 under RS, where it selects the Cauchy parity row — a
+  /// Logical share id within the owner's redundancy set (0 for PARTNER;
+  /// 0..m-1 under RS, where it selects the Cauchy parity row — a
   /// re-protection re-places the same share id on a new host).
   int share = 0;
   /// Silently lost: the host still believes it holds the fragment (live
@@ -108,15 +104,15 @@ struct RestorePlan {
     kNone,        // every copy is gone (caller falls back an epoch)
     kLocal,       // node-local copy survives
     kRemoteCopy,  // full copy on a surviving host (the partner level)
-    kRebuild,     // XOR reconstruction from surviving group fragments
+    kRebuild,     // erasure decode from surviving group fragments
     kPfs,         // parallel file system
   };
   Source source = Source::kNone;
   /// Read cost of a direct source (kLocal / kRemoteCopy / kPfs).
   sim::Time direct_cost = 0;
   /// kRebuild: network reads to schedule (surviving members' folded
-  /// contributions plus the parity fragment), all addressed to the
-  /// restoring rank's node.
+  /// contributions plus one parity share per lost member), all addressed to
+  /// the restoring rank's node.
   struct Read {
     int src_rank = -1;
     uint64_t bytes = 0;
@@ -144,7 +140,6 @@ class RedundancyScheme {
   virtual ~RedundancyScheme() = default;
 
   virtual SchemeKind kind() const = 0;
-  const char* name() const { return scheme_name(kind()); }
 
   /// Ranks whose nodes may host fragments of `rank`'s snapshots (the
   /// protection group, excluding `rank` itself). Stable for the machine.
@@ -168,7 +163,7 @@ class RedundancyScheme {
   /// The machine's PHYSICAL rank->node binding changed (spare hot-swap,
   /// shrunk restart). Schemes that memoize host choices re-derive them;
   /// group/slot structure is LOGICAL and stays pinned — fragments already
-  /// placed are keyed to it (RS Cauchy rows, XOR group membership), and
+  /// placed are keyed to it (RS group membership and Cauchy rows), and
   /// reshuffling groups mid-run would orphan every landed share.
   virtual void on_topology_change() {}
 

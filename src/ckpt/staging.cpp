@@ -167,10 +167,9 @@ sim::Time StagingArea::write(int rank, uint64_t epoch, uint64_t bytes,
             // is in service.
             w = cfg_.model.write_time(StorageLevel::kPartner, bytes);
             break;
-          case SchemeKind::kXorGroup:
           case SchemeKind::kReedSolomon:
             // Group parity: the local write plus one wire transfer per
-            // parity share (folded segment for XOR, Cauchy share for RS).
+            // Cauchy parity share.
             w = cfg_.model.write_time(StorageLevel::kLocal, bytes);
             for (const PlacementStep& step : plan.steps) {
               w += cfg_.model.base_latency +

@@ -9,8 +9,8 @@
 // overlapped with the application's computation phases. What "remote
 // redundancy" means is no longer staging's decision: a pluggable
 // ckpt::RedundancyScheme (redundancy.hpp) — SINGLE (none), PARTNER (full
-// buddy copy), XOR group (rotating parity), Reed-Solomon (GF(256)
-// multi-loss parity) — produces placement plans the chain executes, answers
+// buddy copy), Reed-Solomon group parity (GF(256) RS(k, m); XOR is
+// RS(G-1, 1)) — produces placement plans the chain executes, answers
 // recoverability queries, and plans restores (including event-driven group
 // rebuilds whose reads ride the real network).
 // Recovery reads from the cheapest live source, and when a failure destroyed
@@ -49,8 +49,8 @@ namespace spbc::ckpt {
 
 /// Residency bits: which levels currently hold a copy of a snapshot. The
 /// kAtPartner bit is synthesized from the fragment list: it means "at least
-/// one live remote fragment" (a full copy under kPartner, the parity segment
-/// under kXorGroup).
+/// one live remote fragment" (a full copy under kPartner, a parity share
+/// under kReedSolomon).
 enum ResidencyBit : uint8_t {
   kAtLocal = 1u << 0,
   kAtPartner = 1u << 1,
@@ -121,7 +121,7 @@ struct StagingStats {
   uint64_t bytes_to_local = 0;
   uint64_t bytes_to_partner = 0;  // full-copy fragment bytes landed
   uint64_t bytes_to_pfs = 0;
-  /// Parity fragment placements landed and their bytes (kXorGroup).
+  /// Parity fragment placements landed and their bytes (kReedSolomon).
   uint64_t parity_fragments = 0;
   uint64_t bytes_to_parity = 0;
   /// Fragments re-encoded onto a replacement host after the original host
@@ -129,7 +129,7 @@ struct StagingStats {
   uint64_t reprotections = 0;
   /// Restores served per direct level; index = StorageLevel - kLocal.
   std::array<uint64_t, 3> restores_by_level{};
-  /// Rebuilds completed by an XOR group (no PFS read; the reads really
+  /// Rebuilds completed by a parity group (no PFS read; the reads really
   /// streamed, so they count even if a concurrent member's failure later
   /// abandoned the recovery pass), the network bytes those rebuilds
   /// streamed, and rebuilds re-planned after a source node died mid-read.
@@ -213,7 +213,7 @@ class StagingArea : public ResidencyView {
 
   /// Can this snapshot back a restore? True unconditionally when staging is
   /// disabled (the store is then free and reliable, as in the paper's
-  /// measurement mode). Scheme-aware: an XOR snapshot with a dead LOCAL copy
+  /// measurement mode). Scheme-aware: an RS snapshot with a dead LOCAL copy
   /// is recoverable while its group can rebuild it or the PFS holds it.
   /// Chain-aware: a delta epoch is recoverable only if EVERY element of its
   /// base-plus-deltas chain is — restore has to materialize all of them.
@@ -232,7 +232,7 @@ class StagingArea : public ResidencyView {
   /// Records which source served a restore (metrics).
   void note_restore(const RestorePlan& plan);
 
-  /// Executes a restore whose plan requires work beyond a direct read: XOR
+  /// Executes a restore whose plan requires work beyond a direct read: RS
   /// rebuild reads are submitted to net::Network (they contend with real
   /// traffic) and checked against source-node storage generations; a source
   /// death mid-read re-plans from the surviving fragments (bounded retries).

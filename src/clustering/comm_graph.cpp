@@ -127,12 +127,6 @@ const CommGraph::Edge* CommGraph::neighbors_end(int v) const {
   return adj_.data() + row_ptr_[static_cast<size_t>(v) + 1];
 }
 
-int CommGraph::degree(int v) const {
-  build();
-  return static_cast<int>(row_ptr_[static_cast<size_t>(v) + 1] -
-                          row_ptr_[static_cast<size_t>(v)]);
-}
-
 size_t CommGraph::nedges() const {
   build();
   return adj_.size() / 2;

@@ -55,7 +55,6 @@ class CommGraph {
   /// Sorted neighbor list of `v` (self-loops excluded). O(1) after build.
   const Edge* neighbors_begin(int v) const;
   const Edge* neighbors_end(int v) const;
-  int degree(int v) const;
   size_t nedges() const;  // undirected adjacency pairs
 
   /// Total bytes `r` sends to other ranks (self-loops excluded) — the upper

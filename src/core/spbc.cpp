@@ -698,7 +698,7 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
   // Multi-level fallback: the committed epoch may have lived only at levels
   // this failure just destroyed (e.g. LOCAL on the dead nodes while its
   // PFS flush was still in flight). Fall back to the newest older epoch
-  // every member can still reconstruct — scheme-aware: an XOR member with a
+  // every member can still reconstruct — scheme-aware: an RS member with a
   // dead LOCAL copy counts as recoverable while its group can rebuild it —
   // down to the commit-time retention floor (the cluster's PFS frontier),
   // which keeps older flushed epochs around precisely for this.
@@ -732,7 +732,7 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
       ckpt_time = std::max(ckpt_time, store_.at_epoch(r, epoch).taken_at);
       // Restart must re-read every member's snapshot from its cheapest live
       // source; the slowest member's read extends the outage. Direct reads
-      // (LOCAL / remote copy / PFS) are a pure cost; XOR rebuilds schedule
+      // (LOCAL / remote copy / PFS) are a pure cost; RS rebuilds schedule
       // real network reads below and finish when the last fragment lands.
       // Direct-read metrics are deferred until the pass commits: a rebuild
       // failure abandons this epoch and re-enters one lower, and the
@@ -801,7 +801,7 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
                              [finish] { (*finish)(); });
     return;
   }
-  // XOR rebuilds stream surviving fragments over the real network to the
+  // RS rebuilds stream surviving fragments over the real network to the
   // replacement nodes; the respawn waits for the slowest member (direct
   // reads overlap the rebuild window).
   const sim::Time start = machine_->engine().now();

@@ -78,10 +78,10 @@ struct SpbcConfig {
 
   /// What the staging chain's remote-redundancy hop places (see
   /// ckpt/redundancy.hpp): SINGLE (LOCAL only), PARTNER (full buddy copy,
-  /// the default — the pre-refactor behavior), XOR group parity (~1/(G-1)
-  /// of the copy bytes, tolerating any single in-group node loss), or
-  /// Reed-Solomon RS(k, m) (GF(256) parity at (m/k)x the copy bytes,
-  /// tolerating any m concurrent in-group node losses).
+  /// the default — the pre-refactor behavior), or Reed-Solomon RS(k, m)
+  /// group parity (GF(256) parity at (m/k)x the copy bytes, tolerating any
+  /// m concurrent in-group node losses; XOR over G-node groups is
+  /// RS(G-1, 1)).
   ckpt::RedundancyConfig redundancy{};
 
   /// Virtual app-state bytes added to every snapshot's STAGED (and costed)
@@ -339,7 +339,7 @@ class SpbcProtocol : public mpi::ProtocolHooks {
                     const std::map<int, std::vector<uint64_t>>& gc_windows);
   /// Picks the newest epoch every member can still restore (scanning down
   /// from `epoch_hint`), restores in-memory state, executes the staging
-  /// restore plans (XOR rebuilds ride the network), and schedules the
+  /// restore plans (RS rebuilds ride the network), and schedules the
   /// respawn. Re-enters itself one epoch lower when a rebuild's sources die
   /// mid-read and no reconstruction path remains.
   void select_and_restore(int cluster, std::vector<int> members,

@@ -78,9 +78,6 @@ sim::Time Network::submit_routed(const Transfer& t, int route_rank,
   SPBC_ASSERT(t.src_rank >= 0 && t.src_rank < topo_.nranks());
   SPBC_ASSERT(t.dst_rank >= 0 && t.dst_rank < topo_.nranks());
 
-  transfers_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(t.bytes, std::memory_order_relaxed);
-
   Chan& chan = channel(t.src_rank, t.dst_rank);
 
   sim::Time now = engine_.now();

@@ -118,13 +118,6 @@ class Network {
   /// Sender-side overhead for one message (charged by the MPI layer).
   sim::Time send_overhead() const { return params_.send_overhead; }
 
-  uint64_t transfers_submitted() const {
-    return transfers_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_submitted() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
   /// Messages held by a healing-partition window, and the total extra
   /// in-fabric delay they accumulated (hostile-shape accounting).
   uint64_t partition_msgs_held() const {
@@ -167,8 +160,6 @@ class Network {
   // require colocation (enforced by the machine).
   std::vector<sim::Time> nic_free_at_;
 
-  std::atomic<uint64_t> transfers_{0};
-  std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> partition_holds_{0};
   std::atomic<sim::Time> partition_stall_{0.0};
 };

@@ -33,6 +33,18 @@ uint64_t checksum(const std::vector<uint8_t>& bytes) {
 
 }  // namespace
 
+const char* scheme_name(ckpt::SchemeKind kind) {
+  switch (kind) {
+    case ckpt::SchemeKind::kSingle:
+      return "single";
+    case ckpt::SchemeKind::kPartner:
+      return "partner";
+    case ckpt::SchemeKind::kReedSolomon:
+      return "rs";
+  }
+  return "?";
+}
+
 const char* timing_name(FailureCase::Timing t) {
   switch (t) {
     case FailureCase::Timing::kPreDrain:
@@ -83,9 +95,10 @@ FailureCase sample_case(uint64_t seed) {
     case 1:
       c.redundancy.kind = ckpt::SchemeKind::kPartner;
       break;
-    case 2:
-      c.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-      c.redundancy.group_size = 3 + static_cast<int>(rng.next_bounded(3));
+    case 2:  // XOR over 3..5-node groups: RS(G-1, 1)
+      c.redundancy.kind = ckpt::SchemeKind::kReedSolomon;
+      c.redundancy.rs_k = 2 + static_cast<int>(rng.next_bounded(3));
+      c.redundancy.rs_m = 1;
       break;
     default:
       c.redundancy.kind = ckpt::SchemeKind::kReedSolomon;
@@ -97,8 +110,6 @@ FailureCase sample_case(uint64_t seed) {
   // Machine: at least one full protection group plus slack, one rank per
   // node so "node" and "rank" coincide and loss patterns stay legible.
   int span = 2;
-  if (c.redundancy.kind == ckpt::SchemeKind::kXorGroup)
-    span = c.redundancy.group_size;
   if (c.redundancy.kind == ckpt::SchemeKind::kReedSolomon)
     span = c.redundancy.rs_k + c.redundancy.rs_m;
   c.nodes = span + static_cast<int>(rng.next_bounded(5));
@@ -135,9 +146,7 @@ FailureCase sample_case(uint64_t seed) {
 
 std::string describe_case(const FailureCase& c) {
   std::ostringstream os;
-  os << "seed=" << c.seed << " scheme=" << ckpt::scheme_name(c.redundancy.kind);
-  if (c.redundancy.kind == ckpt::SchemeKind::kXorGroup)
-    os << " G=" << c.redundancy.group_size;
+  os << "seed=" << c.seed << " scheme=" << scheme_name(c.redundancy.kind);
   if (c.redundancy.kind == ckpt::SchemeKind::kReedSolomon)
     os << " k=" << c.redundancy.rs_k << " m=" << c.redundancy.rs_m;
   os << " nodes=" << c.nodes << " clusters=" << c.nclusters
@@ -156,8 +165,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Shadow codec: re-derives a victim's snapshot from the surviving residency
-// with the real arithmetic (GF(256) Cauchy solve for RS, XOR fold, full copy
-// for PARTNER) and compares checksums against the original payload. It reads
+// with the real arithmetic (GF(256) Cauchy solve for RS, full copy for
+// PARTNER) and compares checksums against the original payload. It reads
 // only what the residency view says is live — exactly the data a real
 // rebuild could stream.
 //
@@ -169,7 +178,7 @@ namespace {
 // compressed when smaller), and checksum identity is asserted on the
 // LOGICAL (decoded) payload. A defect in the codec, the delta scatter, or
 // the chain decode fails the oracle even when the scheme arithmetic is
-// right. Wire blobs differ in length across ranks, so XOR/RS operate over
+// right. Wire blobs differ in length across ranks, so RS operates over
 // the group-max length with zero padding (length metadata travels with the
 // fragment header, as in a real striped layout).
 // ---------------------------------------------------------------------------
@@ -223,9 +232,6 @@ class ShadowCodec {
         enc = blobs_.at({rank, epoch}).enc;  // the copy is the wire blob
         break;
       }
-      case ckpt::SchemeKind::kXorGroup:
-        if (!reconstruct_xor(rank, epoch, &enc)) return false;
-        break;
       case ckpt::SchemeKind::kReedSolomon:
         if (!reconstruct_rs(rank, epoch, &enc)) return false;
         break;
@@ -342,36 +348,6 @@ class ShadowCodec {
     std::vector<uint8_t> v = blobs_.at({rank, epoch}).enc;
     v.resize(n, 0);
     return v;
-  }
-
-  // XOR: parity(owner) = fold of every member's wire blob. Rebuild needs the
-  // owner's live parity and every other member's data.
-  bool reconstruct_xor(int rank, uint64_t epoch,
-                       std::vector<uint8_t>* out) const {
-    const std::vector<ckpt::Fragment>* frags = area_.fragments(rank, epoch);
-    if (frags == nullptr) return false;
-    bool parity_live = false;
-    for (const ckpt::Fragment& f : *frags)
-      if (f.live && !f.corrupt && f.parity &&
-          area_.node_in_service(f.host_node))
-        parity_live = true;
-    if (!parity_live) return false;
-    const std::vector<int> members = group_ranks(rank);
-    const size_t wlen = group_wire_len(members, epoch);
-    std::vector<uint8_t> acc(wlen, 0);
-    for (int m : members) {  // parity content: fold over the whole group
-      const std::vector<uint8_t> d = padded_wire(m, epoch, wlen);
-      for (size_t i = 0; i < acc.size(); ++i) acc[i] ^= d[i];
-    }
-    for (int m : members) {  // peel the surviving members back out
-      if (m == rank) continue;
-      if (!data_live(m, epoch)) return false;
-      const std::vector<uint8_t> d = padded_wire(m, epoch, wlen);
-      for (size_t i = 0; i < acc.size(); ++i) acc[i] ^= d[i];
-    }
-    acc.resize(blobs_.at({rank, epoch}).enc.size());
-    *out = std::move(acc);
-    return true;
   }
 
   // RS: each live share is one Cauchy equation (row = position * m + share)
@@ -671,6 +647,27 @@ CaseResult run_case(const FailureCase& c) {
     });
   }
 
+  // Invariant 6 (distance): a rebuild plan is a claim that the group's
+  // surviving symbols determine the snapshot, which an RS(k, m) code can
+  // back only while at most m members have unknown epoch-e data (the owner
+  // counts). Checked wherever a liveness claim is audited.
+  auto check_distance = [&](int v, uint64_t e) {
+    if (area.plan_restore(v, e).source != ckpt::RestorePlan::Source::kRebuild)
+      return;
+    std::vector<int> group = area.scheme().group_of(v);
+    group.push_back(v);
+    int unknown = 0;
+    for (int g : group)
+      if (g == v || !area.has_local(g, e) ||
+          !area.node_in_service(m.node_of(g)))
+        ++unknown;
+    if (unknown > c.redundancy.rs_m)
+      run.fail("rebuild claimed beyond the code's distance (rank " +
+               std::to_string(v) + " epoch " + std::to_string(e) + ", " +
+               std::to_string(unknown) + " members unknown, m = " +
+               std::to_string(c.redundancy.rs_m) + ")");
+  };
+
   // ---- silent losses (mid-scrub timing) ----------------------------------
   // No node dies; `losses` staged fragments silently rot in place. A scrub
   // wave then runs, and the checks assert it found every one, repaired it
@@ -707,6 +704,7 @@ CaseResult run_case(const FailureCase& c) {
       // must be backed by an actual reconstruction of the payload bytes.
       for (int r = 0; r < c.nodes; ++r) {
         for (uint64_t e = 1; e <= 2; ++e) {
+          check_distance(r, e);
           if (area.scheme().recoverable_without_pfs(r, e, area) &&
               !oracle_recoverable(area, c.redundancy, c.nodes, r, e)) {
             run.fail("post-scrub liveness claim the oracle refutes (rank " +
@@ -734,6 +732,8 @@ CaseResult run_case(const FailureCase& c) {
                    std::to_string(v) + ")");
         const bool head_ok = area.recoverable(v, 2);
         const bool base_ok = area.recoverable(v, 1);
+        check_distance(v, 1);
+        check_distance(v, 2);
         if (head_ok && !base_ok)
           run.fail("chain head claims recoverability past a lost base (rank " +
                    std::to_string(v) + ")");
@@ -796,6 +796,7 @@ CaseResult run_case(const FailureCase& c) {
         const bool live =
             area.scheme().recoverable_without_pfs(v, e, area);
         ckpt::RestorePlan plan = area.plan_restore(v, e);
+        check_distance(v, e);
         // Invariant 1: plan consistency with the liveness predicate.
         if (live && (plan.source == ckpt::RestorePlan::Source::kPfs ||
                      plan.source == ckpt::RestorePlan::Source::kNone)) {
@@ -829,9 +830,6 @@ CaseResult run_case(const FailureCase& c) {
                   !buddies.empty() && !victim_set.count(buddies.front());
               break;
             }
-            case ckpt::SchemeKind::kXorGroup:
-              guaranteed = in_group_dead == 1;
-              break;
             case ckpt::SchemeKind::kReedSolomon: {
               // The round-robin deal can produce a group smaller than k+m
               // (e.g. 7 nodes at k+m=6 split 4/3); each member can then
@@ -940,9 +938,6 @@ CaseResult run_case(const FailureCase& c) {
           case ckpt::SchemeKind::kPartner:
             // The buddy mapping is fixed: a dead buddy cannot be replaced.
             needed = (alive_hosts == static_cast<int>(group.size())) ? 1 : -1;
-            break;
-          case ckpt::SchemeKind::kXorGroup:
-            needed = 1;
             break;
           case ckpt::SchemeKind::kReedSolomon:
             needed = c.redundancy.rs_m;

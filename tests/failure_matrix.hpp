@@ -15,12 +15,12 @@
 //      rebuild); false implies the plan is the PFS or nothing.
 //   2. Guaranteed tolerance: with losses settled and the in-group loss
 //      count within the scheme's advertised distance (PARTNER: the buddy
-//      survives; XOR: one; RS(k, m): any m), the victim MUST be
-//      recoverable without the PFS, and executing the restore must succeed
-//      without touching it.
+//      survives; RS(k, m): any m, so XOR = RS(G-1, 1): one), the victim
+//      MUST be recoverable without the PFS, and executing the restore must
+//      succeed without touching it.
 //   3. Checksum identity: a restore served by the redundancy layer is
 //      re-derived through a shadow codec — real GF(256) Cauchy solves for
-//      RS, XOR folds, full copies for PARTNER — and must reproduce the
+//      RS, full copies for PARTNER — and must reproduce the
 //      original snapshot exactly (Fnv1a64). The shadow models the full
 //      data-reduction pipeline (DESIGN.md §15): its logical payloads come
 //      from the shared block-mutation generator, what the wire carries is
@@ -36,6 +36,8 @@
 //   5. Re-protection: after an in-tolerance loss that killed fragment
 //      hosts (but not the owner), the proactive re-encode must restore the
 //      scheme's full liveness while the epoch is still short of the PFS.
+//   6. Distance: whenever RS claims a rebuild without the PFS, at most m
+//      members of the group have unknown epoch-e data.
 //
 // The gtest driver (test_failure_matrix.cpp) sweeps seeds; CI runs a
 // 200-case sweep. On any violation the failing seed is printed so the case
@@ -119,6 +121,7 @@ struct CaseResult {
   std::vector<std::string> violations;
 };
 
+const char* scheme_name(ckpt::SchemeKind kind);
 const char* timing_name(FailureCase::Timing t);
 const char* hostile_name(FailureCase::Hostile h);
 
@@ -142,7 +145,7 @@ namespace spbc::testing {
 
 /// Brute-force derivability oracle over the live residency of (rank,
 /// epoch): attempts an *actual* reconstruction of the payload bytes — a
-/// full-copy read, an XOR fold, or a GF(256) Cauchy solve — from exactly
+/// full-copy read or a GF(256) Cauchy solve — from exactly
 /// what the residency view says is readable, and checks the result against
 /// the original checksum. The liveness property test asserts that no
 /// scheme ever claims `recoverable_without_pfs` beyond this oracle (no

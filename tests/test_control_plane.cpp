@@ -226,8 +226,8 @@ harness::ScenarioConfig controller_scenario() {
   cfg.machine.compute_noise_frac = 0.05;
   cfg.spbc.storage = ckpt::StorageLevel::kPfs;
   cfg.spbc.async_staging = true;
-  cfg.spbc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  cfg.spbc.redundancy.group_size = 4;
+  // XOR parity over 4-node groups: RS(3, 1).
+  cfg.spbc.redundancy = {ckpt::SchemeKind::kReedSolomon, 3, 1};
   // A lagging PFS: flushes crawl, so scrub repairs (which only run while an
   // epoch is short of the PFS) actually happen.
   cfg.spbc.storage_model.pfs_bw = 2.0e4;

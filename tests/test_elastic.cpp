@@ -59,17 +59,16 @@ void workload(Rank& r, int iters, std::map<int, uint64_t>* sums) {
   if (sums) (*sums)[r.rank()] = st.sum;
 }
 
-// XOR-over-async-staging config with a PFS slow enough that flushes lag the
-// run: a permanent node loss then MUST come back through the group rebuild,
-// not a PFS read.
+// XOR-over-async-staging config (XOR parity over 4-node groups is RS(3, 1))
+// with a PFS slow enough that flushes lag the run: a permanent node loss
+// then MUST come back through the group rebuild, not a PFS read.
 core::SpbcConfig xor_config() {
   core::SpbcConfig scfg;
   scfg.checkpoint_every = 1;
   scfg.storage = ckpt::StorageLevel::kPfs;
   scfg.async_staging = true;
   scfg.storage_model.pfs_bw = 1.0e5;
-  scfg.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  scfg.redundancy.group_size = 4;
+  scfg.redundancy = {ckpt::SchemeKind::kReedSolomon, 3, 1};
   return scfg;
 }
 

@@ -18,6 +18,12 @@
 namespace spbc {
 namespace {
 
+// The pinned schemes: XOR parity over 4-node groups is RS(3, 1).
+const ckpt::RedundancyConfig kSingle{ckpt::SchemeKind::kSingle};
+const ckpt::RedundancyConfig kPartner{ckpt::SchemeKind::kPartner};
+const ckpt::RedundancyConfig kXor{ckpt::SchemeKind::kReedSolomon, 3, 1};
+const ckpt::RedundancyConfig kRs{ckpt::SchemeKind::kReedSolomon, 4, 2};
+
 uint64_t env_u64(const char* name, uint64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -50,39 +56,25 @@ TEST(FailureMatrix, RandomizedSweep) {
 // settled timing, lagging PFS — so a sampler change can never silently
 // drop a scheme from coverage.
 TEST(FailureMatrix, PinnedSchemeCorners) {
-  auto pinned = [](ckpt::SchemeKind kind) {
+  struct Corner {
+    ckpt::RedundancyConfig red;
+    int nodes;
+    int losses;
+  };
+  for (const Corner& k : {Corner{kSingle, 4, 1}, Corner{kPartner, 4, 1},
+                          Corner{kXor, 4, 1},  // one G=4 group
+                          // one k+m group; both tolerated losses at once
+                          Corner{kRs, 6, 2}}) {
     testing::FailureCase c;
     c.seed = 0;  // hand-built, not sampled
-    c.redundancy.kind = kind;
-    c.redundancy.group_size = 4;
-    c.redundancy.rs_k = 4;
-    c.redundancy.rs_m = 2;
+    c.redundancy = k.red;
+    c.nodes = k.nodes;
+    c.losses = k.losses;
     c.nclusters = 3;
     c.bytes = 2048;
     c.correlated = false;
     c.timing = testing::FailureCase::Timing::kSettled;
     c.flush_pfs = false;
-    switch (kind) {
-      case ckpt::SchemeKind::kSingle:
-      case ckpt::SchemeKind::kPartner:
-        c.nodes = 4;
-        c.losses = 1;
-        break;
-      case ckpt::SchemeKind::kXorGroup:
-        c.nodes = 4;  // one G=4 group
-        c.losses = 1;
-        break;
-      case ckpt::SchemeKind::kReedSolomon:
-        c.nodes = 6;  // one k+m group; both tolerated losses at once
-        c.losses = 2;
-        break;
-    }
-    return c;
-  };
-  for (ckpt::SchemeKind kind :
-       {ckpt::SchemeKind::kSingle, ckpt::SchemeKind::kPartner,
-        ckpt::SchemeKind::kXorGroup, ckpt::SchemeKind::kReedSolomon}) {
-    testing::FailureCase c = pinned(kind);
     testing::CaseResult res = testing::run_case(c);
     EXPECT_TRUE(res.ok) << testing::describe_case(c);
     if (!res.ok)
@@ -97,20 +89,16 @@ TEST(FailureMatrix, PinnedSchemeCorners) {
 // bucket too; the pins keep each path covered under any sampler change.
 TEST(FailureMatrix, PinnedSpareSwapCorners) {
   struct Corner {
-    ckpt::SchemeKind kind;
+    ckpt::RedundancyConfig red;
     int nodes;
     int losses;
     int spares;
   };
-  for (const Corner& k : {Corner{ckpt::SchemeKind::kXorGroup, 4, 1, 2},
-                          Corner{ckpt::SchemeKind::kXorGroup, 4, 1, 0},
-                          Corner{ckpt::SchemeKind::kReedSolomon, 6, 2, 1}}) {
+  for (const Corner& k : {Corner{kXor, 4, 1, 2}, Corner{kXor, 4, 1, 0},
+                          Corner{kRs, 6, 2, 1}}) {
     testing::FailureCase c;
     c.seed = 0;  // hand-built, not sampled
-    c.redundancy.kind = k.kind;
-    c.redundancy.group_size = 4;
-    c.redundancy.rs_k = 4;
-    c.redundancy.rs_m = 2;
+    c.redundancy = k.red;
     c.nodes = k.nodes;
     c.nclusters = 2;
     c.bytes = 2048;
@@ -135,7 +123,7 @@ TEST(FailureMatrix, PinnedSpareSwapCorners) {
 TEST(FailureMatrix, PinnedHostileCorners) {
   struct Corner {
     testing::FailureCase::Hostile hostile;
-    ckpt::SchemeKind kind;
+    ckpt::RedundancyConfig red;
     int nodes;
     int losses;
     testing::FailureCase::Timing timing;
@@ -143,27 +131,17 @@ TEST(FailureMatrix, PinnedHostileCorners) {
   using H = testing::FailureCase::Hostile;
   using T = testing::FailureCase::Timing;
   for (const Corner& k :
-       {Corner{H::kStragglerSkew, ckpt::SchemeKind::kXorGroup, 4, 1,
-               T::kSettled},
+       {Corner{H::kStragglerSkew, kXor, 4, 1, T::kSettled},
         // Straggler + mid-drain: the skewed epoch-2 writes straddle the kill.
-        Corner{H::kStragglerSkew, ckpt::SchemeKind::kReedSolomon, 6, 2,
-               T::kMidDrain},
-        Corner{H::kPartitionHeal, ckpt::SchemeKind::kXorGroup, 4, 1,
-               T::kMidDrain},
-        Corner{H::kPartitionHeal, ckpt::SchemeKind::kPartner, 4, 1,
-               T::kSettled},
-        Corner{H::kRackDomain, ckpt::SchemeKind::kReedSolomon, 12, 2,
-               T::kSettled},
-        Corner{H::kSwitchDomain, ckpt::SchemeKind::kXorGroup, 8, 1,
-               T::kSettled},
-        Corner{H::kPsuDomain, ckpt::SchemeKind::kReedSolomon, 6, 2,
-               T::kSettled}}) {
+        Corner{H::kStragglerSkew, kRs, 6, 2, T::kMidDrain},
+        Corner{H::kPartitionHeal, kXor, 4, 1, T::kMidDrain},
+        Corner{H::kPartitionHeal, kPartner, 4, 1, T::kSettled},
+        Corner{H::kRackDomain, kRs, 12, 2, T::kSettled},
+        Corner{H::kSwitchDomain, kXor, 8, 1, T::kSettled},
+        Corner{H::kPsuDomain, kRs, 6, 2, T::kSettled}}) {
     testing::FailureCase c;
     c.seed = 0;  // hand-built, not sampled
-    c.redundancy.kind = k.kind;
-    c.redundancy.group_size = 4;
-    c.redundancy.rs_k = 4;
-    c.redundancy.rs_m = 2;
+    c.redundancy = k.red;
     c.nodes = k.nodes;
     c.nclusters = 2;
     c.bytes = 2048;

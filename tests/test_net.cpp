@@ -102,17 +102,6 @@ TEST(Network, IntraNodeSkipsNic) {
   EXPECT_GE(t2, t1);
 }
 
-TEST(Network, CountsTraffic) {
-  sim::Engine e;
-  sim::Topology topo(2, 1);
-  Network net(e, topo, flat_params());
-  net.submit(Transfer{0, 1, 500}, [] {});
-  net.submit(Transfer{1, 0, 700}, [] {});
-  e.run();
-  EXPECT_EQ(net.transfers_submitted(), 2u);
-  EXPECT_EQ(net.bytes_submitted(), 1200u);
-}
-
 TEST(Network, JitterIsDeterministicPerSeed) {
   auto run_once = [](uint64_t seed) {
     sim::Engine e;

@@ -143,7 +143,7 @@ TEST(LogVolume, MonotoneInClusterCount) {
 // Redundancy-liveness property: for random residency states (random write /
 // node-kill sequences) and every scheme, `recoverable_without_pfs` must
 // never exceed the brute-force oracle — an actual byte reconstruction (full
-// copy, XOR fold, or GF(256) Cauchy solve) from exactly what the residency
+// copy or GF(256) Cauchy solve) from exactly what the residency
 // view says is readable. Conservatism (predicate false, oracle true) is
 // allowed; false liveness is not, because the protocol would then skip the
 // PFS/epoch fallback and fail the restore.
@@ -159,10 +159,11 @@ TEST(LivenessOracle, NoFalseLivenessUnderRandomResidency) {
       case 1:
         red.kind = ckpt::SchemeKind::kPartner;
         break;
-      case 2:
-        red.kind = ckpt::SchemeKind::kXorGroup;
-        red.group_size = 3 + static_cast<int>(rng.next_bounded(3));
-        span = red.group_size;
+      case 2:  // XOR over 3..5-node groups: RS(G-1, 1)
+        red.kind = ckpt::SchemeKind::kReedSolomon;
+        red.rs_k = 2 + static_cast<int>(rng.next_bounded(3));
+        red.rs_m = 1;
+        span = red.rs_k + 1;
         break;
       default:
         red.kind = ckpt::SchemeKind::kReedSolomon;
@@ -207,7 +208,7 @@ TEST(LivenessOracle, NoFalseLivenessUnderRandomResidency) {
           const bool live = area.scheme().recoverable_without_pfs(r, e, area);
           if (!live) continue;
           EXPECT_TRUE(testing::oracle_recoverable(area, red, nodes, r, e))
-              << "scheme " << ckpt::scheme_name(red.kind)
+              << "scheme " << testing::scheme_name(red.kind)
               << " claims liveness the oracle refutes: seed=" << seed
               << " op=" << op << " rank=" << r << " epoch=" << e;
         }

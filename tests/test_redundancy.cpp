@@ -1,6 +1,7 @@
 // Tests: the pluggable redundancy-scheme layer (ckpt/redundancy.hpp).
 //
-// Failure matrix for kXorGroup — a single in-group node loss rebuilds the
+// Failure matrix for XOR group parity (the RS(G-1, 1) preset) — a single
+// in-group node loss rebuilds the
 // snapshot from surviving fragments without touching the PFS, a double
 // in-group loss falls back to the PFS frontier epoch, a source death
 // mid-rebuild retries from a surviving fragment — plus group construction
@@ -34,14 +35,19 @@ ckpt::StorageCostModel slow_pfs_model() {
   return m;
 }
 
+// XOR parity over G-node groups: RAID-5 is Reed-Solomon with one parity
+// share, RS(G-1, 1).
+ckpt::RedundancyConfig xor_group(int g) {
+  return {ckpt::SchemeKind::kReedSolomon, g - 1, 1};
+}
+
 core::SpbcConfig xor_config() {
   core::SpbcConfig scfg;
   scfg.checkpoint_every = 1;
   scfg.storage = ckpt::StorageLevel::kPfs;
   scfg.async_staging = true;
   scfg.storage_model = slow_pfs_model();
-  scfg.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  scfg.redundancy.group_size = 4;
+  scfg.redundancy = xor_group(4);
   return scfg;
 }
 
@@ -79,7 +85,7 @@ TEST(Redundancy, XorSmallGroupsAvoidSameCluster) {
   cfg.nranks = 8;
   cfg.ranks_per_node = 2;  // 4 nodes
   core::SpbcConfig scfg = xor_config();
-  scfg.redundancy.group_size = 2;
+  scfg.redundancy = xor_group(2);
   auto proto = std::make_unique<core::SpbcProtocol>(scfg);
   core::SpbcProtocol* p = proto.get();
   Machine m(cfg, std::move(proto));
@@ -106,8 +112,7 @@ TEST(Redundancy, SyncXorRotatesHostsAndSurvivesNodeLossWithoutPfs) {
   ckpt::StagingConfig sc;
   sc.level = ckpt::StorageLevel::kPartner;  // chain ends at redundancy
   sc.async = false;
-  sc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  sc.redundancy.group_size = 4;
+  sc.redundancy = xor_group(4);
   ckpt::StagingArea area(sc);
   area.attach(m);
   for (int r = 0; r < 4; ++r) {
@@ -123,7 +128,7 @@ TEST(Redundancy, SyncXorRotatesHostsAndSurvivesNodeLossWithoutPfs) {
   EXPECT_TRUE(f1->front().parity && f1->front().live);
   EXPECT_NE(f1->front().host_rank, f2->front().host_rank)
       << "parity host must rotate with the epoch";
-  EXPECT_EQ(f1->front().bytes, 1000u);  // ceil(B / (G-1))
+  EXPECT_EQ(f1->front().bytes, 1000u);  // ceil(B / k), k = G-1
   // Node loss: every epoch of rank 0 stays recoverable through the group,
   // with no PFS copy anywhere.
   area.invalidate_node(0);
@@ -216,8 +221,7 @@ TEST(Redundancy, DoubleInGroupLossFallsBackToPfsFrontier) {
   sc.level = ckpt::StorageLevel::kPfs;
   sc.async = true;
   sc.model = slow_pfs_model();  // 100KB => ~1s per PFS flush
-  sc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  sc.redundancy.group_size = 4;
+  sc.redundancy = xor_group(4);
   ckpt::StagingArea area(sc);
   area.attach(m);
   // Epoch 1 flushes to the PFS (~1s); epoch 2's flush is still in flight
@@ -256,8 +260,7 @@ TEST(Redundancy, KillDuringRebuildRetriesFromSurvivingFragment) {
   sc.level = ckpt::StorageLevel::kPfs;
   sc.async = true;
   sc.model.pfs_bw = 1.0e9;  // flushes finish quickly: PFS copies exist
-  sc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  sc.redundancy.group_size = 4;
+  sc.redundancy = xor_group(4);
   ckpt::StagingArea area(sc);
   area.attach(m);
   // 100MB snapshots: rebuild reads (~33MB each) take tens of milliseconds,
@@ -300,8 +303,7 @@ TEST(Redundancy, ReprotectionMovesParityToReplacementHost) {
   sc.level = ckpt::StorageLevel::kPfs;
   sc.async = true;
   sc.model = slow_pfs_model();  // flush pending for ~1s
-  sc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  sc.redundancy.group_size = 4;
+  sc.redundancy = xor_group(4);
   ckpt::StagingArea area(sc);
   area.attach(m);
   for (int r = 0; r < 4; ++r)
@@ -473,8 +475,7 @@ TEST(Redundancy, XorReprotectionRacesReplacementHostDeath) {
   sc.level = ckpt::StorageLevel::kPfs;
   sc.async = true;
   sc.model = slow_pfs_model();  // flushes pending throughout (100MB / 1e5)
-  sc.redundancy.kind = ckpt::SchemeKind::kXorGroup;
-  sc.redundancy.group_size = 5;
+  sc.redundancy = xor_group(5);
   ckpt::StagingArea area(sc);
   area.attach(m);
   // 100MB snapshots: the replacement placement is on the wire long enough
@@ -528,10 +529,11 @@ TEST(Redundancy, XorReprotectionRacesReplacementHostDeath) {
 }
 
 // The RS variant of the race, pushed one failure further: after the killed
-// re-protection target the share retries onto a fresh host, and even with
-// THREE nodes down (the owner included) the surviving shares still solve
-// the decode — the restore rebuilds without the PFS.
-TEST(Redundancy, RsReprotectionRaceThenTripleLossStillRebuilds) {
+// re-protection target the share retries onto a fresh host. The third loss
+// (the owner) leaves three members unknown under RS(4, 2), one beyond the
+// code's distance: the live shares still outnumber the unknowns, but the
+// scheme must not claim a rebuild, and the restore reads the PFS.
+TEST(Redundancy, RsReprotectionRaceThenTripleLossFallsBackToPfs) {
   MachineConfig cfg;
   cfg.nranks = 6;
   cfg.ranks_per_node = 1;
@@ -541,7 +543,9 @@ TEST(Redundancy, RsReprotectionRaceThenTripleLossStillRebuilds) {
   ckpt::StagingConfig sc;
   sc.level = ckpt::StorageLevel::kPfs;
   sc.async = true;
-  sc.model = slow_pfs_model();
+  // Default PFS share (50 MB/s): the 100MB flush lands at ~2s, after the
+  // race below (re-protection runs only while the epoch is short of the
+  // PFS) and before the owner dies.
   sc.redundancy.kind = ckpt::SchemeKind::kReedSolomon;
   sc.redundancy.rs_k = 4;
   sc.redundancy.rs_m = 2;
@@ -556,6 +560,7 @@ TEST(Redundancy, RsReprotectionRaceThenTripleLossStillRebuilds) {
     ASSERT_EQ(frags->size(), 2u) << "RS(4,2) must place two shares";
     ASSERT_TRUE((*frags)[0].live && (*frags)[1].live);
     EXPECT_NE((*frags)[0].host_node, (*frags)[1].host_node);
+    EXPECT_FALSE(area.has_pfs(0, 1)) << "flush landed before the race";
     h1 = frags->front().host_node;
     area.invalidate_node(h1);
   });
@@ -570,7 +575,7 @@ TEST(Redundancy, RsReprotectionRaceThenTripleLossStillRebuilds) {
     h2 = repl.host_node;
     area.invalidate_node(h2);  // the re-protection target dies mid-placement
   });
-  m.engine().at(2.0, [&] {
+  m.engine().at(3.0, [&] {
     // The share retried onto a fresh host: both logical shares live again.
     const std::vector<ckpt::Fragment>* frags = area.fragments(0, 1);
     ASSERT_NE(frags, nullptr);
@@ -582,15 +587,15 @@ TEST(Redundancy, RsReprotectionRaceThenTripleLossStillRebuilds) {
         EXPECT_NE(f.host_node, h2);
       }
     EXPECT_EQ(live_shares.size(), 2u) << "full RS coverage must come back";
-    // Third loss: the owner. Unknowns {0, h1, h2}; the group's surviving
-    // shares still close the system.
+    ASSERT_TRUE(area.has_pfs(0, 1)) << "the flush never landed";
+    // Third loss: the owner. Unknowns {0, h1, h2} exceed m = 2.
     area.invalidate_node(0);
+    EXPECT_FALSE(area.scheme().recoverable_without_pfs(0, 1, area));
     EXPECT_TRUE(area.recoverable(0, 1));
-    EXPECT_EQ(area.plan_restore(0, 1).source,
-              ckpt::RestorePlan::Source::kRebuild);
+    EXPECT_EQ(area.plan_restore(0, 1).source, ckpt::RestorePlan::Source::kPfs);
   });
   bool restored = false, ok_result = false;
-  m.engine().at(2.1, [&] {
+  m.engine().at(3.1, [&] {
     area.execute_restore(0, 1, [&](bool ok) {
       restored = true;
       ok_result = ok;
@@ -602,8 +607,8 @@ TEST(Redundancy, RsReprotectionRaceThenTripleLossStillRebuilds) {
   const ckpt::StagingStats& st = area.stats();
   EXPECT_GE(st.reprotections, 1u);
   EXPECT_GE(st.hop_retries, 1u);
-  EXPECT_GE(st.rebuild_restores, 1u);
-  EXPECT_EQ(st.restores_by_level[2], 0u) << "no PFS read anywhere";
+  EXPECT_EQ(st.rebuild_restores, 0u) << "a rebuild beyond distance m";
+  EXPECT_EQ(st.restores_by_level[2], 1u);
 }
 
 // Re-protection fires while the owner's OTHER share is still on the wire:
