@@ -41,42 +41,5 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   std::printf("(paper: 0.07%% .. 1.14%% — logging payloads in sender memory is\n"
               " nearly free compared to the application's own work)\n\n");
-
-  // Companion: the checkpoint *write path* the paper excludes, at the bench's
-  // checkpoint interval. Async staging (ckpt/staging.hpp) charges the member
-  // only the node-local write and drains LOCAL -> PARTNER -> PFS in the
-  // background, so its overhead approaches the LOCAL write time while a
-  // synchronous PFS write stalls the member for the full storage latency.
-  const std::string app = "MiniGhost";
-  harness::ScenarioConfig free_cfg =
-      bench::make_config(o, app, k, harness::ProtocolKind::kSpbc);
-  harness::ScenarioResult free_run = harness::run_failure_free(free_cfg);
-  util::Table ckpt_table({"Write mode", "elapsed (s)", "overhead %", "ckpts"});
-  if (free_run.run.completed) {
-    struct Mode {
-      const char* name;
-      ckpt::StorageLevel level;
-      bool async;
-    };
-    for (const Mode& mode :
-         {Mode{"sync-LOCAL", ckpt::StorageLevel::kLocal, false},
-          Mode{"sync-PFS", ckpt::StorageLevel::kPfs, false},
-          Mode{"async L/P/F", ckpt::StorageLevel::kPfs, true}}) {
-      harness::ScenarioConfig cfg = free_cfg;
-      cfg.spbc.storage = mode.level;
-      cfg.spbc.async_staging = mode.async;
-      harness::ScenarioResult res = harness::run_failure_free(cfg);
-      if (!res.run.completed) {
-        ckpt_table.add_row({mode.name, "fail", "-", "-"});
-        continue;
-      }
-      double ovh = (res.elapsed - free_run.elapsed) / free_run.elapsed * 100.0;
-      ckpt_table.add_row({mode.name, util::Table::fmt(res.elapsed, 4),
-                          util::Table::fmt(ovh, 3),
-                          std::to_string(res.checkpoints)});
-    }
-    std::printf("Checkpoint write-path overhead (%s, ckpt_every=%d, vs free I/O):\n%s\n",
-                app.c_str(), o.ckpt_every, ckpt_table.render().c_str());
-  }
   return 0;
 }

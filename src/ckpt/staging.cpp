@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "mpi/machine.hpp"
 #include "util/assert.hpp"
 
 namespace spbc::ckpt {
+
+StagingArea::StagingArea(StagingConfig cfg) : cfg_(std::move(cfg)) {
+  SPBC_ASSERT_MSG(cfg_.async || cfg_.level != StorageLevel::kPartner,
+                  "sync staging writes LOCAL or PFS; PARTNER needs async");
+}
 
 void StagingArea::attach(mpi::Machine& machine) {
   machine_ = &machine;
@@ -122,95 +128,34 @@ sim::Time StagingArea::write(int rank, uint64_t epoch, uint64_t bytes,
   e.chain_base = chain_base;
   e.levels = 0;
   e.retries_left = 3;
-  // The plan (and the active scheme) are honored by the async chain; the
-  // sync path keeps the pre-control-plane behavior bit-for-bit.
-  e.scheme_idx = cfg_.async ? active_scheme_ : 0;
-  e.want_redundancy = !cfg_.async || plan.redundancy;
-  e.want_pfs = !cfg_.async || plan.pfs;
+  e.scheme_idx = active_scheme_;
+  e.want_redundancy = plan.redundancy;
+  e.want_pfs = plan.pfs;
   e.chain_id = next_chain_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   e.fragments.clear();
 
-  if (!cfg_.async) {
-    // Synchronous write, charged in full to the member's fiber (the
-    // pre-staging behavior). Local-device writes from co-resident ranks
-    // serialize on the node's device; the PFS cost model is already a
-    // per-process share.
-    sim::Time cost = 0;
-    switch (cfg_.level) {
-      case StorageLevel::kNone:
-        break;
-      case StorageLevel::kLocal:
-        e.levels = kAtLocal;
-        srow(rank).bytes_to_local += bytes;
-        cost = node_local_q_[static_cast<size_t>(node)].reserve(
-                   now, cfg_.model.write_time(StorageLevel::kLocal, bytes)) -
-               now;
-        break;
-      case StorageLevel::kPartner: {
-        // Scheme-driven synchronous redundancy: the fragments land with the
-        // write (no background chain). encode() skips out-of-service hosts —
-        // a copy must not be recorded on a node whose storage died and has
-        // not been re-initialized by a resident's write (invalidate_node
-        // dedups repeat failures of a down node, so the stale copy would
-        // survive the node's next death).
-        e.levels = kAtLocal;
-        srow(rank).bytes_to_local += bytes;
-        PlacementPlan plan = scheme_->encode(rank, epoch, bytes, *this);
-        sim::Time w = 0;
-        switch (cfg_.redundancy.kind) {
-          case SchemeKind::kSingle:
-            w = cfg_.model.write_time(StorageLevel::kLocal, bytes);
-            break;
-          case SchemeKind::kPartner:
-            // Pre-refactor cost: the PARTNER write time covers the local
-            // write plus the buddy copy, charged whether or not the buddy
-            // is in service.
-            w = cfg_.model.write_time(StorageLevel::kPartner, bytes);
-            break;
-          case SchemeKind::kReedSolomon:
-            // Group parity: the local write plus one wire transfer per
-            // Cauchy parity share.
-            w = cfg_.model.write_time(StorageLevel::kLocal, bytes);
-            for (const PlacementStep& step : plan.steps) {
-              w += cfg_.model.base_latency +
-                   static_cast<double>(step.bytes) / cfg_.model.partner_bw;
-            }
-            break;
-        }
-        for (const PlacementStep& step : plan.steps) {
-          const int hnode = machine_->node_of(step.host_rank);
-          e.fragments.push_back(Fragment{step.host_rank, hnode, step.bytes,
-                                         step.parity, true, step.share});
-          if (step.parity) {
-            ++srow(rank).parity_fragments;
-            srow(rank).bytes_to_parity += step.bytes;
-          } else {
-            ++srow(rank).partner_copies;
-            srow(rank).bytes_to_partner += step.bytes;
-          }
-        }
-        cost = node_local_q_[static_cast<size_t>(node)].reserve(now, w) - now;
-        break;
-      }
-      case StorageLevel::kPfs:
-        e.levels = kAtPfs;
-        finish_pfs(rank, epoch);
-        cost = cfg_.model.write_time(StorageLevel::kPfs, bytes);
-        break;
-    }
-    return cost;
+  if (!cfg_.async && cfg_.level == StorageLevel::kPfs) {
+    // Sync-PFS, the pre-staging write: straight to the PFS, charged in full
+    // to the member's fiber. The cost model's PFS bandwidth is already a
+    // per-process share, so co-resident writes do not queue.
+    e.levels = kAtPfs;
+    finish_pfs(rank, epoch);
+    return cfg_.model.write_time(StorageLevel::kPfs, bytes);
   }
-
-  // Async: the fiber pays only the LOCAL write; the promotion chain starts
-  // when that write completes.
+  // Every other mode charges the fiber the LOCAL write; co-resident ranks'
+  // writes serialize on the node's device.
   e.levels = kAtLocal;
   srow(rank).bytes_to_local += bytes;
-  ++srow(rank).drains_started;
-  sim::Time local = cfg_.model.write_time(StorageLevel::kLocal, bytes);
-  sim::Time done = node_local_q_[static_cast<size_t>(node)].reserve(now, local);
-  machine_->engine().at(done, [this, rank, epoch] {
-    start_protection(rank, epoch, /*then_flush=*/true);
-  });
+  const sim::Time done = node_local_q_[static_cast<size_t>(node)].reserve(
+      now, cfg_.model.write_time(StorageLevel::kLocal, bytes));
+  // A LOCAL chain ends at the device. An async chain that reaches further
+  // promotes in the background once the LOCAL write completes.
+  if (cfg_.async && cfg_.level != StorageLevel::kLocal) {
+    ++srow(rank).drains_started;
+    machine_->engine().at(done, [this, rank, epoch] {
+      start_protection(rank, epoch, /*then_flush=*/true);
+    });
+  }
   return done - now;
 }
 

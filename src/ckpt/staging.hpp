@@ -80,13 +80,14 @@ struct PfsInterferencePhase {
 
 struct StagingConfig {
   /// kNone disables staging entirely (the store is free and reliable — the
-  /// paper's measurement mode). Otherwise the deepest level of the chain:
-  /// kLocal stops at the node-local write, kPartner adds the scheme's remote
-  /// fragments, kPfs also drains to the parallel file system. In sync mode
-  /// the whole chain is charged to the writing fiber; with `async` only the
-  /// LOCAL write is.
+  /// paper's measurement mode). Otherwise the deepest level of the chain.
+  /// kLocal ends at the node-local write in both modes. Sync kPfs writes
+  /// straight to the PFS and charges the fiber that whole write. Async kPartner
+  /// and kPfs charge the fiber the LOCAL write, then place the scheme's
+  /// fragments (and, at kPfs, flush to the PFS) in the background. Sync
+  /// kPartner is refused.
   StorageLevel level = StorageLevel::kNone;
-  /// Charge the fiber only the LOCAL write and promote in the background.
+  /// Promote past LOCAL in the background (see `level`).
   bool async = false;
   StorageCostModel model{};
   /// What the remote-redundancy hop places (see redundancy.hpp).
@@ -164,7 +165,9 @@ struct StagingStats {
 
 class StagingArea : public ResidencyView {
  public:
-  explicit StagingArea(StagingConfig cfg) : cfg_(cfg) {}
+  /// A sync chain at kPartner is refused: sync mode writes LOCAL or PFS, and
+  /// only the async chain places the scheme's fragments.
+  explicit StagingArea(StagingConfig cfg);
 
   void attach(mpi::Machine& machine);
 
@@ -189,9 +192,9 @@ class StagingArea : public ResidencyView {
   int partner_of(int rank) const;
 
   /// Registers the snapshot of (rank, epoch) with the staging pipeline and
-  /// returns the virtual-time cost to charge the writing fiber: the full
-  /// cost of `level` in sync mode, only the LOCAL write in async mode (the
-  /// promotion chain then runs in the background). 0 when disabled. The
+  /// returns the virtual-time cost to charge the writing fiber: the whole
+  /// PFS write under sync kPfs, the LOCAL write otherwise (an async chain
+  /// past LOCAL then runs in the background). 0 when disabled. The
   /// plan overload lets the control plane end this epoch's chain early
   /// (LOCAL-only / no-PFS epochs). `bytes` is the POST-reduction (encoded)
   /// size — every level of the chain ships the reduced bytes; `chain_base`

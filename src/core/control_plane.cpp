@@ -101,18 +101,13 @@ sim::Time ControlPlane::local_interval() const {
 
 uint64_t ControlPlane::redundancy_stride() const {
   const uint64_t bytes = snapshot_bytes();
-  // Incremental cost of the redundancy hop on top of the LOCAL write: what
-  // the level adds, not what the chain repeats. Under async staging the hop
-  // is background traffic — its latency overlaps with compute, so only the
-  // bandwidth term is a real cost against the rollback depth a skipped hop
-  // buys.
-  const double c = std::max(
-      async_staging()
-          ? static_cast<double>(bytes) / model_.partner_bw
-          : model_.write_time(ckpt::StorageLevel::kPartner, bytes) -
-                model_.write_time(ckpt::StorageLevel::kLocal, bytes),
-      1e-9);
-  const double t = std::sqrt(2.0 * c * storage_.mtbf() * domains_);
+  // Only the async chain honours a LevelPlan, and there the redundancy hop
+  // is background traffic: its latency overlaps with compute, so only the
+  // bandwidth it occupies is a real cost against the rollback depth a
+  // skipped hop buys.
+  const double c = static_cast<double>(bytes) / model_.partner_bw;
+  const double t =
+      std::sqrt(2.0 * std::max(c, 1e-9) * storage_.mtbf() * domains_);
   const double stride = std::round(t / local_interval());
   return std::clamp<uint64_t>(
       stride < 1.0 ? 1 : static_cast<uint64_t>(stride), 1,
@@ -121,10 +116,7 @@ uint64_t ControlPlane::redundancy_stride() const {
 
 uint64_t ControlPlane::pfs_stride() const {
   const uint64_t bytes = snapshot_bytes();
-  const double c =
-      async_staging()
-          ? static_cast<double>(bytes) / model_.pfs_bw
-          : model_.write_time(ckpt::StorageLevel::kPfs, bytes);
+  const double c = static_cast<double>(bytes) / model_.pfs_bw;
   const double t = std::sqrt(2.0 * std::max(c, 1e-9) * dbl_.mtbf() * domains_);
   const double stride = std::round(t / local_interval());
   return std::clamp<uint64_t>(

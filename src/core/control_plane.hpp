@@ -153,10 +153,8 @@ class ControlPlane {
   /// Inter-failure gaps each estimator keeps.
   static constexpr int kRateWindow = 32;
 
-  /// Wires the staging area: its escalation switch, and whether its levels
-  /// stall the app (sync) or run in the background (async). May be null in
-  /// unit tests: the policy state machine still runs, only the switch is
-  /// skipped, and the strides cost the levels as sync writes.
+  /// Wires the staging area's escalation switch. May be null in unit tests:
+  /// the policy state machine still runs, only the switch is skipped.
   void attach(ckpt::StagingArea* staging) { staging_ = staging; }
 
   /// Containment domains (the protocol's cluster count, wired before the
@@ -223,11 +221,6 @@ class ControlPlane {
 
  private:
   uint64_t snapshot_bytes() const;
-  /// Under async staging the redundancy hop and the PFS flush run in the
-  /// background, so their app-visible incremental cost is the bandwidth they
-  /// occupy (bytes/bw), not the full latency-dominated write time — the
-  /// strides must not buy rollback depth to save latency the app never sees.
-  bool async_staging() const { return staging_ != nullptr && staging_->async(); }
   void maybe_deescalate(sim::Time now);
   void publish_snapshot_bytes();
 

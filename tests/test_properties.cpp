@@ -184,36 +184,44 @@ TEST(LivenessOracle, NoFalseLivenessUnderRandomResidency) {
     m.set_cluster_of(clusters);
 
     ckpt::StagingConfig sc;
-    sc.level = ckpt::StorageLevel::kPartner;  // sync: fragments land with write
-    sc.async = false;
+    sc.level = ckpt::StorageLevel::kPartner;  // the chain ends at redundancy
+    sc.async = true;
     sc.redundancy = red;
     ckpt::StagingArea area(sc);
     area.attach(m);
 
     // Random mutation sequence: writes (including rewrites after a node
-    // came back) interleaved with node kills; audit liveness vs the oracle
-    // after every step, across every (rank, epoch).
+    // came back) interleaved with node kills, one per engine step of
+    // `kStep`; audit liveness vs the oracle half a step later, once the
+    // step's placements and re-protections have landed, across every
+    // (rank, epoch).
+    constexpr sim::Time kStep = 1e-2;
     for (int op = 0; op < 24; ++op) {
       const uint32_t action = rng.next_bounded(3);
       const int subject = static_cast<int>(
           rng.next_bounded(static_cast<uint32_t>(nodes)));
-      if (action == 0) {
-        area.invalidate_node(subject);
-      } else {
-        const uint64_t epoch = 1 + rng.next_bounded(2);
-        area.write(subject, epoch, 512);
-      }
-      for (int r = 0; r < nodes; ++r) {
-        for (uint64_t e = 1; e <= 2; ++e) {
-          const bool live = area.scheme().recoverable_without_pfs(r, e, area);
-          if (!live) continue;
-          EXPECT_TRUE(testing::oracle_recoverable(area, red, nodes, r, e))
-              << "scheme " << testing::scheme_name(red.kind)
-              << " claims liveness the oracle refutes: seed=" << seed
-              << " op=" << op << " rank=" << r << " epoch=" << e;
+      const uint64_t epoch = action == 0 ? 0 : 1 + rng.next_bounded(2);
+      const sim::Time at = kStep * (op + 1);
+      m.engine().at(at, [&area, action, subject, epoch] {
+        if (action == 0)
+          area.invalidate_node(subject);
+        else
+          area.write(subject, epoch, 512);
+      });
+      m.engine().at(at + kStep / 2, [&area, &red, nodes, seed, op] {
+        for (int r = 0; r < nodes; ++r) {
+          for (uint64_t e = 1; e <= 2; ++e) {
+            const bool live = area.scheme().recoverable_without_pfs(r, e, area);
+            if (!live) continue;
+            EXPECT_TRUE(testing::oracle_recoverable(area, red, nodes, r, e))
+                << "scheme " << testing::scheme_name(red.kind)
+                << " claims liveness the oracle refutes: seed=" << seed
+                << " op=" << op << " rank=" << r << " epoch=" << e;
+          }
         }
-      }
+      });
     }
+    EXPECT_TRUE(m.run().completed) << "seed=" << seed;
   }
 }
 

@@ -98,11 +98,11 @@ TEST(Redundancy, XorSmallGroupsAvoidSameCluster) {
   }
 }
 
-// Sync writes at the redundancy level (no PFS in the chain at all) place the
-// parity with the write; the host rotates with the epoch, and after a home
-// node loss the group alone keeps the epoch recoverable — the sync-local
-// mode that could not survive node loss now can (ROADMAP).
-TEST(Redundancy, SyncXorRotatesHostsAndSurvivesNodeLossWithoutPfs) {
+// A chain that ends at the redundancy level (no PFS in it at all) places
+// the parity once the LOCAL write completes; the host rotates with the
+// epoch, and after a home node loss the group alone keeps the epoch
+// recoverable — LOCAL-class storage that survives node loss.
+TEST(Redundancy, XorChainRotatesHostsAndSurvivesNodeLossWithoutPfs) {
   MachineConfig cfg;
   cfg.nranks = 4;
   cfg.ranks_per_node = 1;
@@ -111,32 +111,40 @@ TEST(Redundancy, SyncXorRotatesHostsAndSurvivesNodeLossWithoutPfs) {
   m.set_cluster_of({0, 1, 2, 3});
   ckpt::StagingConfig sc;
   sc.level = ckpt::StorageLevel::kPartner;  // chain ends at redundancy
-  sc.async = false;
+  sc.async = true;
   sc.redundancy = xor_group(4);
   ckpt::StagingArea area(sc);
   area.attach(m);
   for (int r = 0; r < 4; ++r) {
-    area.write(r, 1, 3000);
-    area.write(r, 2, 3000);
+    m.engine().at(1e-3, [&, r] { area.write(r, 1, 3000); });
+    m.engine().at(0.1, [&, r] { area.write(r, 2, 3000); });
   }
-  const std::vector<ckpt::Fragment>* f1 = area.fragments(0, 1);
-  const std::vector<ckpt::Fragment>* f2 = area.fragments(0, 2);
-  ASSERT_NE(f1, nullptr);
-  ASSERT_NE(f2, nullptr);
-  ASSERT_EQ(f1->size(), 1u);
-  ASSERT_EQ(f2->size(), 1u);
-  EXPECT_TRUE(f1->front().parity && f1->front().live);
-  EXPECT_NE(f1->front().host_rank, f2->front().host_rank)
-      << "parity host must rotate with the epoch";
-  EXPECT_EQ(f1->front().bytes, 1000u);  // ceil(B / k), k = G-1
-  // Node loss: every epoch of rank 0 stays recoverable through the group,
-  // with no PFS copy anywhere.
-  area.invalidate_node(0);
-  EXPECT_TRUE(area.recoverable(0, 1));
-  EXPECT_TRUE(area.recoverable(0, 2));
-  EXPECT_EQ(area.plan_restore(0, 1).source,
-            ckpt::RestorePlan::Source::kRebuild);
-  EXPECT_EQ(area.pfs_frontier(0), 0u);
+  bool checked = false;
+  m.engine().at(0.5, [&] {
+    const std::vector<ckpt::Fragment>* f1 = area.fragments(0, 1);
+    const std::vector<ckpt::Fragment>* f2 = area.fragments(0, 2);
+    ASSERT_NE(f1, nullptr);
+    ASSERT_NE(f2, nullptr);
+    ASSERT_EQ(f1->size(), 1u);
+    ASSERT_EQ(f2->size(), 1u);
+    EXPECT_TRUE(f1->front().parity && f1->front().live);
+    EXPECT_TRUE(f2->front().live);
+    EXPECT_NE(f1->front().host_rank, f2->front().host_rank)
+        << "parity host must rotate with the epoch";
+    EXPECT_EQ(f1->front().bytes, 1000u);  // ceil(B / k), k = G-1
+    // Node loss: every epoch of rank 0 stays recoverable through the group,
+    // with no PFS copy anywhere.
+    area.invalidate_node(0);
+    EXPECT_TRUE(area.recoverable(0, 1));
+    EXPECT_TRUE(area.recoverable(0, 2));
+    EXPECT_EQ(area.plan_restore(0, 1).source,
+              ckpt::RestorePlan::Source::kRebuild);
+    EXPECT_EQ(area.pfs_frontier(0), 0u);
+    checked = true;
+  });
+  EXPECT_TRUE(m.run().completed);
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(area.stats().pfs_flushes, 0u);
 }
 
 // Protocol-level single in-group loss: the failed cluster's committed epoch

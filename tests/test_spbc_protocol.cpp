@@ -199,14 +199,14 @@ TEST(SpbcProtocol, SuppressionWindowBlocksTransmit) {
 
 // Each staging setting is held once and derived at attach: the staging area
 // takes the async mode from SpbcConfig and the scrub period and escalation
-// target from the control-plane config, and the control plane reads the
-// async mode back from the staging area it is attached to.
+// target from the control-plane config, and the control plane prices its
+// level strides from the cost model alone.
 TEST(SpbcProtocol, StagingSettingsReachStagingAndControlPlane) {
   core::SpbcConfig scfg;
   scfg.checkpoint_every = 1;
   scfg.storage = ckpt::StorageLevel::kPfs;
   scfg.async_staging = true;
-  scfg.control.prior_storage_mtbf = 200.0;  // async and sync strides differ
+  scfg.control.prior_storage_mtbf = 200.0;  // a stride above 1
   scfg.control.scrub_period = 0.004;
   scfg.control.escalation =
       ckpt::RedundancyConfig{ckpt::SchemeKind::kReedSolomon};
@@ -223,19 +223,20 @@ TEST(SpbcProtocol, StagingSettingsReachStagingAndControlPlane) {
   EXPECT_EQ(st.active_scheme().kind(), ckpt::SchemeKind::kReedSolomon);
   p->staging_mut().set_scheme_escalated(false);
 
-  // Async: the redundancy hop costs the bandwidth it occupies (bytes/bw of
-  // the 1 MiB snapshot hint). An unattached control plane costs it as a
-  // sync write and picks a different stride.
+  // The redundancy hop costs the bandwidth it occupies (bytes/bw of the
+  // 1 MiB snapshot hint). The stride is a function of the cost model and
+  // the domains alone: an unattached control plane prices the same one.
   const core::ControlPlane& cp = p->control_plane();
   const double c = static_cast<double>(1 << 20) / scfg.storage_model.partner_bw;
   const double t =
       std::sqrt(2.0 * c * scfg.control.prior_storage_mtbf * /*domains=*/2);
-  const uint64_t async_stride =
+  const uint64_t stride =
       static_cast<uint64_t>(std::round(t / cp.local_interval()));
-  EXPECT_EQ(cp.redundancy_stride(), async_stride);
-  core::ControlPlane sync_cp(scfg.control, scfg.storage_model);
-  sync_cp.set_domains(2);
-  EXPECT_NE(sync_cp.redundancy_stride(), async_stride);
+  EXPECT_EQ(cp.redundancy_stride(), stride);
+  core::ControlPlane unattached(scfg.control, scfg.storage_model);
+  unattached.set_domains(2);
+  EXPECT_EQ(unattached.redundancy_stride(), stride);
+  EXPECT_EQ(unattached.pfs_stride(), cp.pfs_stride());
 
   // The audit wave runs every scrub period from the first staged write.
   const apps::AppInfo& info = apps::find_app("MiniGhost");

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "ckpt/staging.hpp"
 #include "core/spbc.hpp"
@@ -361,6 +362,49 @@ TEST(Staging, HopRetriesFromLocalWhenPartnerDiesMidDrain) {
   EXPECT_NE(area.levels(0, 1) & ckpt::kAtPfs, 0);
   EXPECT_NE(area.levels(0, 1) & ckpt::kAtLocal, 0);
   EXPECT_EQ(area.pfs_frontier(0), 1u);
+}
+
+// A LOCAL chain ends at the node-local write in both modes: under a PARTNER
+// or RS scheme an async kLocal write places no fragment, starts no drain,
+// and charges the fiber what a sync-LOCAL write charges.
+TEST(Staging, AsyncLocalChainEndsAtTheLocalWrite) {
+  const ckpt::RedundancyConfig schemes[] = {
+      {ckpt::SchemeKind::kPartner}, {ckpt::SchemeKind::kReedSolomon, 2, 1}};
+  for (const ckpt::RedundancyConfig& red : schemes) {
+    std::vector<sim::Time> cost[2];
+    std::vector<ckpt::StagingStats> stats;
+    for (bool async : {false, true}) {
+      MachineConfig cfg;
+      cfg.nranks = 8;
+      cfg.ranks_per_node = 2;  // co-resident writes queue on the device
+      auto proto = std::make_unique<core::SpbcProtocol>(core::SpbcConfig{});
+      Machine m(cfg, std::move(proto));
+      m.set_cluster_of({0, 0, 1, 1, 2, 2, 3, 3});
+      ckpt::StagingConfig sc;
+      sc.level = ckpt::StorageLevel::kLocal;
+      sc.async = async;
+      sc.redundancy = red;
+      ckpt::StagingArea area(sc);
+      area.attach(m);
+      for (int r = 0; r < 8; ++r) {
+        m.engine().at(1e-3, [&, r] {
+          cost[async].push_back(area.write(r, 1, 100000));
+        });
+      }
+      EXPECT_TRUE(m.run().completed);
+      for (int r = 0; r < 8; ++r) {
+        ASSERT_NE(area.fragments(r, 1), nullptr);
+        EXPECT_TRUE(area.fragments(r, 1)->empty()) << "rank " << r;
+        EXPECT_EQ(area.levels(r, 1), ckpt::kAtLocal) << "rank " << r;
+      }
+      stats.push_back(area.stats());
+    }
+    EXPECT_EQ(cost[1], cost[0]);
+    const ckpt::StagingStats& st = stats[1];
+    EXPECT_EQ(st.drains_started, 0u);
+    EXPECT_EQ(st.partner_copies + st.parity_fragments, 0u);
+    EXPECT_EQ(st.bytes_to_local, stats[0].bytes_to_local);
+  }
 }
 
 // gc_logs reclaims sender-log entries once the destination cluster commits,
