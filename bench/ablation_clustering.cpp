@@ -19,7 +19,7 @@ using namespace spbc;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(cli, bench::kEngine);
   bench::print_header("Ablation: clustering objective (Section 6.6)", o);
 
   int nodes = o.ranks / o.ppn;

@@ -48,7 +48,8 @@ struct VariantOutcome {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(
+      cli, bench::kRedundancy | bench::kReduction | bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: checkpoint data reduction", o);
 

@@ -12,9 +12,11 @@
 //     correlated double losses.
 //
 // The merit figure is total lost work, ranks x (finish - t_base), where
-// t_base is the checkpoint-free failure-free time: everything a schedule
-// costs (checkpoint writes, rework after rollbacks, PFS restores) lands in
-// that one number. Gate rows at the bottom print "pass"/"fail" tokens that
+// finish is when the application ended and t_base is the checkpoint-free
+// failure-free time: everything a schedule costs the application
+// (checkpoint writes, rework after rollbacks, PFS restores) lands in that
+// one number. The drain column is how long the background PFS flushes ran
+// on after the application ended; it is not lost work. Gate rows at the bottom print "pass"/"fail" tokens that
 // CI greps:
 //   * controller-beats-statics — strictly less lost work than EVERY static;
 //   * scrub-repair — every injected silent loss detected AND repaired by
@@ -136,7 +138,8 @@ Schedule make_schedule(const harness::ScenarioConfig& cfg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(
+      cli, bench::kRedundancy | bench::kControl | bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: self-tuning control plane vs static schedules",
                       o);
@@ -184,14 +187,15 @@ int main(int argc, char** argv) {
       sched.silent_losses.size(), o.mtbf_drift);
 
   util::Table table({"Config", "Scheme", "Interval", "Finish", "Lost work",
-                     "Ckpts", "PFS restores", "Fallbacks", "Scrub d/r",
-                     "Esc"});
+                     "Drain", "Ckpts", "PFS restores", "Fallbacks",
+                     "Scrub d/r", "Esc"});
   auto add_row = [&](const std::string& name, const std::string& scheme,
                      const std::string& interval, const Outcome& out) {
     const harness::ScenarioResult& r = out.res;
     table.add_row(
         {name, scheme, interval, out.ok ? util::Table::fmt(r.elapsed, 4) : "fail",
          out.ok ? util::Table::fmt(out.lost_work, 2) : "fail",
+         out.ok ? util::Table::fmt(r.run.finish_time - r.elapsed, 4) : "-",
          std::to_string(r.checkpoints),
          std::to_string(r.staging.restores_by_level[2]),
          std::to_string(r.staging.epoch_fallbacks),

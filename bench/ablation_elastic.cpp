@@ -101,7 +101,8 @@ Storm make_storm(const harness::ScenarioConfig& cfg, sim::Time t_base,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(
+      cli, bench::kRedundancy | bench::kElastic | bench::kEngine);
   cli.reject_unknown();
   if (o.spares <= 0) o.spares = 2;
   if (o.repart_period == 0) o.repart_period = -1;  // -1 = auto from t_base

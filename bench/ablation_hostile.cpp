@@ -91,7 +91,8 @@ uint64_t shape_stat(const Shape& s, const harness::ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o =
+      bench::parse_opts(cli, bench::kRedundancy | bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: hostile workload matrix (lost work vs scheme x shape)",
                       o);

@@ -58,7 +58,7 @@ Outcome run_with_failures(harness::ScenarioConfig cfg,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(cli, bench::kEngine);
   // --fracs=2.0,0.5 trims the MTBF sweep (CI smoke-runs a single large-rank
   // row instead of the full five-row sweep).
   const std::string arg = cli.get_string("fracs", "");

@@ -12,7 +12,7 @@ using namespace spbc;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(cli, bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: replay pre-post window (Section 5.2.2)", o);
 

@@ -10,8 +10,10 @@
 // staging, plus which level served each restore (LOCAL dies with the failed
 // nodes, so PARTNER carries most restores; epoch fallbacks count recoveries
 // where a drain-in-progress epoch was lost and an older flushed epoch was
-// used). The in-flight-capture high-water mark (ROADMAP memory-bound
-// metric) is surfaced for every run.
+// used). Overhead counts until the application ends; the drain tail column
+// shows how long the engine ran on after that (the last epoch's background
+// PFS flushes, and the last commit's control messages), the window in which
+// the newest epoch is not yet at its target level.
 
 #include "bench_common.hpp"
 
@@ -31,7 +33,6 @@ struct FailOutcome {
   bool ok = false;
   double efficiency = 0;
   int failures = 0;
-  uint64_t capture_hwm = 0;
   ckpt::StagingStats staging;
 };
 
@@ -44,7 +45,6 @@ FailOutcome run_with_failures(harness::ScenarioConfig cfg, sim::Time t_ff,
   out.ok = res.run.completed;
   out.failures = static_cast<int>(cfg.extra_failures.size());
   if (out.ok) out.efficiency = t_ff / res.elapsed;
-  out.capture_hwm = res.capture_hwm_bytes;
   out.staging = res.staging;
   return out;
 }
@@ -55,7 +55,8 @@ std::string kb(uint64_t bytes) { return util::Table::fmt(bytes / 1.0e3, 2); }
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o =
+      bench::parse_opts(cli, bench::kRedundancy | bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: multi-level checkpoint staging", o);
 
@@ -83,10 +84,14 @@ int main(int argc, char** argv) {
       {"sync-PFS", ckpt::StorageLevel::kPfs, false},
       {"async L/P/F", ckpt::StorageLevel::kPfs, true},
   };
-  util::Table ff({"Mode", "elapsed (s)", "overhead %", "ckpts", "capture HWM KB",
-                  "PFS flushes"});
+  util::Table ff({"Mode", "elapsed (s)", "overhead %", "ckpts", "PFS flushes",
+                  "drain tail (ms)"});
+  // Engine end minus app end: what runs on after the application returned.
+  auto drain_tail_ms = [](const harness::ScenarioResult& r) {
+    return util::Table::fmt((r.run.finish_time - r.elapsed) * 1e3, 3);
+  };
   ff.add_row({"no-I/O", util::Table::fmt(none.elapsed, 4), "0.000",
-              std::to_string(none.checkpoints), kb(none.capture_hwm_bytes), "-"});
+              std::to_string(none.checkpoints), "-", drain_tail_ms(none)});
   double sync_pfs_ovh = 0, async_ovh = 0;
   bool sync_pfs_ok = false, async_ok = false;
   for (const Mode& mode : modes) {
@@ -106,8 +111,8 @@ int main(int argc, char** argv) {
       async_ok = true;
     }
     ff.add_row({mode.name, util::Table::fmt(r.elapsed, 4), util::Table::fmt(ovh, 3),
-                std::to_string(r.checkpoints), kb(r.capture_hwm_bytes),
-                std::to_string(r.staging.pfs_flushes)});
+                std::to_string(r.checkpoints),
+                std::to_string(r.staging.pfs_flushes), drain_tail_ms(r)});
   }
   const bool async_wins = sync_pfs_ok && async_ok && async_ovh < sync_pfs_ovh;
   std::printf("%s\n", ff.render().c_str());
@@ -120,8 +125,7 @@ int main(int argc, char** argv) {
 
   // ---- Part 2: recovery under failures, per-level restore counts -------
   util::Table rec({"MTBF (frac)", "Failures", "sync-PFS eff.", "async eff.",
-                   "restores L/P/F/R", "epoch fallbacks", "drains aborted",
-                   "capture HWM KB"});
+                   "restores L/P/F/R", "epoch fallbacks", "drains aborted"});
   harness::ScenarioConfig sync_cfg =
       mode_config(base, ckpt::StorageLevel::kPfs, false);
   harness::ScenarioConfig async_cfg =
@@ -141,8 +145,7 @@ int main(int argc, char** argv) {
              std::to_string(st.restores_by_level[1]) + "/" +
              std::to_string(st.restores_by_level[2]) + "/" +
              std::to_string(st.rebuild_restores),
-         std::to_string(st.epoch_fallbacks), std::to_string(st.drains_aborted),
-         kb(async_out.capture_hwm)});
+         std::to_string(st.epoch_fallbacks), std::to_string(st.drains_aborted)});
   }
   std::printf("%s\n", rec.render().c_str());
   std::printf(

@@ -88,9 +88,21 @@ struct BenchOpts {
   double mutation_rate = 0.10;
 };
 
-/// Reads the common flags from `cli`; the bench reads its own flags from
-/// the same Cli, then calls cli.reject_unknown().
-inline BenchOpts parse_opts(const util::Cli& cli) {
+/// The shared option groups beyond the scale flags. A bench names the
+/// groups whose settings reach its runs; a flag of any other group stays
+/// unread, so cli.reject_unknown() stops the bench on it.
+enum OptGroup : unsigned {
+  kRedundancy = 1u << 0,  // --scheme --group-size --rs-k --rs-m
+  kControl = 1u << 1,     // --mtbf-drift --scrub-period --escalate
+  kElastic = 1u << 2,     // --spares --repart-period
+  kReduction = 1u << 3,   // --compress --delta-blocks --full-stride
+                          // --state-bytes --mutate
+  kEngine = 1u << 4,      // --shards --threads
+};
+
+/// Reads the scale flags and the flags of `groups` from `cli`; the bench
+/// reads its own flags from the same Cli, then calls cli.reject_unknown().
+inline BenchOpts parse_opts(const util::Cli& cli, unsigned groups) {
   BenchOpts o;
   o.ranks = cli.get_int32("ranks", o.ranks);
   o.ppn = cli.get_int32("ppn", o.ppn);
@@ -102,22 +114,32 @@ inline BenchOpts parse_opts(const util::Cli& cli) {
   o.compute_noise = cli.get_double("noise", o.compute_noise);
   o.net_jitter = cli.get_double("jitter", o.net_jitter);
   if (cli.get_flag("block-clustering")) o.use_clustering_tool = false;
-  o.scheme = cli.get_string("scheme", "");
-  o.group_size = cli.get_int32("group-size", o.group_size);
-  o.rs_k = cli.get_int32("rs-k", o.rs_k);
-  o.rs_m = cli.get_int32("rs-m", o.rs_m);
-  o.shards = cli.get_int32("shards", o.shards);
-  o.threads = cli.get_int32("threads", o.threads);
-  o.mtbf_drift = cli.get_double("mtbf-drift", o.mtbf_drift);
-  o.scrub_period = cli.get_double("scrub-period", o.scrub_period);
-  o.escalate = cli.get_flag("escalate");
-  o.spares = cli.get_int32("spares", o.spares);
-  o.repart_period = cli.get_double("repart-period", o.repart_period);
-  o.compress = cli.get_flag("compress");
-  o.delta_blocks = cli.get_int32("delta-blocks", o.delta_blocks);
-  o.full_stride = cli.get_int32("full-stride", o.full_stride);
-  o.state_bytes = cli.get_int32("state-bytes", o.state_bytes);
-  o.mutation_rate = cli.get_double("mutate", o.mutation_rate);
+  if (groups & kRedundancy) {
+    o.scheme = cli.get_string("scheme", "");
+    o.group_size = cli.get_int32("group-size", o.group_size);
+    o.rs_k = cli.get_int32("rs-k", o.rs_k);
+    o.rs_m = cli.get_int32("rs-m", o.rs_m);
+  }
+  if (groups & kEngine) {
+    o.shards = cli.get_int32("shards", o.shards);
+    o.threads = cli.get_int32("threads", o.threads);
+  }
+  if (groups & kControl) {
+    o.mtbf_drift = cli.get_double("mtbf-drift", o.mtbf_drift);
+    o.scrub_period = cli.get_double("scrub-period", o.scrub_period);
+    o.escalate = cli.get_flag("escalate");
+  }
+  if (groups & kElastic) {
+    o.spares = cli.get_int32("spares", o.spares);
+    o.repart_period = cli.get_double("repart-period", o.repart_period);
+  }
+  if (groups & kReduction) {
+    o.compress = cli.get_flag("compress");
+    o.delta_blocks = cli.get_int32("delta-blocks", o.delta_blocks);
+    o.full_stride = cli.get_int32("full-stride", o.full_stride);
+    o.state_bytes = cli.get_int32("state-bytes", o.state_bytes);
+    o.mutation_rate = cli.get_double("mutate", o.mutation_rate);
+  }
   if (!o.scheme.empty() && o.scheme != "xor" && !ckpt::parse_scheme(o.scheme)) {
     std::fprintf(stderr, "unknown --scheme=%s (single|partner|xor|rs)\n",
                  o.scheme.c_str());

@@ -11,7 +11,7 @@ using namespace spbc;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(cli, bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Figure 6: HydEE vs SPBC recovery (NAS, 8 clusters)", o);
 

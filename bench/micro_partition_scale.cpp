@@ -88,7 +88,7 @@ clustering::CommGraph community_graph(int nranks, int communities, uint64_t seed
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(cli, 0);
   const int k_req = cli.get_int32("clusters", 8);
   const int app_max_ranks = cli.get_int32("app-ranks", 256);
   const double budget_ms = cli.get_double("budget-ms", 0.0);

@@ -16,7 +16,7 @@ using namespace spbc;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o = bench::parse_opts(cli);
+  bench::BenchOpts o = bench::parse_opts(cli, bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Table 1: log growth rate per process (MB/s)", o);
 

@@ -208,7 +208,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   res.cluster_of = cluster_of;
   res.domain_failures_injected = domain_injected;
   res.run = machine.run();
-  res.elapsed = res.run.finish_time;
+  res.elapsed = res.run.app_end_time;
   res.checksums = std::move(checksums);
   res.profile = trace::profile_machine(machine);
   res.recoveries = machine.recoveries();

@@ -109,6 +109,8 @@ struct ScenarioConfig {
 
 struct ScenarioResult {
   mpi::RunResult run;
+  /// When the application ended (RunResult::app_end_time). A background
+  /// drain that outlives the app shows in run.finish_time, not here.
   sim::Time elapsed = 0;
   std::map<int, uint64_t> checksums;  // validate mode only
   trace::MachineProfile profile;

@@ -18,6 +18,7 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<ProtocolHooks> protocol)
       world_(Comm::world(cfg.nranks)),
       incarnation_(static_cast<size_t>(cfg.nranks), 0),
       alive_(static_cast<size_t>(cfg.nranks), false),
+      app_end_(static_cast<size_t>(cfg.nranks), 0.0),
       intra_outstanding_(static_cast<size_t>(cfg.nranks), 0),
       intra_drain_watchers_(static_cast<size_t>(cfg.nranks)),
       cluster_of_(static_cast<size_t>(cfg.nranks), 0),
@@ -151,20 +152,28 @@ void Machine::launch(AppFn app) {
   app_ = std::move(app);
   for (int r = 0; r < cfg_.nranks; ++r) {
     alive_[static_cast<size_t>(r)] = true;
-    Rank* rk = ranks_[static_cast<size_t>(r)].get();
-    auto id = engine_.spawn_on(shard_of(r), [this, rk] {
-      protocol_->on_rank_start(*rk, /*restarted=*/false);
-      app_(*rk);
-      rk->set_task(sim::Engine::kInvalidTask);
-    });
-    rk->set_task(id);
-    engine_.set_task_label(id, "rank " + std::to_string(r));
+    spawn_app(r, /*restarted=*/false);
   }
+}
+
+void Machine::spawn_app(int r, bool restarted) {
+  Rank* rk = ranks_[static_cast<size_t>(r)].get();
+  auto id = engine_.spawn_on(shard_of(r), [this, r, rk, restarted] {
+    protocol_->on_rank_start(*rk, restarted);
+    app_(*rk);
+    app_end_[static_cast<size_t>(r)] = rk->now();
+    rk->set_task(sim::Engine::kInvalidTask);
+  });
+  rk->set_task(id);
+  const bool respawned = incarnation_[static_cast<size_t>(r)] > 0;
+  engine_.set_task_label(
+      id, "rank " + std::to_string(r) + (respawned ? " (restarted)" : ""));
 }
 
 RunResult Machine::run() {
   RunResult res;
   res.finish_time = engine_.run();
+  res.app_end_time = *std::max_element(app_end_.begin(), app_end_.end());
   res.deadlocked = engine_.deadlocked();
   res.completed = !res.deadlocked && engine_.live_task_count() == 0;
   return res;
@@ -516,16 +525,9 @@ void Machine::respawn_rank(int r, bool restarted) {
   // and absent from the restored received-window, so replay re-delivers it
   // in order.
   ++incarnation_[static_cast<size_t>(r)];
-  Rank* rk = ranks_[static_cast<size_t>(r)].get();
-  rk->set_restarted(restarted);
+  ranks_[static_cast<size_t>(r)]->set_restarted(restarted);
   tombstoned_[static_cast<size_t>(r)] = 0;  // elastic rebind completed
-  auto id = engine_.spawn_on(shard_of(r), [this, rk, restarted] {
-    protocol_->on_rank_start(*rk, restarted);
-    app_(*rk);
-    rk->set_task(sim::Engine::kInvalidTask);
-  });
-  rk->set_task(id);
-  engine_.set_task_label(id, "rank " + std::to_string(r) + " (restarted)");
+  spawn_app(r, restarted);
 }
 
 void Machine::set_pending_app_state(int r, std::vector<unsigned char> bytes) {

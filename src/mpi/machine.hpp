@@ -102,7 +102,12 @@ struct MachineConfig {
 
 /// Outcome of a Machine::run().
 struct RunResult {
+  /// The engine's last event of any kind: under async staging this includes
+  /// the background drain that outlives the app.
   sim::Time finish_time = 0;
+  /// The latest return of an app main, over all ranks and incarnations (0
+  /// when none returned): when the application itself ended.
+  sim::Time app_end_time = 0;
   bool deadlocked = false;
   bool completed = false;  // all rank mains returned
 };
@@ -337,6 +342,8 @@ class Machine {
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::vector<uint32_t> incarnation_;
   std::vector<bool> alive_;
+  // Per rank: when its app main last returned (written on the rank's shard).
+  std::vector<sim::Time> app_end_;
   std::vector<uint64_t> intra_outstanding_;
   std::vector<std::vector<std::function<void()>>> intra_drain_watchers_;
   std::vector<int> cluster_of_;
@@ -358,6 +365,8 @@ class Machine {
   std::atomic<uint64_t> tombstone_drops_{0};
 
   AppFn app_;
+  /// Spawns rank r's fiber running app_ and records when the app returns.
+  void spawn_app(int r, bool restarted);
 
   // Rendezvous bookkeeping at the sender: req id -> (env, payload, completion).
   // One row per source rank: transport_send fills it from the sender's fiber

@@ -168,8 +168,11 @@ TEST(Harness, ExplicitMapRunMatchesComputedMapRun) {
   cfg.spbc.async_staging = true;
   harness::ScenarioResult ff = harness::run_failure_free(cfg);
   ASSERT_TRUE(ff.run.completed);
-  cfg.extra_failures = {{ff.elapsed * 0.6, 5}};
-  cfg.silent_losses = {{ff.elapsed * 0.4, 0x5eed}};
+  // Timed against the engine's end, drain included: at 0.4 of the app's
+  // end no fragment has landed yet for the silent loss to pick.
+  const sim::Time t_end = ff.run.finish_time;
+  cfg.extra_failures = {{t_end * 0.6, 5}};
+  cfg.silent_losses = {{t_end * 0.4, 0x5eed}};
 
   harness::ScenarioResult implicit = harness::run_scenario(cfg);
   harness::ScenarioResult expl =

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -405,6 +406,57 @@ TEST(Staging, AsyncLocalChainEndsAtTheLocalWrite) {
     EXPECT_EQ(st.partner_copies + st.parity_fragments, 0u);
     EXPECT_EQ(st.bytes_to_local, stats[0].bytes_to_local);
   }
+}
+
+// The run reports when the application ended apart from when the engine did:
+// the slow PFS drain outlives the app, and the app's end is the latest
+// return over every incarnation — the respawned ranks of the failed cluster
+// finish last.
+TEST(Staging, AppEndExcludesDrainAndCountsRespawnedRanks) {
+  MachineConfig cfg;
+  cfg.nranks = 4;
+  cfg.ranks_per_node = 2;
+  core::SpbcConfig scfg;
+  scfg.checkpoint_every = 1;
+  scfg.storage = ckpt::StorageLevel::kPfs;
+  scfg.async_staging = true;
+  scfg.storage_model = slow_pfs_model();
+  Machine m(cfg, std::make_unique<core::SpbcProtocol>(scfg));
+  m.set_cluster_of({0, 0, 1, 1});
+  std::map<int, sim::Time> returned;
+  m.launch([&returned](Rank& r) {
+    struct St {
+      int iter = 0;
+    } st;
+    r.set_state_handlers(
+        [&st](util::ByteWriter& w) { w.put(st); },
+        [&st](util::ByteReader& rd) { st = rd.get<decltype(st)>(); });
+    if (r.restarted()) r.restore_app_state();
+    const mpi::Comm& w = r.world();
+    for (; st.iter < 3;) {
+      int peer = r.rank() ^ 1;  // intra-cluster pairing
+      mpi::Request rq = r.irecv(peer, 1, w);
+      r.isend(peer, 1, Payload::make_synthetic(128, 7), w);
+      r.wait(rq);
+      r.compute(5e-3);
+      ++st.iter;
+      r.maybe_checkpoint();
+    }
+    returned[r.rank()] = r.now();
+  });
+  m.inject_failure(12e-3, 0);
+  const mpi::RunResult res = m.run();
+  ASSERT_TRUE(res.completed);
+  ASSERT_EQ(m.recoveries().size(), 1u);
+  ASSERT_EQ(returned.size(), 4u);
+  sim::Time latest = 0, survivors = 0;
+  for (const auto& [rank, t] : returned) {
+    latest = std::max(latest, t);
+    if (rank >= 2) survivors = std::max(survivors, t);
+  }
+  EXPECT_GT(latest, survivors) << "the failed cluster should finish last";
+  EXPECT_EQ(res.app_end_time, latest);
+  EXPECT_GT(res.finish_time, res.app_end_time) << "the PFS drain outlives the app";
 }
 
 // gc_logs reclaims sender-log entries once the destination cluster commits,
