@@ -16,8 +16,8 @@
 // failure-free time: everything a schedule costs the application
 // (checkpoint writes, rework after rollbacks, PFS restores) lands in that
 // one number. The drain column is how long the background PFS flushes ran
-// on after the application ended; it is not lost work. Gate rows at the bottom print "pass"/"fail" tokens that
-// CI greps:
+// on after the application ended; it is not lost work. Gate rows at the
+// bottom print "pass"/"fail" tokens that CI greps:
 //   * controller-beats-statics — strictly less lost work than EVERY static;
 //   * scrub-repair — every injected silent loss detected AND repaired by
 //     the audit wave, none still believed live at the end;

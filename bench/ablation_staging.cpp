@@ -145,7 +145,8 @@ int main(int argc, char** argv) {
              std::to_string(st.restores_by_level[1]) + "/" +
              std::to_string(st.restores_by_level[2]) + "/" +
              std::to_string(st.rebuild_restores),
-         std::to_string(st.epoch_fallbacks), std::to_string(st.drains_aborted)});
+         std::to_string(st.epoch_fallbacks),
+         std::to_string(st.drains_aborted)});
   }
   std::printf("%s\n", rec.render().c_str());
   std::printf(

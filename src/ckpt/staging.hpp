@@ -82,10 +82,10 @@ struct StagingConfig {
   /// kNone disables staging entirely (the store is free and reliable — the
   /// paper's measurement mode). Otherwise the deepest level of the chain.
   /// kLocal ends at the node-local write in both modes. Sync kPfs writes
-  /// straight to the PFS and charges the fiber that whole write. Async kPartner
-  /// and kPfs charge the fiber the LOCAL write, then place the scheme's
-  /// fragments (and, at kPfs, flush to the PFS) in the background. Sync
-  /// kPartner is refused.
+  /// straight to the PFS and charges the fiber that whole write. Async
+  /// kPartner and kPfs charge the fiber the LOCAL write, then place the
+  /// scheme's fragments (and, at kPfs, flush to the PFS) in the background.
+  /// Sync kPartner is refused.
   StorageLevel level = StorageLevel::kNone;
   /// Promote past LOCAL in the background (see `level`).
   bool async = false;

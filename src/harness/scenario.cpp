@@ -234,10 +234,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   res.tombstone_drops = machine.tombstone_drops();
   if (auto* spbc = dynamic_cast<core::SpbcProtocol*>(&machine.protocol())) {
     res.checkpoints = spbc->checkpoints_taken();
-    res.capture_hwm_bytes = spbc->store().capture_hwm_bytes();
-    res.capture_forced_waves = spbc->capture_forced_waves();
-    res.captures_spilled = spbc->store().captures_spilled();
-    res.capture_spilled_bytes = spbc->store().capture_spilled_bytes();
     res.staging = spbc->staging().stats();
     res.corrupt_live_fragments = spbc->staging().corrupt_live_fragments();
     res.ckpt_raw_bytes = spbc->store().total_raw_bytes();

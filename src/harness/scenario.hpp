@@ -128,16 +128,6 @@ struct ScenarioResult {
   uint64_t log_bytes_reclaimed = 0;
   uint64_t log_retained_hwm = 0;
 
-  // In-flight capture footprint: highest per-rank live capture bytes
-  // (the ROADMAP memory-bound metric) and waves forced by the bound.
-  uint64_t capture_hwm_bytes = 0;
-  uint64_t capture_forced_waves = 0;
-
-  // Captures spilled to LOCAL storage when bound pressure could not prune
-  // past the PFS retention floor (count and bytes).
-  uint64_t captures_spilled = 0;
-  uint64_t capture_spilled_bytes = 0;
-
   // Multi-level staging pipeline counters (zeros when staging is off):
   // per-level bytes on the wire, restore sources, re-protection, scrubbing
   // and PFS interference.

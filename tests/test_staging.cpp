@@ -456,7 +456,8 @@ TEST(Staging, AppEndExcludesDrainAndCountsRespawnedRanks) {
   }
   EXPECT_GT(latest, survivors) << "the failed cluster should finish last";
   EXPECT_EQ(res.app_end_time, latest);
-  EXPECT_GT(res.finish_time, res.app_end_time) << "the PFS drain outlives the app";
+  EXPECT_GT(res.finish_time, res.app_end_time)
+      << "the PFS drain outlives the app";
 }
 
 // gc_logs reclaims sender-log entries once the destination cluster commits,
