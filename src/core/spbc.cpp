@@ -400,8 +400,8 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
   const uint64_t staged = sinfo.stored_bytes + cfg_.snapshot_pad_bytes;
   cs.last_cut = machine_->engine().now();
   control_.note_snapshot_bytes(staged);
-  // Staging write: the fiber stall is the full configured-level cost in sync
-  // mode but only the fast LOCAL write under async staging — the drainer
+  // Staging write: the fiber stall is the whole PFS write under sync-PFS
+  // and the fast LOCAL write otherwise — under async staging the drainer
   // promotes LOCAL -> PARTNER -> PFS in the background while the
   // application computes. Under the control plane the epoch carries a level
   // plan: cheap LOCAL epochs fire at the Young/Daly cadence while the
@@ -1164,7 +1164,7 @@ bool SpbcProtocol::cluster_quiescent(int cluster) const {
 void SpbcProtocol::try_announce_migration() {
   if (!restart_pending_.empty()) return;
   // Without a durable anchor the flip's fallback floor cannot be guaranteed:
-  // under sync LOCAL/PARTNER storage migrations never run (documented
+  // under LOCAL or PARTNER storage migrations never run (documented
   // degradation); kNone (in-memory store) waives durability entirely.
   if (cfg_.storage != ckpt::StorageLevel::kNone &&
       cfg_.storage != ckpt::StorageLevel::kPfs) {

@@ -72,7 +72,9 @@ struct SpbcConfig {
   /// Multi-level staging (SCR-style; see ckpt/staging.hpp): charge the
   /// member's fiber only the fast LOCAL write and promote the snapshot
   /// LOCAL -> redundancy -> PFS in the background, overlapped with
-  /// computation. When false, the write is synchronous at `storage` level.
+  /// computation. When false, the fiber pays the LOCAL write (kLocal) or
+  /// the whole PFS write (kPfs); sync kPartner is refused (see
+  /// ckpt::StagingConfig::level).
   /// Ignored while storage == kNone.
   bool async_staging = false;
 
