@@ -49,7 +49,8 @@ struct VariantOutcome {
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   bench::BenchOpts o = bench::parse_opts(
-      cli, bench::kRedundancy | bench::kReduction | bench::kEngine);
+      cli, bench::kScheme | bench::kRedundancy | bench::kReduction |
+               bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: checkpoint data reduction", o);
 

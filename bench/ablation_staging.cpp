@@ -55,8 +55,8 @@ std::string kb(uint64_t bytes) { return util::Table::fmt(bytes / 1.0e3, 2); }
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::BenchOpts o =
-      bench::parse_opts(cli, bench::kRedundancy | bench::kEngine);
+  bench::BenchOpts o = bench::parse_opts(
+      cli, bench::kScheme | bench::kRedundancy | bench::kEngine);
   cli.reject_unknown();
   bench::print_header("Ablation: multi-level checkpoint staging", o);
 

@@ -92,12 +92,14 @@ struct BenchOpts {
 /// groups whose settings reach its runs; a flag of any other group stays
 /// unread, so cli.reject_unknown() stops the bench on it.
 enum OptGroup : unsigned {
-  kRedundancy = 1u << 0,  // --scheme --group-size --rs-k --rs-m
+  kRedundancy = 1u << 0,  // --group-size --rs-k --rs-m
   kControl = 1u << 1,     // --mtbf-drift --scrub-period --escalate
   kElastic = 1u << 2,     // --spares --repart-period
   kReduction = 1u << 3,   // --compress --delta-blocks --full-stride
                           // --state-bytes --mutate
   kEngine = 1u << 4,      // --shards --threads
+  kScheme = 1u << 5,      // --scheme, for benches whose runs share one
+                          // scheme; one that sets it per arm leaves it unread
 };
 
 /// Reads the scale flags and the flags of `groups` from `cli`; the bench
@@ -114,8 +116,8 @@ inline BenchOpts parse_opts(const util::Cli& cli, unsigned groups) {
   o.compute_noise = cli.get_double("noise", o.compute_noise);
   o.net_jitter = cli.get_double("jitter", o.net_jitter);
   if (cli.get_flag("block-clustering")) o.use_clustering_tool = false;
+  if (groups & kScheme) o.scheme = cli.get_string("scheme", "");
   if (groups & kRedundancy) {
-    o.scheme = cli.get_string("scheme", "");
     o.group_size = cli.get_int32("group-size", o.group_size);
     o.rs_k = cli.get_int32("rs-k", o.rs_k);
     o.rs_m = cli.get_int32("rs-m", o.rs_m);
