@@ -4,7 +4,9 @@
 // The CSR + lazy-heap + delta-refinement pipeline (DESIGN.md #10) is
 // near-linear in the traced edge count; this bench times it on synthetic
 // halo/community graphs plus a traced paper app and reports its cut against
-// the block-partition baseline. Exits non-zero if any pipeline cut regresses
+// the block-partition baseline. "move ms" times one call of the online
+// repartitioner (clustering::plan_node_move, DESIGN.md #14) on the
+// pipeline's map. Exits non-zero if any pipeline cut regresses
 // more than 5% against block (the quality gate).
 //
 // Flags (beyond the common ones):
@@ -21,6 +23,7 @@
 #include "bench_common.hpp"
 #include "clustering/comm_graph.hpp"
 #include "clustering/partitioner.hpp"
+#include "clustering/streaming.hpp"
 #include "util/rng.hpp"
 
 using namespace spbc;
@@ -100,7 +103,8 @@ int main(int argc, char** argv) {
   std::printf("== Partitioner scaling: CSR/heap/delta pipeline vs block ==\n");
   std::printf("ppn=%d clusters=%d\n\n", o.ppn, k_req);
 
-  util::Table table({"Graph", "Ranks", "Edges", "flat ms", "cut flat", "cut block"});
+  util::Table table({"Graph", "Ranks", "Edges", "flat ms", "move ms", "cut flat",
+                     "cut block"});
   bool ok = true;
 
   for (int nranks : scales) {
@@ -131,11 +135,19 @@ int main(int argc, char** argv) {
       clustering::PartitionResult flat = part.partition(k);
       const double flat_ms = ms_since(t0);
 
+      std::vector<int> node_of(static_cast<size_t>(nranks));
+      for (int r = 0; r < nranks; ++r)
+        node_of[static_cast<size_t>(r)] = topo.node_of(r);
+      t0 = std::chrono::steady_clock::now();
+      clustering::plan_node_move(in.graph, flat.cluster_of, node_of, k);
+      const double move_ms = ms_since(t0);
+
       clustering::PartitionResult block = part.block_partition(k);
 
       table.add_row(
           {in.name, std::to_string(nranks), std::to_string(in.graph.nedges()),
-           util::Table::fmt(flat_ms, 2), std::to_string(flat.logged_bytes),
+           util::Table::fmt(flat_ms, 2), util::Table::fmt(move_ms, 2),
+           std::to_string(flat.logged_bytes),
            std::to_string(block.logged_bytes)});
 
       if (budget_ms > 0 && flat_ms > budget_ms) {

@@ -193,22 +193,4 @@ std::vector<uint64_t> CommGraph::logged_bytes_per_rank(
   return out;
 }
 
-int64_t CommGraph::cut_delta(const std::vector<int>& cluster_of, int v,
-                             int to) const {
-  SPBC_ASSERT(static_cast<int>(cluster_of.size()) == n_);
-  SPBC_ASSERT(v >= 0 && v < n_);
-  build();
-  const int from = cluster_of[static_cast<size_t>(v)];
-  if (from == to) return 0;
-  int64_t delta = 0;
-  for (const Edge* e = neighbors_begin(v); e != neighbors_end(v); ++e) {
-    const int c = cluster_of[static_cast<size_t>(e->to)];
-    if (c == from)
-      delta += static_cast<int64_t>(e->sym());  // edge becomes cut
-    else if (c == to)
-      delta -= static_cast<int64_t>(e->sym());  // edge stops being cut
-  }
-  return delta;
-}
-
 }  // namespace spbc::clustering

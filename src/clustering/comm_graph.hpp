@@ -68,10 +68,6 @@ class CommGraph {
   /// Per-rank logged bytes (what each rank's sender log accumulates).
   std::vector<uint64_t> logged_bytes_per_rank(const std::vector<int>& cluster_of) const;
 
-  /// Incremental cut accounting: the change in logged_bytes if vertex `v`
-  /// moved from cluster_of[v] to cluster `to`. O(degree(v)).
-  int64_t cut_delta(const std::vector<int>& cluster_of, int v, int to) const;
-
   uint64_t total_bytes() const { return total_; }
 
  private:

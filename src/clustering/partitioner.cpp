@@ -32,20 +32,13 @@ PartitionResult Partitioner::finalize(const std::vector<int>& group_cluster,
 }
 
 PartitionResult Partitioner::partition(int k, Objective objective) const {
-  PartitionConfig cfg;
-  cfg.objective = objective;
-  return partition(k, cfg);
-}
-
-PartitionResult Partitioner::partition(int k, const PartitionConfig& cfg) const {
   SPBC_ASSERT_MSG(k >= 1 && k <= ngroups_,
                   "k=" << k << " must be in [1, nodes=" << ngroups_ << "]");
 
   RefineParams rp;
   rp.k = k;
-  rp.objective = cfg.objective;
+  rp.objective = objective;
   rp.node_cap = ((ngroups_ + k - 1) / k) + 1;  // refinement slack
-  rp.validate_deltas = cfg.validate_deltas;
 
   std::vector<int> group_cluster = agglomerate(groups_, k);
   refine_partition(graph_, groups_, group_of_rank_, rp, group_cluster);

@@ -36,14 +36,6 @@ struct PartitionResult {
   int clusters = 0;
 };
 
-struct PartitionConfig {
-  Objective objective = Objective::kMinTotalLogged;
-  /// Property-test mode, set only by test_clustering: every applied
-  /// refinement move is cross-checked against a from-scratch logged_bytes()
-  /// recompute.
-  bool validate_deltas = false;
-};
-
 class Partitioner {
  public:
   /// Reads `topo` only here (rank -> node groups); it need not outlive the
@@ -54,7 +46,6 @@ class Partitioner {
   /// hold whole nodes. k == nranks (with 1 rank per node group) degenerates
   /// to pure message logging only when ranks_per_node==1.
   PartitionResult partition(int k, Objective objective = Objective::kMinTotalLogged) const;
-  PartitionResult partition(int k, const PartitionConfig& cfg) const;
 
   /// Baseline for comparison: contiguous block partition (node order).
   PartitionResult block_partition(int k) const;

@@ -11,6 +11,65 @@ namespace {
 
 constexpr int kMaxRounds = 20;
 
+/// The kMinTotalLogged state: units per cluster, per-unit per-cluster
+/// boundary weights conn[u][c] (the classic FM gain table) and the cut they
+/// sum to. Moving unit u from A to B changes the cut by
+/// conn[u][A] - conn[u][B].
+class BoundaryTable {
+ public:
+  BoundaryTable(const GroupGraph& units, const std::vector<int>& unit_cluster,
+                int k)
+      : units_(units), k_(k) {
+    csize_.assign(static_cast<size_t>(k), 0);
+    for (int u = 0; u < units.n; ++u)
+      ++csize_[static_cast<size_t>(unit_cluster[static_cast<size_t>(u)])];
+    conn_.assign(static_cast<size_t>(units.n) * static_cast<size_t>(k), 0);
+    for (int u = 0; u < units.n; ++u) {
+      const int cu = unit_cluster[static_cast<size_t>(u)];
+      for (size_t i = units.begin(u); i < units.end(u); ++i) {
+        const int v = units.adj[i];
+        const int cv = unit_cluster[static_cast<size_t>(v)];
+        conn_[idx(u, cv)] += units.w[i];
+        if (v > u && cv != cu) cut_ += units.w[i];
+      }
+    }
+  }
+
+  uint64_t cut() const { return cut_; }
+  int csize(int c) const { return csize_[static_cast<size_t>(c)]; }
+
+  uint64_t cut_after(int u, int from, int to) const {
+    return static_cast<uint64_t>(static_cast<int64_t>(cut_) +
+                                 static_cast<int64_t>(conn_[idx(u, from)]) -
+                                 static_cast<int64_t>(conn_[idx(u, to)]));
+  }
+
+  /// Applies the move in O(degree(u)); the caller updates its unit map.
+  void move(int u, int from, int to) {
+    cut_ = cut_after(u, from, to);
+    for (size_t i = units_.begin(u); i < units_.end(u); ++i) {
+      const int v = units_.adj[i];
+      SPBC_ASSERT(conn_[idx(v, from)] >= units_.w[i]);
+      conn_[idx(v, from)] -= units_.w[i];
+      conn_[idx(v, to)] += units_.w[i];
+    }
+    --csize_[static_cast<size_t>(from)];
+    ++csize_[static_cast<size_t>(to)];
+  }
+
+ private:
+  size_t idx(int u, int c) const {
+    return static_cast<size_t>(u) * static_cast<size_t>(k_) +
+           static_cast<size_t>(c);
+  }
+
+  const GroupGraph& units_;
+  int k_;
+  std::vector<int> csize_;
+  std::vector<uint64_t> conn_;  // units.n x k
+  uint64_t cut_ = 0;
+};
+
 struct MaxEntry {
   uint64_t val = 0;
   int rank = 0;
@@ -31,8 +90,8 @@ class Refiner {
         units_(units),
         unit_of_rank_(unit_of_rank),
         p_(params),
-        cluster_(unit_cluster) {
-    init_common();
+        cluster_(unit_cluster),
+        table_(units, unit_cluster, params.k) {
     if (p_.objective == Objective::kBalancedLogged) init_balanced();
   }
 
@@ -45,12 +104,12 @@ class Refiner {
       ++rounds;
       for (int u = 0; u < units_.n; ++u) {
         const int from = cluster_[static_cast<size_t>(u)];
-        if (csize_[static_cast<size_t>(from)] <= 1) continue;
+        if (table_.csize(from) <= 1) continue;
         int best_to = -1;
         double best_val = current;
         for (int to = 0; to < p_.k; ++to) {
           if (to == from) continue;
-          if (csize_[static_cast<size_t>(to)] >= p_.node_cap) continue;
+          if (table_.csize(to) >= p_.node_cap) continue;
           const double val = evaluate(u, from, to);
           if (val < best_val) {
             best_val = val;
@@ -68,30 +127,9 @@ class Refiner {
   }
 
  private:
-  size_t cidx(int u, int c) const {
-    return static_cast<size_t>(u) * static_cast<size_t>(p_.k) +
-           static_cast<size_t>(c);
-  }
   size_t ridx(int r, int c) const {
     return static_cast<size_t>(r) * static_cast<size_t>(p_.k) +
            static_cast<size_t>(c);
-  }
-
-  void init_common() {
-    csize_.assign(static_cast<size_t>(p_.k), 0);
-    for (int u = 0; u < units_.n; ++u)
-      ++csize_[static_cast<size_t>(cluster_[static_cast<size_t>(u)])];
-    conn_.assign(static_cast<size_t>(units_.n) * static_cast<size_t>(p_.k), 0);
-    cut_ = 0;
-    for (int u = 0; u < units_.n; ++u) {
-      const int cu = cluster_[static_cast<size_t>(u)];
-      for (size_t i = units_.begin(u); i < units_.end(u); ++i) {
-        const int v = units_.adj[i];
-        const int cv = cluster_[static_cast<size_t>(v)];
-        conn_[cidx(u, cv)] += units_.w[i];
-        if (v > u && cv != cu) cut_ += units_.w[i];
-      }
-    }
   }
 
   void init_balanced() {
@@ -175,20 +213,14 @@ class Refiner {
 
   double objective_now() {
     if (p_.objective == Objective::kMinTotalLogged)
-      return static_cast<double>(cut_);
+      return static_cast<double>(table_.cut());
     uint64_t mx = 0;
     for (uint64_t v : logged_) mx = std::max(mx, v);
-    return static_cast<double>(mx) + 1e-9 * static_cast<double>(cut_);
-  }
-
-  uint64_t cut_after(int u, int from, int to) const {
-    return static_cast<uint64_t>(static_cast<int64_t>(cut_) +
-                                 static_cast<int64_t>(conn_[cidx(u, from)]) -
-                                 static_cast<int64_t>(conn_[cidx(u, to)]));
+    return static_cast<double>(mx) + 1e-9 * static_cast<double>(table_.cut());
   }
 
   double evaluate(int u, int from, int to) {
-    const uint64_t new_cut = cut_after(u, from, to);
+    const uint64_t new_cut = table_.cut_after(u, from, to);
     if (p_.objective == Objective::kMinTotalLogged)
       return static_cast<double>(new_cut);
 
@@ -242,16 +274,8 @@ class Refiner {
   }
 
   void apply(int u, int from, int to) {
-    cut_ = cut_after(u, from, to);
-    for (size_t i = units_.begin(u); i < units_.end(u); ++i) {
-      const int v = units_.adj[i];
-      SPBC_ASSERT(conn_[cidx(v, from)] >= units_.w[i]);
-      conn_[cidx(v, from)] -= units_.w[i];
-      conn_[cidx(v, to)] += units_.w[i];
-    }
+    table_.move(u, from, to);
     cluster_[static_cast<size_t>(u)] = to;
-    --csize_[static_cast<size_t>(from)];
-    ++csize_[static_cast<size_t>(to)];
     if (p_.objective != Objective::kBalancedLogged) return;
 
     auto bump = [&](int r, uint64_t v) {
@@ -288,7 +312,8 @@ class Refiner {
       cluster_of[static_cast<size_t>(r)] = cluster_[static_cast<size_t>(
           unit_of_rank_[static_cast<size_t>(r)])];
     const uint64_t cut = graph_.logged_bytes(cluster_of);
-    SPBC_ASSERT_MSG(cut == cut_, "delta cut " << cut_ << " != recomputed " << cut);
+    SPBC_ASSERT_MSG(cut == table_.cut(),
+                    "delta cut " << table_.cut() << " != recomputed " << cut);
     if (p_.objective == Objective::kMinTotalLogged) {
       SPBC_ASSERT_MSG(current == static_cast<double>(cut),
                       "objective drifted from recompute");
@@ -316,9 +341,7 @@ class Refiner {
   const RefineParams& p_;
   std::vector<int>& cluster_;
 
-  std::vector<int> csize_;  // units per cluster
-  std::vector<uint64_t> conn_;  // units.n x k boundary weights
-  uint64_t cut_ = 0;
+  BoundaryTable table_;
 
   // Balanced-objective state.
   std::vector<size_t> unit_rank_ptr_;
@@ -347,6 +370,27 @@ void refine_partition(const CommGraph& graph, const GroupGraph& units,
   if (params.k == 1 || units.n <= 1) return;
   Refiner r(graph, units, unit_of_rank, params, unit_cluster);
   r.run();
+}
+
+std::optional<UnitMove> best_unit_move(const GroupGraph& units, int k,
+                                       const std::vector<int>& unit_cluster) {
+  SPBC_ASSERT(static_cast<int>(unit_cluster.size()) == units.n);
+  const BoundaryTable table(units, unit_cluster, k);
+  std::optional<UnitMove> best;
+  uint64_t best_cut = table.cut();  // only strictly cut-reducing moves
+  for (int u = 0; u < units.n; ++u) {
+    const int from = unit_cluster[static_cast<size_t>(u)];
+    if (table.csize(from) <= 1) continue;  // would empty its cluster
+    for (int to = 0; to < k; ++to) {
+      if (to == from) continue;
+      const uint64_t cut = table.cut_after(u, from, to);
+      if (cut < best_cut) {
+        best_cut = cut;
+        best = UnitMove{u, from, to};
+      }
+    }
+  }
+  return best;
 }
 
 }  // namespace spbc::clustering

@@ -18,8 +18,12 @@
 //    the untouched ranks comes from a lazy max-heap with per-rank freshness
 //    stamps (stale entries are discarded on pop) — the "lazy bucket" that
 //    avoids an O(n) max scan per candidate.
+//
+// The same boundary table answers the online repartitioner's one-move query
+// (best_unit_move, clustering/streaming.hpp).
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "clustering/comm_graph.hpp"
@@ -33,8 +37,9 @@ struct RefineParams {
   int k = 1;
   Objective objective = Objective::kMinTotalLogged;
   int node_cap = 0;  // max units (nodes) per cluster: ceil(g/k) + 1
-  /// Debug/property-test mode: after every applied move, recompute the
-  /// objective from scratch and assert it equals the incremental value.
+  /// Property-test mode, set only by test_clustering: after every applied
+  /// move, recompute the objective from scratch and assert it equals the
+  /// incremental value.
   bool validate_deltas = false;
 };
 
@@ -43,5 +48,19 @@ struct RefineParams {
 void refine_partition(const CommGraph& graph, const GroupGraph& units,
                       const std::vector<int>& unit_of_rank,
                       const RefineParams& params, std::vector<int>& unit_cluster);
+
+/// One unit moving between clusters.
+struct UnitMove {
+  int unit = -1;
+  int from = -1;
+  int to = -1;
+};
+
+/// The single best strictly cut-reducing move of one unit under
+/// kMinTotalLogged, scored on refine_partition's boundary table, or none.
+/// No size cap; a move never empties its source cluster. Candidates are
+/// scanned in (unit, cluster) order and ties go to the lowest ids.
+std::optional<UnitMove> best_unit_move(const GroupGraph& units, int k,
+                                       const std::vector<int>& unit_cluster);
 
 }  // namespace spbc::clustering

@@ -2,28 +2,11 @@
 
 #include <algorithm>
 
+#include "clustering/group_graph.hpp"
+#include "clustering/refine.hpp"
 #include "util/assert.hpp"
 
 namespace spbc::clustering {
-
-namespace {
-
-/// Exact cut change of moving every rank of a unit to `to`, evaluated by
-/// applying the per-rank moves sequentially on `scratch` (cut_delta is exact
-/// only against the map it is given, so the unit's ranks must see each
-/// other).
-/// Mutates `scratch`; callers pass a throwaway copy.
-int64_t unit_delta(const CommGraph& graph, std::vector<int>& scratch,
-                   const std::vector<int>& ranks, int to) {
-  int64_t delta = 0;
-  for (int r : ranks) {
-    delta += graph.cut_delta(scratch, r, to);
-    scratch[static_cast<size_t>(r)] = to;
-  }
-  return delta;
-}
-
-}  // namespace
 
 std::optional<NodeMove> plan_node_move(const CommGraph& graph,
                                        const std::vector<int>& cluster_of,
@@ -32,50 +15,43 @@ std::optional<NodeMove> plan_node_move(const CommGraph& graph,
   SPBC_ASSERT(cluster_of.size() == unit_of_rank.size());
   if (nclusters <= 1 || cluster_of.empty()) return std::nullopt;
 
-  // Group ranks by colocation unit and check the invariant: one cluster per
-  // unit. Units are dense-ish small ints (physical node ids).
+  // Renumber the physical units that hold ranks densely, in ascending id
+  // order: spare and retired nodes own no ranks and must not count toward a
+  // cluster's size, and the ascending order keeps the lowest-id tie-break.
   int max_unit = 0;
   for (int u : unit_of_rank) max_unit = std::max(max_unit, u);
-  std::vector<std::vector<int>> unit_ranks(static_cast<size_t>(max_unit) + 1);
-  for (size_t r = 0; r < unit_of_rank.size(); ++r)
-    unit_ranks[static_cast<size_t>(unit_of_rank[r])].push_back(
-        static_cast<int>(r));
-  std::vector<int> unit_cluster(unit_ranks.size(), -1);
-  std::vector<int> cluster_units(static_cast<size_t>(nclusters), 0);
-  for (size_t u = 0; u < unit_ranks.size(); ++u) {
-    if (unit_ranks[u].empty()) continue;
-    const int c = cluster_of[static_cast<size_t>(unit_ranks[u].front())];
-    for (int r : unit_ranks[u])
-      SPBC_ASSERT_MSG(cluster_of[static_cast<size_t>(r)] == c,
-                      "colocation invariant violated at unit " << u);
-    unit_cluster[u] = c;
-    ++cluster_units[static_cast<size_t>(c)];
+  std::vector<int> dense(static_cast<size_t>(max_unit) + 1, -1);
+  for (int u : unit_of_rank) dense[static_cast<size_t>(u)] = 0;
+  std::vector<int> physical;  // dense id -> physical unit
+  for (int u = 0; u <= max_unit; ++u) {
+    if (dense[static_cast<size_t>(u)] < 0) continue;
+    dense[static_cast<size_t>(u)] = static_cast<int>(physical.size());
+    physical.push_back(u);
   }
 
-  int best_unit = -1, best_to = -1;
-  int64_t best_delta = 0;  // only strictly negative (cut-reducing) moves
-  for (size_t u = 0; u < unit_ranks.size(); ++u) {
-    if (unit_ranks[u].empty()) continue;
-    const int from = unit_cluster[u];
-    if (cluster_units[static_cast<size_t>(from)] <= 1)
-      continue;  // the move would empty its source cluster
-    for (int to = 0; to < nclusters; ++to) {
-      if (to == from) continue;
-      std::vector<int> trial = cluster_of;
-      const int64_t delta = unit_delta(graph, trial, unit_ranks[u], to);
-      if (delta < best_delta) {
-        best_delta = delta;
-        best_unit = static_cast<int>(u);
-        best_to = to;
-      }
-    }
+  // Check the colocation invariant (one cluster per unit) while mapping.
+  std::vector<int> unit_of(unit_of_rank.size());
+  std::vector<int> unit_cluster(physical.size(), -1);
+  for (size_t r = 0; r < unit_of_rank.size(); ++r) {
+    const int u = dense[static_cast<size_t>(unit_of_rank[r])];
+    unit_of[r] = u;
+    int& c = unit_cluster[static_cast<size_t>(u)];
+    if (c < 0) c = cluster_of[r];
+    SPBC_ASSERT_MSG(c == cluster_of[r],
+                    "colocation invariant violated at unit " << unit_of_rank[r]);
   }
-  if (best_unit < 0) return std::nullopt;  // no strictly-improving move
+
+  const GroupGraph units = GroupGraph::from_ranks(
+      graph, unit_of, static_cast<int>(physical.size()));
+  const std::optional<UnitMove> best =
+      best_unit_move(units, nclusters, unit_cluster);
+  if (!best) return std::nullopt;  // no strictly-improving move
   NodeMove mv;
-  mv.unit = best_unit;
-  mv.ranks = unit_ranks[static_cast<size_t>(best_unit)];
-  mv.from = unit_cluster[static_cast<size_t>(best_unit)];
-  mv.to = best_to;
+  mv.unit = physical[static_cast<size_t>(best->unit)];
+  for (size_t r = 0; r < unit_of.size(); ++r)
+    if (unit_of[r] == best->unit) mv.ranks.push_back(static_cast<int>(r));
+  mv.from = best->from;
+  mv.to = best->to;
   return mv;
 }
 

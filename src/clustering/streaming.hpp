@@ -13,8 +13,8 @@
 // Deliberately not a re-run of the full partitioner: a full repartition can
 // relabel everything, which would force a global checkpoint-group membership
 // reshuffle. Moves here are incremental — one unit per cadence tick,
-// evaluated with CommGraph::cut_delta (O(degree) per rank), never emptying
-// a cluster. The protocol layer (core/spbc.cpp) migrates the unit through a
+// scored on refinement's boundary table (best_unit_move, refine.hpp:
+// O(degree) per candidate), never emptying a cluster. The protocol layer (core/spbc.cpp) migrates the unit through a
 // quiescence bridge; determinism rules are in DESIGN.md §14.
 
 #include <cstdint>

@@ -243,7 +243,7 @@ void SpbcProtocol::on_delivered(mpi::Rank& receiver, const mpi::Envelope& env,
 // Coordinated checkpointing inside a cluster (line 14)
 // ---------------------------------------------------------------------------
 
-bool SpbcProtocol::maybe_checkpoint(mpi::Rank& rank) {
+bool SpbcProtocol::checkpoint_due(mpi::Rank& rank) {
   auto& cs = ckpt_[static_cast<size_t>(rank.rank())];
   ++cs.calls;
   bool boundary;
@@ -269,7 +269,11 @@ bool SpbcProtocol::maybe_checkpoint(mpi::Rank& rank) {
   // comes from the epoch stamps (capture for sent-before/received-after,
   // duplicate filtering plus send determinism for the reverse), not from
   // call-index alignment.
-  if (!boundary && cs.wave_seen <= cs.snap_epoch) return false;
+  return boundary || cs.wave_seen > cs.snap_epoch;
+}
+
+bool SpbcProtocol::maybe_checkpoint(mpi::Rank& rank) {
+  if (!checkpoint_due(rank)) return false;
   run_coordinated_checkpoint(rank);
   return true;
 }
@@ -277,24 +281,12 @@ bool SpbcProtocol::maybe_checkpoint(mpi::Rank& rank) {
 void SpbcProtocol::checkpoint_now(mpi::Rank& rank) { run_coordinated_checkpoint(rank); }
 
 bool SpbcProtocol::need_checkpoint(mpi::Rank& rank) {
-  // The facade's query half of maybe_checkpoint: the SAME trigger (the §13
-  // control plane's time-based boundary when enabled, the static every-N
-  // schedule otherwise, OR a peer's wave marker running ahead of our last
-  // snapshot) evaluated WITHOUT cutting — the app cuts on its own schedule
-  // through spbc_start/spbc_route/spbc_complete. The call still counts as a
+  // The facade's query half of maybe_checkpoint: the same trigger evaluated
+  // WITHOUT cutting — the app cuts on its own schedule through
+  // spbc_start/spbc_route/spbc_complete. The call still counts as a
   // checkpoint opportunity, so a facade-driven app paces the periodic
   // schedule exactly like a pattern-API app calling maybe_checkpoint.
-  auto& cs = ckpt_[static_cast<size_t>(rank.rank())];
-  ++cs.calls;
-  bool boundary;
-  if (control_.enabled()) {
-    boundary =
-        machine_->engine().now() - cs.last_cut >= control_.local_interval();
-  } else {
-    boundary =
-        cfg_.checkpoint_every != 0 && cs.calls % cfg_.checkpoint_every == 0;
-  }
-  return boundary || cs.wave_seen > cs.snap_epoch;
+  return checkpoint_due(rank);
 }
 
 // The marker-based wave (replaces the old Ready/Take/Done/Resume drain

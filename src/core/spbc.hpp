@@ -334,6 +334,9 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   void try_announce_migration();
   void try_flip_migration();
   ClusterWave& wave_of(int cluster);
+  /// The trigger of maybe_checkpoint and need_checkpoint: counts the call,
+  /// then asks for a boundary or for a peer's wave marker running ahead.
+  bool checkpoint_due(mpi::Rank& rank);
   void run_coordinated_checkpoint(mpi::Rank& rank);
   void arm_wave_completion(int member, uint64_t epoch);
   void try_forward_aggregate(int member, uint64_t epoch);

@@ -79,7 +79,7 @@ struct ScenarioConfig {
   /// partition of nodes.
   bool use_clustering_tool = true;
   /// The clustering tool's objective (min-total or balanced logged bytes).
-  clustering::PartitionConfig partition;
+  clustering::Objective partition = clustering::Objective::kMinTotalLogged;
   int trace_iters = 3;  // iterations of the traced clustering run
 
   /// Failure injection.

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 
+#include "clustering/agglomerate.hpp"
 #include "clustering/comm_graph.hpp"
 #include "clustering/partitioner.hpp"
+#include "clustering/streaming.hpp"
 #include "mpi/traffic.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
@@ -170,33 +174,6 @@ TEST(TrafficMatrix, GraphAgreesWithMatrix) {
 }
 
 // ---------------------------------------------------------------------------
-// CSR graph: incremental cut accounting.
-// ---------------------------------------------------------------------------
-
-TEST(CommGraph, CutDeltaMatchesRecompute) {
-  const int n = 12;
-  CommGraph g(n);
-  util::Pcg32 rng(7, 3);
-  for (int i = 0; i < 80; ++i) {
-    int a = static_cast<int>(rng.next_bounded(n));
-    int b = static_cast<int>(rng.next_bounded(n));
-    if (a != b) g.add_traffic(a, b, 1 + rng.next_bounded(500));
-  }
-  std::vector<int> part(static_cast<size_t>(n));
-  for (int r = 0; r < n; ++r) part[static_cast<size_t>(r)] = r % 3;
-  const uint64_t base = g.logged_bytes(part);
-  for (int v = 0; v < n; ++v) {
-    for (int to = 0; to < 3; ++to) {
-      std::vector<int> moved = part;
-      moved[static_cast<size_t>(v)] = to;
-      const int64_t expect = static_cast<int64_t>(g.logged_bytes(moved)) -
-                             static_cast<int64_t>(base);
-      EXPECT_EQ(g.cut_delta(part, v, to), expect) << "v=" << v << " to=" << to;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Pipeline parity: brute-force optima, pinned seed-algorithm cuts, delta
 // validation, and determinism.
 // ---------------------------------------------------------------------------
@@ -335,14 +312,20 @@ TEST(Partitioner, DeltaObjectiveMatchesRecomputeAfterEveryMove) {
   for (uint64_t seed : {21u, 22u}) {
     sim::Topology topo(12, 2);
     CommGraph g = random_graph(24, seed, 150, 3000);
-    Partitioner part(g, topo);
+    std::vector<int> node_of(24);
+    for (int r = 0; r < 24; ++r) node_of[static_cast<size_t>(r)] = topo.node_of(r);
+    const GroupGraph units = GroupGraph::from_ranks(g, node_of, 12);
     for (auto obj : {Objective::kMinTotalLogged, Objective::kBalancedLogged}) {
-      PartitionConfig cfg;
-      cfg.objective = obj;
-      cfg.validate_deltas = true;
-      PartitionResult res = part.partition(4, cfg);
-      EXPECT_EQ(res.clusters, 4);
-      std::set<int> ids(res.cluster_of.begin(), res.cluster_of.end());
+      RefineParams rp;
+      rp.k = 4;
+      rp.objective = obj;
+      rp.node_cap = 4;  // the partitioner's ceil(12 / 4) + 1
+      rp.validate_deltas = true;
+      const std::vector<int> start = agglomerate(units, 4);
+      std::vector<int> refined = start;
+      refine_partition(g, units, node_of, rp, refined);
+      EXPECT_NE(refined, start) << "no move was validated";
+      std::set<int> ids(refined.begin(), refined.end());
       EXPECT_EQ(ids.size(), 4u);
     }
   }
@@ -372,6 +355,123 @@ TEST(Partitioner, RecoversInterleavedPlantedCommunities) {
   Partitioner part(g, topo);
   PartitionResult flat = part.partition(4);
   EXPECT_EQ(flat.logged_bytes, 2u);  // only the two weak links are cut
+}
+
+// ---------------------------------------------------------------------------
+// Online repartitioner: plan_node_move against an exhaustive recompute.
+// ---------------------------------------------------------------------------
+
+// Every legal (unit, target) move in ascending order, scored by
+// logged_bytes() on a moved copy of the map. `best` keeps the first
+// strictly cut-reducing minimum; the other fields say which of the rules
+// under test the case exercised.
+struct BruteMove {
+  std::optional<NodeMove> best;
+  uint64_t best_cut = 0;
+  bool tied = false;     // another move reaches best_cut
+  bool guarded = false;  // a move emptying its cluster would log less
+};
+BruteMove brute_node_move(const CommGraph& g, const std::vector<int>& cluster_of,
+                          const std::vector<int>& unit_of_rank, int k) {
+  std::map<int, std::vector<int>> ranks_of;  // physical unit -> its ranks
+  for (size_t r = 0; r < unit_of_rank.size(); ++r)
+    ranks_of[unit_of_rank[r]].push_back(static_cast<int>(r));
+  std::vector<int> units_in(static_cast<size_t>(k), 0);
+  for (const auto& [u, ranks] : ranks_of)
+    ++units_in[static_cast<size_t>(cluster_of[static_cast<size_t>(ranks.front())])];
+  BruteMove out;
+  out.best_cut = g.logged_bytes(cluster_of);
+  uint64_t guarded_cut = out.best_cut;
+  for (const auto& [u, ranks] : ranks_of) {
+    const int from = cluster_of[static_cast<size_t>(ranks.front())];
+    for (int to = 0; to < k; ++to) {
+      if (to == from) continue;
+      std::vector<int> moved = cluster_of;
+      for (int r : ranks) moved[static_cast<size_t>(r)] = to;
+      const uint64_t cut = g.logged_bytes(moved);
+      if (units_in[static_cast<size_t>(from)] == 1) {
+        guarded_cut = std::min(guarded_cut, cut);
+        continue;
+      }
+      if (out.best && cut == out.best_cut) out.tied = true;
+      if (cut < out.best_cut) {
+        out.best_cut = cut;
+        out.best = NodeMove{u, ranks, from, to};
+        out.tied = false;
+      }
+    }
+  }
+  out.guarded = guarded_cut < out.best_cut;
+  return out;
+}
+
+TEST(Repartitioner, PlanNodeMoveMatchesBruteForce) {
+  int moves = 0, ties = 0, guarded = 0, shared = 0, renumbered = 0;
+  for (uint64_t trial = 0; trial < 400; ++trial) {
+    util::Pcg32 rng(trial, 29);
+    // Physical units with gaps between their ids (spare or retired nodes
+    // own no ranks); a few extra logical nodes land on an existing unit, as
+    // after a shrunk restart.
+    const int nunits = 3 + static_cast<int>(rng.next_bounded(6));
+    std::vector<int> physical;
+    for (int u = 0, id = 0; u < nunits; ++u) {
+      id += static_cast<int>(rng.next_bounded(3));
+      physical.push_back(id++);
+    }
+    std::vector<int> node_unit = physical;
+    const int extra = static_cast<int>(rng.next_bounded(3));
+    for (int j = 0; j < extra; ++j)
+      node_unit.push_back(physical[rng.next_bounded(static_cast<uint32_t>(nunits))]);
+    const int ppn = 1 + static_cast<int>(rng.next_bounded(3));
+    const int nranks = static_cast<int>(node_unit.size()) * ppn;
+    std::vector<int> unit_of_rank(static_cast<size_t>(nranks));
+    for (int r = 0; r < nranks; ++r)
+      unit_of_rank[static_cast<size_t>(r)] = node_unit[static_cast<size_t>(r / ppn)];
+
+    // Every cluster holds a unit; the rest are random, so one-unit
+    // clusters are common.
+    const int k = 2 + static_cast<int>(rng.next_bounded(
+                          static_cast<uint32_t>(std::min(nunits, 5) - 1)));
+    std::map<int, int> cluster_of_unit;
+    for (int u = 0; u < nunits; ++u)
+      cluster_of_unit[physical[static_cast<size_t>(u)]] =
+          u < k ? u : static_cast<int>(rng.next_bounded(static_cast<uint32_t>(k)));
+    std::vector<int> cluster_of(static_cast<size_t>(nranks));
+    for (int r = 0; r < nranks; ++r)
+      cluster_of[static_cast<size_t>(r)] =
+          cluster_of_unit[unit_of_rank[static_cast<size_t>(r)]];
+
+    // Weights 1..2 on odd trials make equal-gain moves common.
+    const uint32_t wmax = trial % 2 ? 2 : 1000;
+    CommGraph g(nranks);
+    for (int e = 0; e < 2 * nranks; ++e) {
+      const int a = static_cast<int>(rng.next_bounded(static_cast<uint32_t>(nranks)));
+      const int b = static_cast<int>(rng.next_bounded(static_cast<uint32_t>(nranks)));
+      if (a != b) g.add_traffic(a, b, 1 + rng.next_bounded(wmax));
+    }
+
+    const BruteMove want = brute_node_move(g, cluster_of, unit_of_rank, k);
+    const std::optional<NodeMove> got =
+        plan_node_move(g, cluster_of, unit_of_rank, k);
+    ASSERT_EQ(got.has_value(), want.best.has_value()) << "trial " << trial;
+    ties += want.tied;
+    guarded += want.guarded;
+    if (!got) continue;
+    ++moves;
+    EXPECT_EQ(got->unit, want.best->unit) << "trial " << trial;
+    EXPECT_EQ(got->ranks, want.best->ranks) << "trial " << trial;
+    EXPECT_EQ(got->from, want.best->from) << "trial " << trial;
+    EXPECT_EQ(got->to, want.best->to) << "trial " << trial;
+    shared += static_cast<int>(got->ranks.size()) > ppn;
+    renumbered += got->unit != static_cast<int>(
+        std::find(physical.begin(), physical.end(), got->unit) - physical.begin());
+  }
+  // The cases the rules are about all occurred.
+  EXPECT_GT(moves, 0);
+  EXPECT_GT(ties, 0);
+  EXPECT_GT(guarded, 0);
+  EXPECT_GT(shared, 0);
+  EXPECT_GT(renumbered, 0);
 }
 
 }  // namespace

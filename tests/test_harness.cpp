@@ -145,7 +145,7 @@ TEST(Harness, PartitionObjectiveReachesClusterMap) {
   harness::ScenarioConfig cfg = small_cfg();
   cfg.app = "AMG";
   cfg.use_clustering_tool = true;
-  cfg.partition.objective = clustering::Objective::kBalancedLogged;
+  cfg.partition = clustering::Objective::kBalancedLogged;
   const clustering::CommGraph graph = harness::trace_comm_graph(cfg);
   clustering::Partitioner part(graph,
                                sim::Topology::for_ranks(cfg.nranks, cfg.ranks_per_node));
