@@ -1,11 +1,12 @@
 #include "ckpt/reduction.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 
+#include "util/assert.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 
 namespace spbc::ckpt {
 
@@ -16,9 +17,18 @@ void fill_synth_block(unsigned char* dst, uint64_t len, uint64_t seed) {
     // A constant run of 16..79 bytes, led by one noise byte: roughly the
     // entropy profile of field data between solver sweeps.
     uint64_t run = 16 + rng.next_bounded(64);
-    if (run > len - pos) run = len - pos;
     const unsigned char noise = static_cast<unsigned char>(rng.next_u32());
     const unsigned char fill = static_cast<unsigned char>(rng.next_u32());
+    if (pos + 80 <= len) {
+      // A fixed 80-byte fill covers the longest run and costs no
+      // length-dependent branch; what lands past this run is rewritten by
+      // the runs that follow.
+      std::memset(dst + pos, fill, 80);
+      dst[pos] = noise;
+      pos += run;
+      continue;
+    }
+    if (run > len - pos) run = len - pos;
     dst[pos] = noise;
     for (uint64_t i = 1; i < run; ++i) dst[pos + i] = fill;
     pos += run;
@@ -26,6 +36,10 @@ void fill_synth_block(unsigned char* dst, uint64_t len, uint64_t seed) {
 }
 
 namespace {
+uint32_t state_block(const StateModelConfig& cfg) {
+  return cfg.block_bytes ? cfg.block_bytes : 4096;
+}
+
 uint64_t block_seed(const StateModelConfig& cfg, int rank, uint64_t epoch,
                     uint64_t block) {
   util::Fnv1a64 h;
@@ -35,28 +49,14 @@ uint64_t block_seed(const StateModelConfig& cfg, int rank, uint64_t epoch,
   h.update_u64(block);
   return h.digest();
 }
-}  // namespace
 
-std::vector<unsigned char> make_state(const StateModelConfig& cfg, int rank) {
-  std::vector<unsigned char> buf(cfg.bytes);
-  if (cfg.bytes == 0) return buf;
-  const uint32_t bb = cfg.block_bytes ? cfg.block_bytes : 4096;
-  for (uint64_t off = 0; off < cfg.bytes; off += bb) {
-    const uint64_t len = std::min<uint64_t>(bb, cfg.bytes - off);
-    fill_synth_block(buf.data() + off, len, block_seed(cfg, rank, 0, off / bb));
-  }
-  return buf;
-}
-
-namespace {
-// Rewrites round(mutation_rate * nblocks) (at least 1) state blocks of `buf`
-// for `epoch` and reports each rewritten byte range to `on_rewrite(off, len)`.
+// Calls `on_rewrite(block)` for each of the round(mutation_rate * nblocks)
+// (at least 1) state blocks rewritten at `epoch`; a block may come twice.
 template <typename F>
-void rewrite_blocks(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
-                    int rank, uint64_t epoch, F&& on_rewrite) {
+void for_each_rewrite(const StateModelConfig& cfg, int rank, uint64_t epoch,
+                      F&& on_rewrite) {
   if (cfg.bytes == 0) return;
-  const uint32_t bb = cfg.block_bytes ? cfg.block_bytes : 4096;
-  const uint64_t nblocks = (cfg.bytes + bb - 1) / bb;
+  const uint64_t nblocks = (cfg.bytes + state_block(cfg) - 1) / state_block(cfg);
   uint64_t rewrites = static_cast<uint64_t>(
       std::llround(cfg.mutation_rate * static_cast<double>(nblocks)));
   if (rewrites < 1) rewrites = 1;
@@ -65,19 +65,29 @@ void rewrite_blocks(std::vector<unsigned char>& buf, const StateModelConfig& cfg
   // execution history, so a re-executed epoch mutates identically.
   util::Pcg32 rng(cfg.seed ^ (static_cast<uint64_t>(rank) * 0x5851f42d4c957f2dull),
                   epoch);
-  for (uint64_t i = 0; i < rewrites; ++i) {
-    const uint64_t b = rng.next_bounded(static_cast<uint32_t>(nblocks));
-    const uint64_t off = b * bb;
-    const uint64_t len = std::min<uint64_t>(bb, cfg.bytes - off);
-    fill_synth_block(buf.data() + off, len, block_seed(cfg, rank, epoch, b));
-    on_rewrite(off, len);
-  }
+  for (uint64_t i = 0; i < rewrites; ++i)
+    on_rewrite(static_cast<uint64_t>(rng.next_bounded(static_cast<uint32_t>(nblocks))));
 }
 }  // namespace
 
+std::vector<unsigned char> make_state(const StateModelConfig& cfg, int rank) {
+  std::vector<unsigned char> buf(cfg.bytes);
+  const uint32_t bb = state_block(cfg);
+  for (uint64_t off = 0; off < cfg.bytes; off += bb) {
+    const uint64_t len = std::min<uint64_t>(bb, cfg.bytes - off);
+    fill_synth_block(buf.data() + off, len, block_seed(cfg, rank, 0, off / bb));
+  }
+  return buf;
+}
+
 void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
                   int rank, uint64_t epoch) {
-  rewrite_blocks(buf, cfg, rank, epoch, [](uint64_t, uint64_t) {});
+  const uint32_t bb = state_block(cfg);
+  for_each_rewrite(cfg, rank, epoch, [&](uint64_t b) {
+    const uint64_t off = b * bb;
+    fill_synth_block(buf.data() + off, std::min<uint64_t>(bb, cfg.bytes - off),
+                     block_seed(cfg, rank, epoch, b));
+  });
 }
 
 namespace {
@@ -134,25 +144,86 @@ std::vector<uint64_t> hash_blocks(std::span<const unsigned char> bytes,
 }
 
 StateImage::StateImage(const StateModelConfig& cfg, int rank, uint32_t hash_block)
-    : bytes_(make_state(cfg, rank)), hash_block_(hash_block) {
-  if (hash_block_ != 0) hashes_ = hash_blocks(bytes_, hash_block_);
+    : cfg_(cfg),
+      rank_(rank),
+      hash_block_(hash_block),
+      versions_((cfg.bytes + state_block(cfg) - 1) / state_block(cfg), 0) {}
+
+void StateImage::write(uint64_t off, uint64_t len, unsigned char* dst) const {
+  SPBC_ASSERT(off + len <= size());
+  const uint64_t sb = state_block(cfg_);
+  std::vector<unsigned char> part;  // a state block the range cuts
+  for (uint64_t b = off / sb; b * sb < off + len; ++b) {
+    const uint64_t boff = b * sb;
+    const uint64_t blen = std::min<uint64_t>(sb, size() - boff);
+    const uint64_t seed = block_seed(cfg_, rank_, versions_[b], b);
+    const uint64_t lo = std::max(off, boff);
+    const uint64_t hi = std::min(off + len, boff + blen);
+    if (lo == boff && hi == boff + blen) {
+      fill_synth_block(dst + (boff - off), blen, seed);
+    } else {
+      part.resize(blen);
+      fill_synth_block(part.data(), blen, seed);
+      std::memcpy(dst + (lo - off), part.data() + (lo - boff), hi - lo);
+    }
+  }
 }
 
-void StateImage::evolve(const StateModelConfig& cfg, int rank, uint64_t epoch) {
+std::vector<unsigned char> StateImage::synthesize() const {
+  std::vector<unsigned char> bytes(size());
+  write(0, size(), bytes.data());
+  return bytes;
+}
+
+void StateImage::rehash(uint64_t h, unsigned char* buf) {
+  const uint64_t off = h * hash_block_;
+  const uint64_t len = std::min<uint64_t>(hash_block_, size() - off);
+  write(off, len, buf);
+  hashes_[h] = hash_block(buf, len);
+}
+
+void StateImage::evolve(uint64_t epoch) {
+  const uint64_t sb = state_block(cfg_);
   const uint64_t hb = hash_block_;
-  const uint64_t n = bytes_.size();
-  rewrite_blocks(bytes_, cfg, rank, epoch, [&](uint64_t off, uint64_t len) {
+  std::vector<uint64_t> dirty;  // hash blocks the rewrites touch
+  for_each_rewrite(cfg_, rank_, epoch, [&](uint64_t b) {
+    versions_[b] = epoch;
     if (hb == 0) return;
-    // The rewritten range may span several hash blocks (or share one with
-    // other rewrites) when the state and delta block sizes differ.
-    for (uint64_t h = off / hb; h * hb < off + len; ++h)
-      hashes_[h] = hash_block(bytes_.data() + h * hb, std::min<uint64_t>(hb, n - h * hb));
+    // A state block may span several hash blocks (or share one with other
+    // rewrites) when the state and delta block sizes differ.
+    const uint64_t end = std::min((b + 1) * sb, size());
+    for (uint64_t h = b * sb / hb; h * hb < end; ++h) dirty.push_back(h);
   });
+  if (hb == 0) return;
+  std::vector<unsigned char> buf(hb);
+  if (hashes_.empty()) {
+    hashes_.resize((size() + hb - 1) / hb);
+    for (uint64_t h = 0; h < hashes_.size(); ++h) rehash(h, buf.data());
+    return;
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for (uint64_t h : dirty) rehash(h, buf.data());
 }
 
-void StateImage::restore(util::ByteReader& reader) {
-  reader.get_raw(bytes_.data(), bytes_.size());
-  if (hash_block_ != 0) hashes_ = hash_blocks(bytes_, hash_block_);
+void StateImage::restore(std::span<const uint64_t> versions,
+                         std::span<const unsigned char> decoded) {
+  SPBC_ASSERT(versions.size() == versions_.size() && decoded.size() == size());
+  versions_.assign(versions.begin(), versions.end());
+  // Compare a hash block at a time, so each chunk synthesized for the check
+  // is also the one hashed.
+  const uint64_t chunk = hash_block_ ? hash_block_ : state_block(cfg_);
+  std::vector<unsigned char> buf(chunk);
+  if (hash_block_ != 0) hashes_.resize((size() + chunk - 1) / chunk);
+  for (uint64_t off = 0; off < size(); off += chunk) {
+    const uint64_t len = std::min<uint64_t>(chunk, size() - off);
+    write(off, len, buf.data());
+    SPBC_ASSERT_MSG(std::memcmp(buf.data(), decoded.data() + off, len) == 0,
+                    "restored state image of rank "
+                        << rank_ << " differs from its synthesis at bytes ["
+                        << off << ", " << off + len << ")");
+    if (hash_block_ != 0) hashes_[off / chunk] = hash_block(buf.data(), len);
+  }
 }
 
 }  // namespace spbc::ckpt

@@ -25,10 +25,6 @@
 #include <span>
 #include <vector>
 
-namespace spbc::util {
-class ByteReader;
-}
-
 namespace spbc::ckpt {
 
 struct ReductionConfig {
@@ -97,32 +93,51 @@ void evolve_state(std::vector<unsigned char>& buf, const StateModelConfig& cfg,
 std::vector<uint64_t> hash_blocks(std::span<const unsigned char> bytes,
                                   uint32_t block_bytes);
 
-/// A rank's synthetic state image together with its per-block hashes at the
-/// capture's delta granularity, kept equal to hash_blocks(bytes()) by every
-/// mutation: construction hashes the epoch-0 image, evolve() rehashes only
-/// the blocks it rewrote, restore() rehashes the restored image once. A
-/// capture refers to the image and its hashes instead of copying and
-/// rehashing them each epoch (Snapshot::image; DESIGN.md §15).
+/// A rank's synthetic state image, kept as metadata instead of bytes: per
+/// state block the epoch that last rewrote it (0 = make_state's content),
+/// and per hash block the content hash at the capture's delta granularity.
+/// Every block's bytes are a pure function of (seed, rank, version, block),
+/// so write() synthesizes any range on demand with fill_synth_block and the
+/// image holds O(blocks) memory however large it is. Its bytes always equal
+/// make_state followed by evolve_state over the same epochs. A capture
+/// refers to the image (Snapshot::image) and the store synthesizes only what
+/// it stores (DESIGN.md §15).
 class StateImage {
  public:
   StateImage() = default;
-  /// The rank's epoch-0 image (make_state), hashed at `hash_block` bytes per
-  /// block; 0 keeps no hashes.
+  /// The rank's epoch-0 image, hashed at `hash_block` bytes per block once
+  /// evolve() first runs; 0 keeps no hashes. Synthesizes nothing.
   StateImage(const StateModelConfig& cfg, int rank, uint32_t hash_block);
 
-  /// evolve_state to `epoch`, then rehashes the blocks it rewrote.
-  void evolve(const StateModelConfig& cfg, int rank, uint64_t epoch);
-  /// Reads the image back from a capture (ByteWriter::put_raw layout) and
-  /// rehashes it.
-  void restore(util::ByteReader& reader);
+  /// Advances to `epoch` as evolve_state does: the rewritten blocks take
+  /// version `epoch`, and the hash blocks they touch are synthesized and
+  /// rehashed (every hash block on the first call).
+  void evolve(uint64_t epoch);
+  /// Rolls back to a stored capture: adopts its block `versions`, then
+  /// synthesizes the image, asserts that it equals `decoded` (the image
+  /// region the capture decoded to) and rehashes it.
+  void restore(std::span<const uint64_t> versions,
+               std::span<const unsigned char> decoded);
 
-  const std::vector<unsigned char>& bytes() const { return bytes_; }
+  uint64_t size() const { return cfg_.bytes; }
+  /// Synthesizes image bytes [off, off + len) into `dst`.
+  void write(uint64_t off, uint64_t len, unsigned char* dst) const;
+  /// The whole image, synthesized.
+  std::vector<unsigned char> synthesize() const;
+  const std::vector<uint64_t>& versions() const { return versions_; }
+  /// Equal to hash_blocks(synthesize(), hash_block) once evolve() or
+  /// restore() has run; empty before, and without a hash block.
   const std::vector<uint64_t>& hashes() const { return hashes_; }
 
  private:
-  std::vector<unsigned char> bytes_;
-  std::vector<uint64_t> hashes_;
+  /// Synthesizes hash block `h` into `buf` and stores its hash.
+  void rehash(uint64_t h, unsigned char* buf);
+
+  StateModelConfig cfg_{};
+  int rank_ = 0;
   uint32_t hash_block_ = 0;
+  std::vector<uint64_t> versions_;
+  std::vector<uint64_t> hashes_;
 };
 
 }  // namespace spbc::ckpt

@@ -27,23 +27,34 @@ sim::Time StorageCostModel::read_time(StorageLevel level, uint64_t bytes) const 
   return write_time(level, bytes);
 }
 
+namespace {
+// The payload save() builds when it cannot hand over the tail as it is: one
+// buffer per thread (the threaded shard executor saves on several threads
+// at once), reused so a capture allocates nothing of its own size.
+thread_local std::vector<unsigned char> t_payload;
+}  // namespace
+
 SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
   Row& r = row(rank);
   const uint32_t bb = reduction_.block_bytes ? reduction_.block_bytes : 4096;
-  // The image stays a separate segment only where its blocks are whole
-  // capture blocks with known hashes; anywhere else it joins the tail.
-  if (!snap.image.empty() && (!reduction_.delta || snap.image.size() % bb != 0)) {
-    snap.bytes.insert(snap.bytes.begin(), snap.image.begin(), snap.image.end());
-    snap.image = {};
-    snap.image_hashes = {};
+  StoredSnapshot s;
+  const StateImage* image = snap.image;
+  if (image != nullptr) {
+    s.image_versions = image->versions();
+    // The image stays a separate segment only where its blocks are whole
+    // capture blocks with known hashes; anywhere else it joins the tail.
+    if (!reduction_.delta || image->size() % bb != 0) {
+      snap.bytes.insert(snap.bytes.begin(), image->size(), 0);
+      image->write(0, image->size(), snap.bytes.data());
+      image = nullptr;
+    }
   }
-  const std::span<const unsigned char> image = snap.image;
+  const uint64_t image_size = image ? image->size() : 0;
   const std::span<const unsigned char> tail = snap.bytes;
 
   SaveInfo info;
-  info.raw_bytes = image.size() + tail.size();
+  info.raw_bytes = image_size + tail.size();
 
-  StoredSnapshot s;
   s.taken_at = snap.taken_at;
   s.epoch = snap.epoch;
   s.raw_size = info.raw_bytes;
@@ -53,14 +64,27 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
   info.blocks_total = nblocks;
   info.blocks_changed = nblocks;
 
-  std::vector<unsigned char> payload;  // what compression (if any) sees
+  // Logical bytes [off, off + len) from whichever segment holds them: a
+  // block lies wholly in one, since the image is block-aligned.
+  std::vector<unsigned char>& payload = t_payload;
+  payload.clear();
+  auto append = [&](uint64_t off, uint64_t len) {
+    const size_t at = payload.size();
+    payload.resize(at + len);
+    if (off < image_size)
+      image->write(off, len, payload.data() + at);
+    else
+      std::memcpy(payload.data() + at, tail.data() + (off - image_size), len);
+  };
   bool have_payload = false;
   if (reduction_.delta) {
     s.block_bytes = bb;
     // The image's hashes come with it; only the tail's blocks are hashed.
-    SPBC_ASSERT(snap.image_hashes.size() == image.size() / bb);
+    SPBC_ASSERT_MSG(!image || image->hashes().size() == image_size / bb,
+                    "state image of rank " << rank << " is not hashed at "
+                                           << bb << "-byte blocks");
     s.block_hashes.reserve(nblocks);
-    s.block_hashes.assign(snap.image_hashes.begin(), snap.image_hashes.end());
+    if (image) s.block_hashes.assign(image->hashes().begin(), image->hashes().end());
     const std::vector<uint64_t> tail_hashes = hash_blocks(tail, bb);
     s.block_hashes.insert(s.block_hashes.end(), tail_hashes.begin(), tail_hashes.end());
     // Delta eligibility: the immediately-preceding epoch is still stored at
@@ -83,16 +107,9 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
       if (s.changed.size() < nblocks) {
         s.chain_base = prev->chain_base;
         info.blocks_changed = static_cast<uint32_t>(s.changed.size());
-        payload.reserve(s.changed.size() * bb);
         for (uint32_t b : s.changed) {
-          // A block lies wholly in one segment: the image is block-aligned.
           const uint64_t off = static_cast<uint64_t>(b) * bb;
-          const std::span<const unsigned char> block =
-              off < image.size()
-                  ? image.subspan(off, bb)
-                  : tail.subspan(off - image.size(),
-                                 std::min<uint64_t>(bb, s.raw_size - off));
-          payload.insert(payload.end(), block.begin(), block.end());
+          append(off, std::min<uint64_t>(bb, s.raw_size - off));
         }
         have_payload = true;
       } else {
@@ -100,25 +117,28 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
       }
     }
   }
-  if (!have_payload) {
-    if (image.empty()) {
-      payload = std::move(snap.bytes);
-    } else {
-      // A full capture owns its bytes: the one copy of the image.
-      payload.reserve(s.raw_size);
-      payload.assign(image.begin(), image.end());
-      payload.insert(payload.end(), tail.begin(), tail.end());
-    }
+  if (!have_payload && image) {
+    append(0, image_size);
+    append(image_size, tail.size());
+    have_payload = true;
   }
+  // Otherwise the tail is the whole full capture and is stored as it is.
+  const std::span<const unsigned char> raw =
+      have_payload ? std::span<const unsigned char>(payload) : tail;
 
   if (reduction_.compress) {
-    std::vector<unsigned char> enc = util::codec::lz_compress(payload);
-    if (enc.size() < payload.size()) {
+    std::vector<unsigned char> enc = util::codec::lz_compress(raw.data(), raw.size());
+    if (enc.size() < raw.size()) {
       s.compressed = true;
       s.enc = std::move(enc);
     }
   }
-  if (!s.compressed) s.enc = std::move(payload);
+  if (!s.compressed) {
+    if (have_payload)
+      s.enc.assign(payload.begin(), payload.end());
+    else
+      s.enc = std::move(snap.bytes);
+  }
 
   info.stored_bytes = s.enc.size();
   info.chain_base = s.chain_base;

@@ -68,16 +68,16 @@ struct StorageCostModel {
 };
 
 /// A capture as the protocol hands it to Store::save. Its logical bytes are
-/// `image` followed by `bytes`: a rank's state image rides by reference, with
-/// its per-block hashes at the store's delta granularity, so save() neither
-/// copies nor rehashes it when it can diff it block by block. The spans must
-/// stay valid for the save() call only; the store keeps none of them.
+/// the synthesized `image` (none when null) followed by `bytes`: a rank's
+/// state image rides by reference with its per-block hashes, so save()
+/// synthesizes only the image blocks it stores and rehashes none of them
+/// when it can diff the image block by block. The image must stay valid for
+/// the save() call only; the store keeps its block versions, not the image.
 struct Snapshot {
   sim::Time taken_at = 0;
   uint64_t epoch = 0;  // checkpoint wave number
   std::vector<unsigned char> bytes;
-  std::span<const unsigned char> image{};
-  std::span<const uint64_t> image_hashes{};
+  const StateImage* image = nullptr;
 };
 
 /// What save() actually wrote: the caller stages `stored_bytes` (the encoded
@@ -112,6 +112,9 @@ struct StoredSnapshot {
   /// baseline the next epoch diffs against. Present whenever delta encoding
   /// is on (full captures included).
   std::vector<uint64_t> block_hashes;
+  /// StateImage::versions() of the capture's image (empty without one):
+  /// restore rebuilds the image from them and checks the decoded bytes.
+  std::vector<uint64_t> image_versions;
   std::vector<unsigned char> enc;
 
   bool full() const { return chain_base == epoch; }
@@ -148,13 +151,14 @@ class Store {
 
   /// Saves `snap` under (rank, snap.epoch), replacing a same-epoch snapshot.
   /// Applies the configured reduction: delta-encodes against the previous
-  /// epoch's hash index when eligible, then compresses. A referenced image
-  /// is taken with its hashes and never copied for a delta when delta
-  /// encoding is on and its size is a multiple of the block size; otherwise
-  /// it is prepended to `bytes` first, and the stored form is the same
-  /// either way. `force_full` pins a
-  /// full capture regardless of eligibility — migration boundary/pin epochs
-  /// must be renameable, and a renamed delta would orphan its chain.
+  /// epoch's hash index when eligible, then compresses. When delta encoding
+  /// is on and a referenced image's size is a multiple of the block size,
+  /// its hashes are taken as they are and its stored blocks are synthesized
+  /// straight into a reused per-thread payload buffer; otherwise it is
+  /// synthesized in front of `bytes` first. The stored form is the same
+  /// either way. `force_full` pins a full capture regardless of
+  /// eligibility — migration boundary/pin epochs must be renameable, and a
+  /// renamed delta would orphan its chain.
   SaveInfo save(int rank, Snapshot snap, bool force_full = false);
   bool has(int rank) const;
   /// Highest-epoch snapshot held for `rank`.

@@ -353,12 +353,11 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
     // fixed by the state model): at offset 0 its blocks stay aligned from
     // epoch to epoch, so the growing log and runtime state behind it cannot
     // shift them and unchanged blocks hash equal (DESIGN.md §15). The
-    // capture refers to the image and the hashes it keeps; the store copies
-    // only what it stores.
+    // capture refers to the image, which holds block versions and hashes,
+    // not bytes; the store synthesizes only what it stores.
     ckpt::StateImage& state = synth_state_[static_cast<size_t>(me)];
-    state.evolve(cfg_.state_model, me, epoch);
-    snap.image = state.bytes();
-    snap.image_hashes = state.hashes();
+    state.evolve(epoch);
+    snap.image = &state;
   }
   util::ByteWriter w;
   w.put<uint64_t>(epoch);
@@ -886,7 +885,12 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   std::vector<unsigned char> scratch;
   const std::vector<unsigned char>& bytes = store_.materialize(r, epoch, scratch);
   util::ByteReader reader(bytes);
-  if (cfg_.state_model.bytes > 0) synth_state_[static_cast<size_t>(r)].restore(reader);
+  if (cfg_.state_model.bytes > 0) {
+    // The image is rebuilt from the capture's block versions; the decoded
+    // region must equal its synthesis.
+    ckpt::StateImage& state = synth_state_[static_cast<size_t>(r)];
+    state.restore(store_.at_epoch(r, epoch).image_versions, reader.get_raw(state.size()));
+  }
   const uint64_t snap_epoch = reader.get<uint64_t>();
   SPBC_ASSERT_MSG(snap_epoch == epoch, "snapshot/epoch mismatch for rank " << r);
   cs.epoch = epoch;

@@ -174,9 +174,9 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   SenderLog& log_of_mut(int rank);
   const Replayer& replayer_of(int rank) const;
   const ckpt::Store& store() const { return store_; }
-  /// The rank's synthetic evolving state and its block hashes (empty when
-  /// state_model is off): as of its latest cut, or as restored by its latest
-  /// rollback.
+  /// The rank's synthetic evolving state: block versions and hashes, its
+  /// bytes synthesized on demand (empty when state_model is off). As of its
+  /// latest cut, or as restored by its latest rollback.
   const ckpt::StateImage& synthetic_state(int rank) const {
     return synth_state_[static_cast<size_t>(rank)];
   }
@@ -382,10 +382,11 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   std::vector<uint8_t> storage_survives_;
   std::vector<SenderLog> logs_;
   std::vector<Replayer> replayers_;
-  // Per-rank synthetic evolving app state (state_model.bytes > 0 only).
-  // Mutated from the rank's own shard at its epoch cut, captured at offset 0
-  // of the snapshot and read back from it on restore, so delta captures see
-  // realistic block-level churn without a real application.
+  // Per-rank synthetic evolving app state (state_model.bytes > 0 only): block
+  // versions and hashes, no bytes. Evolved from the rank's own shard at its
+  // epoch cut, synthesized at offset 0 of the capture and rebuilt from the
+  // stored versions on restore, so delta captures see realistic block-level
+  // churn without a real application.
   std::vector<ckpt::StateImage> synth_state_;
   // Per-rank facade sessions/regions (only touched by facade-driven apps;
   // pattern-API apps never allocate region bytes). Sized in attach().

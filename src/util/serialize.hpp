@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -83,11 +84,13 @@ class ByteReader {
     return out;
   }
 
-  /// Reads `len` bytes written by ByteWriter::put_raw into `dst`.
-  void get_raw(void* dst, size_t len) {
+  /// Views the next `len` bytes (ByteWriter::put_raw layout) and steps past
+  /// them; the view lives as long as the buffer.
+  std::span<const unsigned char> get_raw(size_t len) {
     SPBC_ASSERT(pos_ + len <= buf_.size());
-    if (len > 0) std::memcpy(dst, buf_.data() + pos_, len);
+    const std::span<const unsigned char> out(buf_.data() + pos_, len);
     pos_ += len;
+    return out;
   }
 
   template <typename T>

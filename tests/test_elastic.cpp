@@ -11,8 +11,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "ckpt/reduction.hpp"
 #include "ckpt/staging.hpp"
+#include "ckpt/store.hpp"
 #include "core/spbc.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/machine.hpp"
@@ -226,6 +230,169 @@ TEST(Elastic, RepartitionerMigratesUnderDrift) {
     }
   }
   EXPECT_EQ(finish[0], finish[1]);
+}
+
+// SPBC that keeps the state model's flat image (make_state, then
+// evolve_state by every epoch the rank cuts) beside each rank's state image.
+// Each cut is keyed by its capture time, which rename_epoch keeps, so a
+// capture re-keyed by a migration flip still finds the flat image it was
+// cut from. At every rollback the rank's synthesized image is compared with
+// that flat image, which the run then continues from.
+class FlatStateProbe : public core::SpbcProtocol {
+ public:
+  using SpbcProtocol::SpbcProtocol;
+
+  struct Cut {
+    uint64_t epoch;  // the epoch the rank cut, before any rename
+    int cluster;     // the rank's cluster at the cut
+    std::vector<unsigned char> flat;
+  };
+  struct Restored {
+    int rank;
+    uint64_t epoch;
+    bool matches;
+    // The restore decoded a delta chain whose full base a flip renamed.
+    bool past_renamed_base;
+  };
+
+  bool maybe_checkpoint(Rank& rank) override {
+    const int r = rank.rank();
+    const uint64_t before = snapshot_epoch(r);
+    // Unscheduled cuts by rank 0 between its first scheduled ones put its
+    // cluster epochs ahead of the other, so a flip between them renames
+    // the boundary epoch to a different number.
+    if (r == 0 && ++calls0_ <= 5 && calls0_ % 2 == 1) {
+      checkpoint_now(rank);
+      note_cuts(r, before);
+    }
+    const uint64_t mid = snapshot_epoch(r);
+    const bool cut = SpbcProtocol::maybe_checkpoint(rank);
+    note_cuts(r, mid);
+    return cut;
+  }
+
+  void on_rank_start(Rank& rank, bool restarted) override {
+    SpbcProtocol::on_rank_start(rank, restarted);
+    const int r = rank.rank();
+    if (!restarted) {  // first start, or a rollback to sigma_0
+      flat_.erase(r);
+      return;
+    }
+    const uint64_t e = snapshot_epoch(r);
+    const ckpt::StoredSnapshot& snap = store().at_epoch(r, e);
+    const Cut& cut = cuts.at({r, snap.taken_at});
+    const uint64_t base = snap.chain_base;
+    const bool renamed = cuts.at({r, store().at_epoch(r, base).taken_at}).epoch != base;
+    restored.push_back(
+        {r, e, synthetic_state(r).synthesize() == cut.flat, renamed && e > base});
+    flat_[r] = cut.flat;
+  }
+
+  std::map<std::pair<int, sim::Time>, Cut> cuts;
+  std::vector<Restored> restored;
+
+ private:
+  // Records the cut rank `r` made since its snapshot epoch was `before`.
+  void note_cuts(int r, uint64_t before) {
+    const uint64_t e = snapshot_epoch(r);
+    if (e == before) return;
+    auto [it, fresh] = flat_.try_emplace(r);
+    if (fresh) it->second = ckpt::make_state(config().state_model, r);
+    ckpt::evolve_state(it->second, config().state_model, r, e);
+    cuts.insert_or_assign({r, store().at_epoch(r, e).taken_at},
+                          Cut{e, machine_->cluster_of(r), it->second});
+  }
+
+  int calls0_ = 0;
+  std::map<int, std::vector<unsigned char>> flat_;
+};
+
+// RepartitionerMigratesUnderDrift with an evolving state model under delta
+// captures and compression: a unit flips, the movers' boundary epoch is
+// renamed into the destination's epoch space, and a failure then rolls a
+// mover back to an epoch it cut after the flip. Its state image, rebuilt
+// from the stored block versions (some written in the source cluster's
+// epochs), must equal the flat model, as must the state region of every
+// capture the failure-free run retains.
+TEST(Elastic, RepartitionerMigratesUnderDriftWithStateModel) {
+  const int n = 8, iters = 14;
+  const std::vector<int> initial = {0, 0, 1, 1, 0, 0, 1, 1};
+  MachineConfig cfg;
+  cfg.nranks = n;
+  cfg.ranks_per_node = 2;
+  cfg.abort_on_deadlock = false;
+  core::SpbcConfig scfg;
+  scfg.checkpoint_every = 2;
+  scfg.control.repartition_period = 4e-3;
+  scfg.reduction.delta = true;
+  scfg.reduction.block_bytes = 256;
+  scfg.reduction.full_stride = 4;
+  scfg.reduction.compress = true;
+  scfg.state_model.bytes = 4096;
+  scfg.state_model.block_bytes = 256;
+  scfg.state_model.mutation_rate = 0.2;
+  scfg.state_model.seed = 3;
+  struct Run {
+    std::unique_ptr<Machine> machine;
+    FlatStateProbe* probe;
+    std::map<int, uint64_t> sums;
+    sim::Time finish;
+  };
+  auto run = [&](std::vector<std::pair<sim::Time, int>> failures) {
+    auto proto = std::make_unique<FlatStateProbe>(scfg);
+    Run out{nullptr, proto.get(), {}, 0};
+    out.machine = std::make_unique<Machine>(cfg, std::move(proto));
+    out.machine->set_cluster_of(initial);
+    std::map<int, uint64_t>* sums = &out.sums;
+    out.machine->launch([sums](Rank& r) { workload(r, iters, sums); });
+    for (const auto& [t, victim] : failures) out.machine->inject_failure(t, victim);
+    const mpi::RunResult res = out.machine->run();
+    EXPECT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
+    out.finish = res.finish_time;
+    return out;
+  };
+
+  const Run ff = run({});
+  EXPECT_EQ(ff.sums, reference(n, iters));
+  ASSERT_GE(ff.probe->control_plane().stats().repartitions, 1u);
+  // The movers and their first cut after the flip (cuts iterate in time
+  // order per rank).
+  std::map<int, sim::Time> first_moved_cut;
+  for (const auto& [key, cut] : ff.probe->cuts)
+    if (cut.cluster != initial[static_cast<size_t>(key.first)])
+      first_moved_cut.try_emplace(key.first, key.second);
+  ASSERT_FALSE(first_moved_cut.empty()) << "no rank cut an epoch after a flip";
+  uint64_t retained = 0;
+  for (int r = 0; r < n; ++r) {
+    for (uint64_t e = 1; e <= ff.probe->snapshot_epoch(r); ++e) {
+      if (!ff.probe->store().has_epoch(r, e)) continue;
+      std::vector<unsigned char> scratch;
+      const std::vector<unsigned char>& bytes = ff.probe->store().materialize(r, e, scratch);
+      const FlatStateProbe::Cut& cut =
+          ff.probe->cuts.at({r, ff.probe->store().at_epoch(r, e).taken_at});
+      ASSERT_GE(bytes.size(), scfg.state_model.bytes);
+      EXPECT_TRUE(std::equal(cut.flat.begin(), cut.flat.end(), bytes.begin()))
+          << "rank " << r << " epoch " << e;
+      ++retained;
+    }
+  }
+  EXPECT_GT(retained, 0u);
+
+  // Fail a mover at several points after its first post-flip cut.
+  const auto [mover, moved_at] = *first_moved_cut.begin();
+  int restores = 0, past_rename = 0;
+  for (int i = 0; i < 4; ++i) {
+    const sim::Time t = moved_at + (ff.finish - moved_at) * (0.2 + 0.2 * i);
+    const Run fr = run({{t, mover}});
+    EXPECT_EQ(fr.sums, ff.sums) << "failure at " << t;
+    for (const FlatStateProbe::Restored& rs : fr.probe->restored) {
+      EXPECT_TRUE(rs.matches) << "rank " << rs.rank << " restored epoch " << rs.epoch;
+      ++restores;
+      past_rename += rs.past_renamed_base;
+    }
+  }
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(past_rename, 0) << "no mover was restored past its renamed boundary epoch";
 }
 
 // Determinism across shard layouts: the elastic trajectory (hot-swap,

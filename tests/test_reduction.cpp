@@ -253,6 +253,35 @@ TEST(Codec, DecoderRejectsDamagedStreams) {
   EXPECT_GT(rejected, accepted);
 }
 
+// fill_synth_block as first written, one byte at a time: the fixed-width
+// fill must lay down the same bytes at every length, the block's end
+// included.
+void byte_serial_fill(unsigned char* dst, uint64_t len, uint64_t seed) {
+  util::Pcg32 rng(seed, 0x9e3779b97f4a7c15ull);
+  uint64_t pos = 0;
+  while (pos < len) {
+    uint64_t run = 16 + rng.next_bounded(64);
+    if (run > len - pos) run = len - pos;
+    const unsigned char noise = static_cast<unsigned char>(rng.next_u32());
+    const unsigned char fill = static_cast<unsigned char>(rng.next_u32());
+    dst[pos] = noise;
+    for (uint64_t i = 1; i < run; ++i) dst[pos + i] = fill;
+    pos += run;
+  }
+}
+
+TEST(StateModel, SynthBlockMatchesByteSerialFill) {
+  for (uint64_t len = 0; len <= 300; ++len) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      // Guard bytes past the end catch a write beyond `len`.
+      std::vector<unsigned char> got(len + 80, 0xA5), want(len + 80, 0xA5);
+      ckpt::fill_synth_block(got.data(), len, seed * 0x9e3779b97f4a7c15ull);
+      byte_serial_fill(want.data(), len, seed * 0x9e3779b97f4a7c15ull);
+      ASSERT_TRUE(got == want) << "len " << len << " seed " << seed;
+    }
+  }
+}
+
 TEST(StateModel, PureInSeedRankEpoch) {
   ckpt::StateModelConfig cfg;
   cfg.bytes = 8192;
@@ -462,16 +491,21 @@ TEST(DeltaStore, MissingPredecessorForcesFull) {
   EXPECT_TRUE(store.save(0, std::move(c)).full);
 }
 
-// A capture that refers to a StateImage (image span + its hashes, runtime
-// tail in `bytes`) must store exactly what the same capture stores as one
-// flat byte vector. One shape of the randomized run below.
-struct EquivalenceShape {
-  const char* name;
-  uint64_t image_bytes;
-  uint32_t state_block;
-  uint32_t delta_block;
-  bool delta;
-  uint64_t full_stride;
+// A capture that refers to a StateImage (block versions and hashes, bytes
+// synthesized on demand; runtime tail in `bytes`) must store exactly what
+// the same capture stores as one flat byte vector built by make_state and
+// evolve_state. Cases are drawn at random; Coverage counts the shapes the
+// draws reached, so the test fails if a seed change stops reaching one.
+struct Coverage {
+  int state_eq_hash = 0;     // state block == delta block
+  int state_lt_hash = 0;
+  int state_gt_hash = 0;
+  int misaligned = 0;        // delta on, image not a multiple of the block
+  int delta_off = 0;
+  int compress_off = 0;
+  int forced_full = 0;       // a force_full save that would have been a delta
+  int restored_mid_chain = 0;
+  int delta_after_restore = 0;
 };
 
 void expect_same_stored(const ckpt::StoredSnapshot& a, const ckpt::StoredSnapshot& b,
@@ -487,119 +521,149 @@ void expect_same_stored(const ckpt::StoredSnapshot& a, const ckpt::StoredSnapsho
   EXPECT_TRUE(a.enc == b.enc) << where;
 }
 
-void run_equivalence(const EquivalenceShape& shape) {
-  SCOPED_TRACE(shape.name);
-  ckpt::StateModelConfig sm;
-  sm.bytes = shape.image_bytes;
-  sm.block_bytes = shape.state_block;
-  sm.mutation_rate = 0.15;
-  sm.seed = 11;
-  ckpt::ReductionConfig red;
-  red.delta = shape.delta;
-  red.block_bytes = shape.delta_block;
-  red.full_stride = shape.full_stride;
-  red.compress = true;
-  ckpt::Store by_ref;  // image span + hashes
-  ckpt::Store flat;    // image ++ tail in one vector
-  by_ref.set_reduction(red);
-  flat.set_reduction(red);
+void expect_same_info(const ckpt::SaveInfo& a, const ckpt::SaveInfo& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.raw_bytes, b.raw_bytes) << where;
+  EXPECT_EQ(a.stored_bytes, b.stored_bytes) << where;
+  EXPECT_EQ(a.chain_base, b.chain_base) << where;
+  EXPECT_EQ(a.full, b.full) << where;
+  EXPECT_EQ(a.blocks_total, b.blocks_total) << where;
+  EXPECT_EQ(a.blocks_changed, b.blocks_changed) << where;
+}
 
+void run_equivalence(uint64_t seed, Coverage& cov) {
+  util::Pcg32 rng(seed, 17);
+  const uint32_t sizes[] = {256, 1024, 4096};
+  ckpt::StateModelConfig sm;
+  sm.block_bytes = sizes[rng.next_bounded(3)];
+  sm.mutation_rate = 0.05 + 0.05 * rng.next_bounded(5);
+  sm.seed = seed;
+  ckpt::ReductionConfig red;
+  red.delta = rng.next_bounded(4) != 0;
+  red.block_bytes = sizes[rng.next_bounded(3)];
+  red.full_stride = rng.next_bounded(9);  // 0 = unbounded chains
+  red.compress = rng.next_bounded(3) != 0;
+  const uint32_t unit = std::max(sm.block_bytes, red.block_bytes);
+  sm.bytes = static_cast<uint64_t>(unit) * (2 + rng.next_bounded(6));
+  if (rng.next_bounded(3) == 0) sm.bytes -= 1 + rng.next_bounded(red.block_bytes - 1);
+  const std::string name =
+      "seed " + std::to_string(seed) + ": image " + std::to_string(sm.bytes) +
+      " state block " + std::to_string(sm.block_bytes) + " delta " +
+      (red.delta ? std::to_string(red.block_bytes) : std::string("off")) +
+      " stride " + std::to_string(red.full_stride) +
+      (red.compress ? " compress" : "");
+  SCOPED_TRACE(name);
+  if (red.delta) {
+    cov.state_eq_hash += sm.block_bytes == red.block_bytes;
+    cov.state_lt_hash += sm.block_bytes < red.block_bytes;
+    cov.state_gt_hash += sm.block_bytes > red.block_bytes;
+    cov.misaligned += sm.bytes % red.block_bytes != 0;
+  }
+  cov.delta_off += !red.delta;
+  cov.compress_off += !red.compress;
+
+  ckpt::Store lazy;  // image by reference, synthesized on demand
+  ckpt::Store flat;  // make_state/evolve_state image ++ tail in one vector
+  lazy.set_reduction(red);
+  flat.set_reduction(red);
   constexpr int kRank = 0;
   ckpt::StateImage state(sm, kRank, red.hash_block());
-  util::Pcg32 rng(shape.image_bytes ^ shape.delta_block, 3);
+  std::vector<unsigned char> flat_state = ckpt::make_state(sm, kRank);
   // Runtime tail: a slowly growing, mostly stable byte string, so its
   // blocks are sometimes equal to the predecessor's and sometimes not.
   std::vector<unsigned char> tail(100, 7);
 
+  const int steps = 20;
+  const int restore_at = 6 + static_cast<int>(rng.next_bounded(8));
+  const int rename_at = restore_at + 1 + static_cast<int>(rng.next_bounded(4));
+  bool restored = false;
   uint64_t epoch = 0;
-  bool rolled_back = false;
-  bool renamed = false;
-  for (int step = 1; step <= 32; ++step) {
+  for (int step = 1; step <= steps; ++step) {
     ++epoch;
-    state.evolve(sm, kRank, epoch);
+    state.evolve(epoch);
+    ckpt::evolve_state(flat_state, sm, kRank, epoch);
+    const std::string where = "step " + std::to_string(step) + " epoch " +
+                              std::to_string(epoch);
+    ASSERT_TRUE(state.synthesize() == flat_state) << where;
     if (red.delta) {
-      EXPECT_EQ(state.hashes(), ckpt::hash_blocks(state.bytes(), red.hash_block()));
+      EXPECT_EQ(state.hashes(), ckpt::hash_blocks(flat_state, red.block_bytes)) << where;
     }
     tail.resize(tail.size() + rng.next_bounded(48), static_cast<unsigned char>(step));
     for (uint32_t k = rng.next_bounded(3); k > 0; --k)
       tail[rng.next_bounded(static_cast<uint32_t>(tail.size()))] =
           static_cast<unsigned char>(rng.next_u32());
-    const bool force_full = rng.next_bounded(8) == 0 || step == 24;
-    const std::string where = "step " + std::to_string(step) + " epoch " +
-                              std::to_string(epoch);
+    const bool force_full = rng.next_bounded(8) == 0 || step == rename_at;
 
-    ckpt::Snapshot a;
-    a.taken_at = static_cast<double>(step);
-    a.epoch = epoch;
-    a.bytes = tail;
-    a.image = state.bytes();
-    a.image_hashes = state.hashes();
-    ckpt::Snapshot b;
-    b.taken_at = a.taken_at;
-    b.epoch = epoch;
-    b.bytes = state.bytes();
-    b.bytes.insert(b.bytes.end(), tail.begin(), tail.end());
-    const ckpt::SaveInfo ia = by_ref.save(kRank, std::move(a), force_full);
+    ckpt::Snapshot a{static_cast<double>(step), epoch, tail};
+    a.image = &state;
+    std::vector<unsigned char> logical = flat_state;
+    logical.insert(logical.end(), tail.begin(), tail.end());
+    const ckpt::Snapshot b{a.taken_at, epoch, logical};
+    const ckpt::SaveInfo ia = lazy.save(kRank, std::move(a), force_full);
     const ckpt::SaveInfo ib = flat.save(kRank, b, force_full);
-    EXPECT_EQ(ia.raw_bytes, ib.raw_bytes) << where;
-    EXPECT_EQ(ia.stored_bytes, ib.stored_bytes) << where;
-    EXPECT_EQ(ia.chain_base, ib.chain_base) << where;
-    EXPECT_EQ(ia.full, ib.full) << where;
-    EXPECT_EQ(ia.blocks_total, ib.blocks_total) << where;
-    EXPECT_EQ(ia.blocks_changed, ib.blocks_changed) << where;
-    expect_same_stored(by_ref.at_epoch(kRank, epoch), flat.at_epoch(kRank, epoch), where);
+    expect_same_info(ia, ib, where);
+    expect_same_stored(lazy.at_epoch(kRank, epoch), flat.at_epoch(kRank, epoch), where);
+    EXPECT_EQ(lazy.at_epoch(kRank, epoch).image_versions, state.versions()) << where;
+    if (force_full && red.delta && lazy.has_epoch(kRank, epoch - 1)) ++cov.forced_full;
+    if (restored && !ia.full) ++cov.delta_after_restore;
     std::vector<unsigned char> sa, sb;
-    EXPECT_TRUE(by_ref.materialize(kRank, epoch, sa) == b.bytes) << where;
-    EXPECT_TRUE(flat.materialize(kRank, epoch, sb) == b.bytes) << where;
+    EXPECT_TRUE(lazy.materialize(kRank, epoch, sa) == logical) << where;
+    EXPECT_TRUE(flat.materialize(kRank, epoch, sb) == logical) << where;
 
-    if (step == 14) {
-      // Roll back to an earlier epoch (a delta one when deltas are on) and
-      // re-execute from its materialized image, as restore_rank does.
+    if (step == restore_at) {
+      // Roll back to an earlier epoch (the latest delta one when deltas are
+      // on) and continue from it as restore_rank does: the lazy image from
+      // the stored versions, checked against the decoded bytes; the flat one
+      // from the decoded bytes themselves.
       uint64_t to = epoch - 2;
-      while (red.delta && to > 1 && by_ref.at_epoch(kRank, to).full()) --to;
-      by_ref.drop_epochs_above(kRank, to);
+      while (red.delta && to > 1 && lazy.at_epoch(kRank, to).full()) --to;
+      lazy.drop_epochs_above(kRank, to);
       flat.drop_epochs_above(kRank, to);
       std::vector<unsigned char> scratch;
-      const std::vector<unsigned char>& img = by_ref.materialize(kRank, to, scratch);
-      util::ByteReader reader(img);
-      state.restore(reader);
-      if (red.delta) {
-        EXPECT_EQ(state.hashes(), ckpt::hash_blocks(state.bytes(), red.hash_block()));
-      }
+      const std::vector<unsigned char>& img = lazy.materialize(kRank, to, scratch);
+      state.restore(lazy.at_epoch(kRank, to).image_versions,
+                    std::span<const unsigned char>(img).first(sm.bytes));
+      flat_state.assign(img.begin(), img.begin() + static_cast<long>(sm.bytes));
       tail.assign(img.begin() + static_cast<long>(sm.bytes), img.end());
-      rolled_back = rolled_back || !by_ref.at_epoch(kRank, to).full() || !red.delta;
+      EXPECT_TRUE(state.synthesize() == flat_state) << where << " restored";
+      if (red.delta) {
+        EXPECT_EQ(state.hashes(), ckpt::hash_blocks(flat_state, red.block_bytes))
+            << where << " restored";
+      }
+      if (!lazy.at_epoch(kRank, to).full()) ++cov.restored_mid_chain;
+      restored = true;
       epoch = to;
     }
-    if (step == 24) {
+    if (step == rename_at) {
       // The migration flip: re-key the forced-full epoch; the next capture
       // chains off the renamed one.
-      by_ref.rename_epoch(kRank, epoch, epoch + 5);
+      lazy.rename_epoch(kRank, epoch, epoch + 5);
       flat.rename_epoch(kRank, epoch, epoch + 5);
       epoch += 5;
-      expect_same_stored(by_ref.at_epoch(kRank, epoch), flat.at_epoch(kRank, epoch),
+      expect_same_stored(lazy.at_epoch(kRank, epoch), flat.at_epoch(kRank, epoch),
                          where + " renamed");
-      renamed = true;
     }
   }
-  EXPECT_TRUE(rolled_back);
-  EXPECT_TRUE(renamed);
-  EXPECT_EQ(by_ref.total_bytes_written(), flat.total_bytes_written());
-  EXPECT_EQ(by_ref.delta_snapshots(), flat.delta_snapshots());
-  if (red.delta) {
-    EXPECT_GT(by_ref.delta_snapshots(), 0u);
-  }
+  EXPECT_EQ(lazy.total_bytes_written(), flat.total_bytes_written());
+  EXPECT_EQ(lazy.total_raw_bytes(), flat.total_raw_bytes());
+  EXPECT_EQ(lazy.delta_snapshots(), flat.delta_snapshots());
 }
 
-TEST(StoreEquivalence, ImageByReferenceStoresWhatFlatBytesStore) {
-  const EquivalenceShape shapes[] = {
-      {"aligned", 16384, 1024, 1024, true, 4},
-      {"unbounded chains", 16384, 1024, 1024, true, 0},
-      {"image not a block multiple", 16000, 1000, 1024, true, 4},
-      {"state blocks smaller than delta blocks", 16384, 384, 1024, true, 6},
-      {"state blocks larger than delta blocks", 16384, 1536, 512, true, 6},
-      {"delta off", 16384, 1024, 1024, false, 4},
-  };
-  for (const EquivalenceShape& shape : shapes) run_equivalence(shape);
+TEST(StoreEquivalence, LazyImageStoresWhatFlatStateModelStores) {
+  Coverage cov;
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    run_equivalence(seed, cov);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(cov.state_eq_hash, 0);
+  EXPECT_GT(cov.state_lt_hash, 0);
+  EXPECT_GT(cov.state_gt_hash, 0);
+  EXPECT_GT(cov.misaligned, 0);
+  EXPECT_GT(cov.delta_off, 0);
+  EXPECT_GT(cov.compress_off, 0);
+  EXPECT_GT(cov.forced_full, 0);
+  EXPECT_GT(cov.restored_mid_chain, 0);
+  EXPECT_GT(cov.delta_after_restore, 0);
 }
 
 // Chain-aware staging: a delta head is only recoverable while every chain
@@ -697,7 +761,7 @@ class CaptureProbe : public core::SpbcProtocol {
       const int r = rank.rank();
       const uint64_t epoch = snapshot_epoch(r);
       const bool delta = epoch > 0 && !store().at_epoch(r, epoch).full();
-      restored.push_back({r, epoch, delta, synthetic_state(r).bytes()});
+      restored.push_back({r, epoch, delta, synthetic_state(r).synthesize()});
     }
   }
 

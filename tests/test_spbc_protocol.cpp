@@ -252,7 +252,9 @@ TEST(SpbcProtocol, StagingSettingsReachStagingAndControlPlane) {
 }
 
 // Records what each rollback restored, and checks at every respawn that the
-// rank's state image still carries the hashes of its bytes.
+// rank's state image carries the hashes of its bytes: restored from a
+// capture they are rehashed at once, rolled back to sigma_0 they wait for
+// the next cut.
 class RestoreProbe : public core::SpbcProtocol {
  public:
   using SpbcProtocol::SpbcProtocol;
@@ -263,12 +265,14 @@ class RestoreProbe : public core::SpbcProtocol {
     // A rollback to sigma_0 respawns the rank as a fresh start.
     if (starts[r]++ == 0) return;
     const uint64_t epoch = snapshot_epoch(r);
-    if (!restarted)
-      ++to_epoch0;
-    else if (!store().at_epoch(r, epoch).full())
-      ++to_delta;
     const ckpt::StateImage& st = synthetic_state(r);
-    if (st.hashes() != ckpt::hash_blocks(st.bytes(), config().reduction.hash_block()))
+    if (!restarted) {
+      ++to_epoch0;
+      if (!st.hashes().empty()) ++stale_after_restore;
+      return;
+    }
+    if (!store().at_epoch(r, epoch).full()) ++to_delta;
+    if (st.hashes() != ckpt::hash_blocks(st.synthesize(), config().reduction.hash_block()))
       ++stale_after_restore;
   }
 
@@ -309,8 +313,9 @@ ProbeRun run_probe(const core::SpbcConfig& scfg,
 }
 
 // The state image keeps its block hashes equal to its bytes through every
-// cut, every restore to a delta epoch and every restore to sigma_0, so the
-// capture can hand them to the store instead of rehashing the image; and
+// cut, every restore to a delta epoch and every restore to sigma_0 (where
+// the next cut hashes it whole), so the capture can hand them to the store
+// instead of rehashing the image; and
 // restored runs still end on the failure-free checksums. State blocks of
 // 384 bytes straddle the 256-byte delta blocks, so one rewrite dirties
 // several hashes.
@@ -339,7 +344,7 @@ TEST(SpbcProtocol, StateImageHashesSurviveRestores) {
   EXPECT_EQ(p.stale_after_restore, 0);
   for (int r = 0; r < 16; ++r) {
     const ckpt::StateImage& st = p.synthetic_state(r);
-    EXPECT_EQ(st.hashes(), ckpt::hash_blocks(st.bytes(), scfg.reduction.block_bytes))
+    EXPECT_EQ(st.hashes(), ckpt::hash_blocks(st.synthesize(), scfg.reduction.block_bytes))
         << "rank " << r;
   }
   EXPECT_EQ(fr.checksums, ff.checksums);
