@@ -398,11 +398,11 @@ RestorePlan StagingArea::plan_restore(int rank, uint64_t epoch) const {
   return scheme_of(*e).restore_plan(rank, epoch, *this, cfg_.model);
 }
 
-void StagingArea::note_restore(const RestorePlan& plan) {
+void StagingArea::note_restore(RestorePlan::Source source) {
   // Restores are orchestrated from serial (recovery) context, which runs
   // alone: row 0 is safe for all of them.
   StagingStats& st = stats_rows_[0];
-  switch (plan.source) {
+  switch (source) {
     case RestorePlan::Source::kNone:
       break;
     case RestorePlan::Source::kLocal:
@@ -420,25 +420,30 @@ void StagingArea::note_restore(const RestorePlan& plan) {
   }
 }
 
-void StagingArea::execute_restore(int rank, uint64_t epoch,
+void StagingArea::execute_restore(const std::vector<int>& members,
+                                  uint64_t epoch,
                                   std::function<void(bool)> done) {
-  const std::vector<uint64_t> chain = restore_chain(rank, epoch);
-  if (chain.size() == 1) {
-    do_restore(rank, epoch, std::move(done), /*budget=*/2);
+  // Nothing to read: the store is free and reliable (the paper's
+  // measurement mode), or the restore is sigma_0.
+  if (!enabled() || epoch == 0) {
+    done(true);
     return;
   }
-  // Delta chain: the base and every delta restore from their own cheapest
-  // sources, overlapped; the materialization succeeds only if all of them
-  // do. All completions land on the restoring rank's shard (direct reads via
-  // engine events, rebuilds via run_serial), so the shared counters are
+  // Every element of every member's chain is read from its own cheapest
+  // source, overlapped; the pass succeeds only if all of them do. Recovery
+  // orchestration calls from serial context: direct reads complete as serial
+  // events and rebuilds bounce to serial context, so the shared counters are
   // race-free.
-  auto remaining = std::make_shared<int>(static_cast<int>(chain.size()));
+  std::vector<std::pair<int, uint64_t>> reads;
+  for (int r : members)
+    for (uint64_t e : restore_chain(r, epoch)) reads.emplace_back(r, e);
+  auto remaining = std::make_shared<size_t>(reads.size());
   auto all_ok = std::make_shared<bool>(true);
   auto shared_done =
       std::make_shared<std::function<void(bool)>>(std::move(done));
-  for (uint64_t e : chain) {
+  for (const auto& [r, e] : reads) {
     do_restore(
-        rank, e,
+        r, e,
         [remaining, all_ok, shared_done](bool ok) {
           if (!ok) *all_ok = false;
           if (--*remaining == 0) (*shared_done)(*all_ok);
@@ -459,8 +464,11 @@ void StagingArea::do_restore(int rank, uint64_t epoch,
     return;
   }
   if (plan.source != RestorePlan::Source::kRebuild) {
-    note_restore(plan);
-    machine_->engine().after(plan.direct_cost, [done] { done(true); });
+    machine_->engine().after(plan.direct_cost,
+                             [this, source = plan.source, done] {
+                               note_restore(source);
+                               done(true);
+                             });
     return;
   }
   SPBC_ASSERT(!plan.reads.empty());
@@ -497,7 +505,7 @@ void StagingArea::do_restore(int rank, uint64_t epoch,
               do_restore(rank, epoch, done, budget - 1);
               return;
             }
-            ++stats_rows_[0].rebuild_restores;
+            note_restore(RestorePlan::Source::kRebuild);
             stats_rows_[0].rebuild_bytes_read += total;
             done(true);
           });

@@ -128,12 +128,14 @@ struct StagingStats {
   /// Fragments re-encoded onto a replacement host after the original host
   /// node died with a landed fragment (proactive re-protection).
   uint64_t reprotections = 0;
-  /// Restores served per direct level; index = StorageLevel - kLocal.
+  /// Restore reads served per direct level; index = StorageLevel - kLocal.
+  /// A read counts when it lands (one per chain element), also when another
+  /// read's failure later abandoned its recovery pass: the read happened.
   std::array<uint64_t, 3> restores_by_level{};
-  /// Rebuilds completed by a parity group (no PFS read; the reads really
-  /// streamed, so they count even if a concurrent member's failure later
-  /// abandoned the recovery pass), the network bytes those rebuilds
-  /// streamed, and rebuilds re-planned after a source node died mid-read.
+  /// Rebuilds completed by a parity group (no PFS read; counted when the
+  /// last fragment lands, like a direct read), the network bytes those
+  /// rebuilds streamed, and rebuilds re-planned after a source node died
+  /// mid-read.
   uint64_t rebuild_restores = 0;
   uint64_t rebuild_bytes_read = 0;
   uint64_t rebuild_retries = 0;
@@ -232,18 +234,19 @@ class StagingArea : public ResidencyView {
   /// Source::kNone when staging is disabled or every copy is gone.
   RestorePlan plan_restore(int rank, uint64_t epoch) const;
 
-  /// Records which source served a restore (metrics).
-  void note_restore(const RestorePlan& plan);
-
-  /// Executes a restore whose plan requires work beyond a direct read: RS
+  /// Reads every member's snapshot of `epoch` back for a restart: each
+  /// element of each member's chain (the base and every delta of a delta
+  /// epoch) from its own cheapest live source, all overlapped. Direct reads
+  /// (LOCAL / remote copy / PFS) complete after their device time; RS
   /// rebuild reads are submitted to net::Network (they contend with real
-  /// traffic) and checked against source-node storage generations; a source
-  /// death mid-read re-plans from the surviving fragments (bounded retries).
-  /// A delta epoch restores its whole chain (base + every delta, each from
-  /// its own cheapest source; reads overlap). `done(ok)` fires in event
-  /// context; ok=false means some chain element lost every reconstruction
-  /// path and the caller must fall back an epoch.
-  void execute_restore(int rank, uint64_t epoch,
+  /// traffic) and checked against source-node storage generations, and a
+  /// source death mid-read re-plans from the surviving fragments (bounded
+  /// retries). Each read counts in the stats when it lands. `done(all_ok)`
+  /// fires once, when the last read landed; all_ok=false means some element
+  /// lost every reconstruction path and the caller must fall back an epoch.
+  /// A disabled area or epoch 0 has nothing to read and calls `done(true)`
+  /// at once.
+  void execute_restore(const std::vector<int>& members, uint64_t epoch,
                        std::function<void(bool)> done);
 
   void note_epoch_fallback() { ++stats_rows_[0].epoch_fallbacks; }
@@ -371,8 +374,11 @@ class StagingArea : public ResidencyView {
   /// the rest of the chain from the cheapest level that still holds a copy
   /// (usually LOCAL), or count the chain aborted when nothing survives.
   void retry_from_surviving(int rank, uint64_t epoch);
+  /// One chain element's read (see execute_restore).
   void do_restore(int rank, uint64_t epoch, std::function<void(bool)> done,
                   int budget);
+  /// Counts a landed read under the source that served it.
+  void note_restore(RestorePlan::Source source);
   /// One chain element's scheme-level recoverability (PFS copy or the
   /// encoding scheme can reconstruct it without one).
   bool element_recoverable(const Entry& e, int rank, uint64_t epoch) const;

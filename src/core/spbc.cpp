@@ -542,11 +542,7 @@ void SpbcProtocol::commit_epoch(
       // The down-sweep reaches the root locally; members prune their
       // superseded snapshots/captures when their kCkptCommit arrives.
       ckpt_[static_cast<size_t>(m)].epoch = epoch;
-      // The store clamps the floor to the oldest retained epoch's delta-chain
-      // base; staging must keep the same interval or restores of the surviving
-      // head would find their chain elements unstaged.
-      const uint64_t eff = store_.prune_epochs_below(m, floor);
-      staging_.prune_epochs_below(m, eff);
+      prune_epochs_below(m, floor);
       maybe_spill_captures(m);
       continue;
     }
@@ -715,39 +711,13 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
     wave.committed = epoch;
   }
   sim::Time ckpt_time = 0;
-  sim::Time read_cost = 0;
-  std::vector<int> rebuilds;
-  std::vector<ckpt::RestorePlan> direct_plans;
   for (int r : members) {
-    if (epoch > 0) {
+    if (epoch > 0)
       ckpt_time = std::max(ckpt_time, store_.at_epoch(r, epoch).taken_at);
-      // Restart must re-read every member's snapshot from its cheapest live
-      // source; the slowest member's read extends the outage. Direct reads
-      // (LOCAL / remote copy / PFS) are a pure cost; RS rebuilds schedule
-      // real network reads below and finish when the last fragment lands.
-      // Direct-read metrics are deferred until the pass commits: a rebuild
-      // failure abandons this epoch and re-enters one lower, and the
-      // abandoned pass's direct reads never happen.
-      ckpt::RestorePlan plan = staging_.plan_restore(r, epoch);
-      if (plan.source == ckpt::RestorePlan::Source::kRebuild ||
-          staging_.restore_chain(r, epoch).size() > 1) {
-        // Delta heads read their whole chain [base..epoch]; route them
-        // through execute_restore, which reads (and audits) per element.
-        rebuilds.push_back(r);
-      } else if (plan.source != ckpt::RestorePlan::Source::kNone) {
-        direct_plans.push_back(plan);
-        read_cost = std::max(read_cost, plan.direct_cost);
-      }
-    }
     restore_rank(r, epoch);
   }
-
-  // Shared, not copied per callback: the rebuild path threads this closure
-  // (and its captured member/target maps) through every network-read
-  // completion.
-  auto finish = std::make_shared<std::function<void()>>(
-      [this, cluster, members, epoch, failure_time, ckpt_time,
-       targets] {
+  auto respawn = [this, cluster, members, epoch, failure_time, ckpt_time,
+                  targets] {
     restart_pending_.erase(cluster);
     for (int r : members) machine_->respawn_rank(r, epoch > 0);
     // Re-deliver the intra-cluster messages the restored epoch captured as
@@ -783,49 +753,23 @@ void SpbcProtocol::select_and_restore(int cluster, std::vector<int> members,
       if (other == cluster) continue;
       send_cluster_rollback(other, machine_->ranks_in_cluster(other), members);
     }
-  });
-
-  if (rebuilds.empty()) {
-    for (const ckpt::RestorePlan& plan : direct_plans)
-      staging_.note_restore(plan);
-    machine_->engine().after(machine_->config().restart_delay + read_cost,
-                             [finish] { (*finish)(); });
-    return;
-  }
-  // RS rebuilds stream surviving fragments over the real network to the
-  // replacement nodes; the respawn waits for the slowest member (direct
-  // reads overlap the rebuild window).
-  const sim::Time start = machine_->engine().now();
-  auto remaining = std::make_shared<int>(static_cast<int>(rebuilds.size()));
-  auto failed = std::make_shared<bool>(false);
-  auto directs = std::make_shared<std::vector<ckpt::RestorePlan>>(
-      std::move(direct_plans));
-  for (int r : rebuilds) {
-    staging_.execute_restore(
-        r, epoch,
-        [this, cluster, members, failure_time, targets, epoch, read_cost,
-         start, remaining, failed, directs, finish](bool ok) {
-          if (!ok) *failed = true;
-          if (--*remaining != 0) return;
-          if (*failed) {
-            // A rebuild lost its last reconstruction path mid-read (a second
-            // in-group failure): re-select one epoch lower — the retention
-            // floor guarantees an older PFS-resident epoch exists. The
-            // abandoned pass's direct reads never happened; their metrics
-            // were never recorded.
-            select_and_restore(cluster, members, failure_time, targets,
-                               epoch - 1);
-            return;
-          }
-          for (const ckpt::RestorePlan& plan : *directs)
-            staging_.note_restore(plan);
-          const sim::Time rebuilt = machine_->engine().now() - start;
-          const sim::Time residual = std::max(0.0, read_cost - rebuilt);
-          machine_->engine().after(
-              machine_->config().restart_delay + residual,
-              [finish] { (*finish)(); });
-        });
-  }
+  };
+  // Restart re-reads every member's snapshot from its cheapest live source;
+  // the slowest read extends the outage. A read that lost its last
+  // reconstruction path mid-flight (a second in-group failure during a
+  // rebuild) abandons the pass: re-select one epoch lower — the retention
+  // floor guarantees an older PFS-resident epoch exists.
+  staging_.execute_restore(
+      members, epoch,
+      [this, cluster, members, failure_time, targets, epoch,
+       respawn](bool ok) {
+        if (!ok) {
+          select_and_restore(cluster, members, failure_time, targets,
+                             epoch - 1);
+          return;
+        }
+        machine_->engine().after(machine_->config().restart_delay, respawn);
+      });
 }
 
 void SpbcProtocol::on_rank_killed(int victim) {
@@ -858,8 +802,7 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   replayers_[static_cast<size_t>(r)].reset();
   // Snapshots and captures above the committed epoch belong to a wave that
   // never finished; re-execution will redo that wave from scratch.
-  store_.drop_epochs_above(r, epoch);
-  staging_.drop_epochs_above(r, epoch);
+  drop_epochs_above(r, epoch);
   // A facade session torn open by the crash must not leak into the restored
   // epoch: the session aborts, and the committed regions are re-loaded from
   // the snapshot's app bytes by the state handlers on respawn (empty for a
@@ -910,6 +853,24 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
   logs_[static_cast<size_t>(r)].restore(reader);
   machine_->set_pending_app_state(r, reader.get_bytes());
   SPBC_ASSERT_MSG(reader.exhausted(), "trailing bytes in snapshot of rank " << r);
+}
+
+void SpbcProtocol::drop_epochs_above(int r, uint64_t epoch) {
+  store_.drop_epochs_above(r, epoch);
+  staging_.drop_epochs_above(r, epoch);
+}
+
+void SpbcProtocol::prune_epochs_below(int r, uint64_t floor) {
+  // Chain clamp: the store keeps epochs below the floor that back a retained
+  // delta head, and returns the floor it actually pruned to. Staging keeps
+  // the same interval, or a restore of the surviving head would find its
+  // chain elements unstaged.
+  staging_.prune_epochs_below(r, store_.prune_epochs_below(r, floor));
+}
+
+void SpbcProtocol::rename_epoch(int r, uint64_t from, uint64_t to) {
+  store_.rename_epoch(r, from, to);
+  staging_.rename_epoch(r, from, to);
 }
 
 void SpbcProtocol::redeliver_captured(int r, uint64_t epoch) {
@@ -1112,13 +1073,7 @@ void SpbcProtocol::on_control(mpi::Rank& receiver, const mpi::ControlMsg& msg) {
       // retention floor (words[1]), which lags the committed epoch under
       // async staging until the PFS flush catches up.
       cs.epoch = std::max(cs.epoch, msg.words.at(0));
-      {
-        // Chain clamp (see commit_epoch): the store may retain epochs below
-        // the nominal floor to back a delta head; staging mirrors it.
-        const uint64_t eff =
-            store_.prune_epochs_below(receiver.rank(), msg.words.at(1));
-        staging_.prune_epochs_below(receiver.rank(), eff);
-      }
+      prune_epochs_below(receiver.rank(), msg.words.at(1));
       maybe_spill_captures(receiver.rank());
       break;
     default:
@@ -1246,15 +1201,12 @@ void SpbcProtocol::try_flip_migration() {
     // the membership. B's fallback can then never pick an epoch the mover
     // lacks: the walk lands on pin_b, durable for every member by the
     // precondition above.
-    store_.drop_epochs_above(r, boundary);
+    drop_epochs_above(r, boundary);
     // The boundary epoch was forced to a full capture at save time, so the
     // chain clamp is a no-op here and the rename below re-keys a
     // self-contained snapshot.
-    const uint64_t eff = store_.prune_epochs_below(r, boundary);
-    store_.rename_epoch(r, boundary, pin);
-    staging_.drop_epochs_above(r, boundary);
-    staging_.prune_epochs_below(r, eff);
-    staging_.rename_epoch(r, boundary, pin);
+    prune_epochs_below(r, boundary);
+    rename_epoch(r, boundary, pin);
     auto& cs = ckpt_[static_cast<size_t>(r)];
     cs.epoch = committed_b;
     cs.snap_epoch = committed_b;
@@ -1272,13 +1224,6 @@ void SpbcProtocol::try_flip_migration() {
   forced_pfs_epoch_.erase(b);
   control_.note_repartition(static_cast<int>(migration_.ranks.size()));
   migration_ = Migration{};
-}
-
-void SpbcProtocol::on_rank_start(mpi::Rank& rank, bool restarted) {
-  if (!restarted) return;
-  // Rollback announcements were already sent from the recovery orchestration
-  // (event context) at respawn time; nothing to do in the fiber.
-  (void)rank;
 }
 
 }  // namespace spbc::core

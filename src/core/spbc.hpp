@@ -167,7 +167,6 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   void on_failure(int victim_rank) override;
   void on_rank_killed(int rank) override;
   void on_control(mpi::Rank& receiver, const mpi::ControlMsg& msg) override;
-  void on_rank_start(mpi::Rank& rank, bool restarted) override;
 
   // ---- introspection ----------------------------------------------------
   const SenderLog& log_of(int rank) const;
@@ -343,15 +342,21 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   void commit_epoch(int cluster, uint64_t epoch,
                     const std::map<int, std::vector<uint64_t>>& gc_windows);
   /// Picks the newest epoch every member can still restore (scanning down
-  /// from `epoch_hint`), restores in-memory state, executes the staging
-  /// restore plans (RS rebuilds ride the network), and schedules the
-  /// respawn. Re-enters itself one epoch lower when a rebuild's sources die
-  /// mid-read and no reconstruction path remains.
+  /// from `epoch_hint`), restores in-memory state, reads the members'
+  /// snapshots back through one StagingArea::execute_restore pass and
+  /// respawns the cluster restart_delay after the last read lands.
+  /// Re-enters itself one epoch lower when a read lost every
+  /// reconstruction path mid-flight.
   void select_and_restore(int cluster, std::vector<int> members,
                           sim::Time failure_time,
                           std::map<int, mpi::Rank::Progress> targets,
                           uint64_t epoch_hint);
   void restore_rank(int r, uint64_t epoch);
+  /// Store and staging keep the same per-rank epoch bookkeeping: each
+  /// helper applies one op to the store, then mirrors it into staging.
+  void drop_epochs_above(int r, uint64_t epoch);
+  void prune_epochs_below(int r, uint64_t floor);
+  void rename_epoch(int r, uint64_t from, uint64_t to);
   void redeliver_captured(int r, uint64_t epoch);
   /// Rollback announce (Algorithm 1 lines 19-20): one kClusterRollback from
   /// the cluster leader to each rank in `targets`, carrying every member's

@@ -12,8 +12,6 @@ const char* protocol_name(ProtocolKind k) {
       return "MPICH";
     case ProtocolKind::kSpbc:
       return "SPBC";
-    case ProtocolKind::kSpbcNoIds:
-      return "SPBC(no ids)";
     case ProtocolKind::kHydee:
       return "HydEE";
     case ProtocolKind::kGlobalCoordinated:
@@ -83,11 +81,6 @@ std::unique_ptr<mpi::ProtocolHooks> make_protocol(const ScenarioConfig& cfg) {
     case ProtocolKind::kGlobalCoordinated:
     case ProtocolKind::kPureLogging:
       return std::make_unique<core::SpbcProtocol>(cfg.spbc);
-    case ProtocolKind::kSpbcNoIds: {
-      core::SpbcConfig c = cfg.spbc;
-      c.pattern_ids = false;
-      return std::make_unique<core::SpbcProtocol>(c);
-    }
     case ProtocolKind::kHydee: {
       return std::make_unique<baselines::HydeeProtocol>(cfg.spbc);
     }

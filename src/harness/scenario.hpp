@@ -27,7 +27,6 @@ namespace spbc::harness {
 enum class ProtocolKind {
   kNative,             // unmodified library (the paper's "MPICH" bars)
   kSpbc,               // SPBC with id-based matching
-  kSpbcNoIds,          // Algorithm 1 without the A->A' transformation
   kHydee,              // HydEE baseline (centralized recovery)
   kGlobalCoordinated,  // one cluster: classic coordinated checkpointing
   kPureLogging,        // one cluster per rank (Table 1, 512-cluster row)

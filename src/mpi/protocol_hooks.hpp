@@ -105,8 +105,9 @@ class ProtocolHooks {
   virtual void on_control(Rank& receiver, const ControlMsg& msg) = 0;
 
   /// Called when a rank's fiber is (re)started, before the application main
-  /// runs — recovery protocols send their Rollback announcements here.
-  virtual void on_rank_start(Rank& rank, bool restarted) = 0;
+  /// runs. No built-in protocol needs it: SPBC announces rollbacks from its
+  /// recovery orchestration at respawn time.
+  virtual void on_rank_start(Rank& /*rank*/, bool /*restarted*/) {}
 };
 
 /// Stand-in for the unmodified MPI library: no logging, no containment.
@@ -120,7 +121,6 @@ class NativeProtocol final : public ProtocolHooks {
   bool maybe_checkpoint(Rank&) override { return false; }
   void on_failure(int) override {}
   void on_control(Rank&, const ControlMsg&) override {}
-  void on_rank_start(Rank&, bool) override {}
 };
 
 }  // namespace spbc::mpi

@@ -739,7 +739,7 @@ CaseResult run_case(const FailureCase& c) {
                    std::to_string(v) + ")");
         ++*outstanding;
         area.execute_restore(
-            v, 2, [&, v, head_ok, base_ok, outstanding](bool ok) {
+            {v}, 2, [&, v, head_ok, base_ok, outstanding](bool ok) {
               --*outstanding;
               if (ok && !head_ok)
                 run.fail("exhausted-chain restore reported success — "
@@ -770,7 +770,7 @@ CaseResult run_case(const FailureCase& c) {
                 // Exhausted chain: the caller falls back one epoch; the
                 // base must then restore as its own (length-1) chain.
                 ++*outstanding;
-                area.execute_restore(v, 1, [&, v, outstanding](bool ok1) {
+                area.execute_restore({v}, 1, [&, v, outstanding](bool ok1) {
                   --*outstanding;
                   if (!ok1)
                     run.fail("epoch-1 fallback restore failed although "
@@ -861,7 +861,7 @@ CaseResult run_case(const FailureCase& c) {
         const bool had_pfs = area.has_pfs(v, e);
         const uint64_t pfs_before = area.stats().restores_by_level[2];
         ++*outstanding;
-        area.execute_restore(v, e, [&, v, e, live, had_pfs, pfs_before,
+        area.execute_restore({v}, e, [&, v, e, live, had_pfs, pfs_before,
                                     sole_probe, outstanding](bool ok) {
           --*outstanding;
           const uint64_t pfs_after = area.stats().restores_by_level[2];

@@ -705,7 +705,7 @@ TEST(StagingChain, RecoverabilitySpansTheChain) {
     // the head must stop claiming recoverability.
     area.invalidate_node(m.node_of(area.partner_of(0)));
     EXPECT_FALSE(area.recoverable(0, 3));
-    area.execute_restore(0, 3, [failed, succeeded](bool ok) {
+    area.execute_restore({0}, 3, [failed, succeeded](bool ok) {
       if (ok)
         ++*failed;  // false success: the chain was exhausted
       else

@@ -281,7 +281,7 @@ TEST(Redundancy, KillDuringRebuildRetriesFromSurvivingFragment) {
     ASSERT_EQ(area.plan_restore(0, 1).source,
               ckpt::RestorePlan::Source::kRebuild)
         << "rebuild must be preferred over the PFS read";
-    area.execute_restore(0, 1, [&](bool ok) {
+    area.execute_restore({0}, 1, [&](bool ok) {
       restored = true;
       ok_result = ok;
     });
@@ -604,7 +604,7 @@ TEST(Redundancy, RsReprotectionRaceThenTripleLossFallsBackToPfs) {
   });
   bool restored = false, ok_result = false;
   m.engine().at(3.1, [&] {
-    area.execute_restore(0, 1, [&](bool ok) {
+    area.execute_restore({0}, 1, [&](bool ok) {
       restored = true;
       ok_result = ok;
     });

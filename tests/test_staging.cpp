@@ -1,11 +1,13 @@
 // Tests: asynchronous multi-level checkpoint staging (LOCAL -> PARTNER ->
 // PFS), residency-aware recovery (cheapest live level, cross-level and
-// cross-epoch fallback), the binomial-tree commit reduction, the in-flight
-// capture memory bound, and log reclamation accounting.
+// cross-epoch fallback), the restore pass's timing and per-read counting,
+// migration's epoch rename, the binomial-tree commit reduction, the
+// in-flight capture memory bound, and log reclamation accounting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <vector>
@@ -499,6 +501,278 @@ TEST(Staging, GcLogsReclaimsMeasuredBytes) {
   uint64_t appended = 0;
   for (int r = 0; r < 4; ++r) appended += p->log_of(r).bytes_appended();
   EXPECT_LT(retained, appended);
+}
+
+// One restore pass over a three-member cluster under RS(4, 2) on six
+// single-rank nodes: rank 0 reads one full capture from LOCAL, rank 1 reads
+// a two-element delta chain from LOCAL, and rank 2, whose node died, rebuilds
+// from its group. Rank 0's read is the slowest by far. With
+// `lose_sources_mid_read` two of the rebuild's source nodes die while its
+// reads are on the wire, which leaves rank 2 no reconstruction path.
+struct PassResult {
+  int calls = 0;
+  bool ok = false;
+  sim::Time issued = 0;
+  sim::Time landed = 0;
+  sim::Time slowest = 0;  // rank 0's LOCAL read
+  ckpt::StagingStats at_issue, midway, after;
+};
+
+PassResult restore_three_member_pass(bool lose_sources_mid_read) {
+  MachineConfig cfg;
+  cfg.nranks = 6;
+  cfg.ranks_per_node = 1;
+  auto proto = std::make_unique<core::SpbcProtocol>(core::SpbcConfig{});
+  Machine m(cfg, std::move(proto));
+  m.set_cluster_of({0, 0, 0, 1, 1, 1});
+  ckpt::StagingConfig sc;
+  sc.level = ckpt::StorageLevel::kPfs;
+  sc.async = true;
+  sc.redundancy = {ckpt::SchemeKind::kReedSolomon, 4, 2};
+  ckpt::StagingArea area(sc);
+  area.attach(m);
+  // No epoch reaches the PFS: a lost LOCAL copy comes back by rebuild or
+  // not at all.
+  const ckpt::LevelPlan no_pfs{true, false};
+  m.engine().at(1e-3, [&] {
+    area.write(0, 2, 200000000, no_pfs);              // 0.2 s LOCAL read
+    area.write(1, 1, 4000000, no_pfs);                // chain base
+    area.write(1, 2, 400000, no_pfs, /*chain_base=*/1);
+    for (int r = 2; r < 6; ++r) area.write(r, 2, 4000000, no_pfs);
+  });
+  PassResult res;
+  const sim::Time t0 = 1.0;
+  m.engine().at(t0, [&] {
+    area.invalidate_node(2);
+    const ckpt::RestorePlan direct = area.plan_restore(0, 2);
+    ASSERT_EQ(direct.source, ckpt::RestorePlan::Source::kLocal);
+    ASSERT_EQ(area.restore_chain(1, 2), (std::vector<uint64_t>{1, 2}));
+    ASSERT_EQ(area.plan_restore(2, 2).source,
+              ckpt::RestorePlan::Source::kRebuild);
+    res.slowest = direct.direct_cost;
+    res.issued = m.engine().now();
+    area.execute_restore({0, 1, 2}, 2, [&](bool ok) {
+      ++res.calls;
+      res.ok = ok;
+      res.landed = m.engine().now();
+    });
+    res.at_issue = area.stats();
+  });
+  if (lose_sources_mid_read) {
+    m.engine().at(t0 + 1e-4, [&] {
+      area.invalidate_node(3);
+      area.invalidate_node(4);
+    });
+  }
+  // Every read but rank 0's has landed by now (the rebuild streams ~1 MB
+  // per source).
+  m.engine().at(t0 + 0.15, [&] { res.midway = area.stats(); });
+  EXPECT_TRUE(m.run().completed);
+  res.after = area.stats();
+  return res;
+}
+
+// The pass completes once, when its slowest read lands, and every read
+// counts when it lands: nothing at issue, the chain's two LOCAL reads and the
+// rebuild before rank 0's read, all four by the end.
+TEST(Staging, RestorePassCountsEachReadWhenItLands) {
+  const PassResult res = restore_three_member_pass(false);
+  EXPECT_EQ(res.calls, 1);
+  EXPECT_TRUE(res.ok);
+  EXPECT_DOUBLE_EQ(res.landed, res.issued + res.slowest);
+  EXPECT_EQ(res.at_issue.restores_by_level, (std::array<uint64_t, 3>{0, 0, 0}));
+  EXPECT_EQ(res.at_issue.rebuild_restores, 0u);
+  EXPECT_EQ(res.midway.restores_by_level, (std::array<uint64_t, 3>{2, 0, 0}));
+  EXPECT_EQ(res.midway.rebuild_restores, 1u);
+  EXPECT_EQ(res.after.restores_by_level, (std::array<uint64_t, 3>{3, 0, 0}));
+  EXPECT_EQ(res.after.rebuild_restores, 1u);
+  EXPECT_EQ(res.after.rebuild_retries, 0u);
+}
+
+// Two rebuild sources die mid-read: the retry finds three of six symbols
+// unknown under RS(4, 2) and no PFS copy, so the pass fails and the caller
+// must fall back an epoch. It still reports once, after its last read, and
+// the direct reads that landed count, as a landed rebuild would.
+TEST(Staging, AbandonedRestorePassCountsTheReadsThatLanded) {
+  const PassResult res = restore_three_member_pass(true);
+  EXPECT_EQ(res.calls, 1);
+  EXPECT_FALSE(res.ok);
+  EXPECT_DOUBLE_EQ(res.landed, res.issued + res.slowest);
+  EXPECT_EQ(res.after.restores_by_level, (std::array<uint64_t, 3>{3, 0, 0}));
+  EXPECT_EQ(res.after.rebuild_restores, 0u);
+  EXPECT_EQ(res.after.rebuild_retries, 1u);
+}
+
+// Records when the failed cluster respawns and what its restore pass read,
+// planned from the residency at detection time (the pass reads the same
+// plans: nothing changes residency within the detection event).
+class RestoreTimedProtocol : public core::SpbcProtocol {
+ public:
+  using core::SpbcProtocol::SpbcProtocol;
+
+  void on_failure(int victim) override {
+    core::SpbcProtocol::on_failure(victim);
+    const int cluster = machine->cluster_of(victim);
+    const uint64_t epoch = committed_epoch(cluster);
+    sim::Time slowest = 0;
+    for (int r : machine->ranks_in_cluster(cluster)) {
+      const std::vector<uint64_t> chain = staging().restore_chain(r, epoch);
+      if (chain.size() > 1) ++delta_chains;
+      for (uint64_t e : chain) {
+        const ckpt::RestorePlan plan = staging().plan_restore(r, e);
+        if (plan.source == ckpt::RestorePlan::Source::kRebuild) {
+          ++rebuild_reads;
+        } else {
+          EXPECT_EQ(plan.source, ckpt::RestorePlan::Source::kLocal);
+          ++local_reads;
+          slowest = std::max(slowest, plan.direct_cost);
+        }
+      }
+    }
+    expected_respawn =
+        machine->engine().now() + slowest + machine->config().restart_delay;
+  }
+
+  void on_rank_start(Rank& rank, bool restarted) override {
+    if (restarted) respawns.push_back(rank.machine().engine().now());
+  }
+
+  Machine* machine = nullptr;
+  sim::Time expected_respawn = -1;
+  int local_reads = 0;
+  int rebuild_reads = 0;
+  int delta_chains = 0;
+  std::vector<sim::Time> respawns;
+};
+
+// The protocol's half of the pass: a permanent node loss in a three-member
+// cluster rebuilds the victim from its XOR group while the peers re-read
+// their LOCAL delta chains, and the cluster respawns at detection time plus
+// the slowest read plus restart_delay. The LOCAL device is slow, so a LOCAL
+// read is the slowest.
+TEST(Staging, ClusterRespawnsRestartDelayAfterItsSlowestRead) {
+  MachineConfig cfg;
+  cfg.nranks = 12;
+  cfg.ranks_per_node = 1;
+  cfg.spare_nodes = 1;
+  cfg.default_failure_kind = mpi::FailureKind::kNodePermanent;
+  core::SpbcConfig scfg;
+  scfg.checkpoint_every = 1;
+  scfg.storage = ckpt::StorageLevel::kPfs;
+  scfg.async_staging = true;
+  scfg.storage_model.pfs_bw = 1.0e5;   // flushes lag: the victim rebuilds
+  scfg.storage_model.local_bw = 1.0e7;
+  scfg.redundancy = {ckpt::SchemeKind::kReedSolomon, 3, 1};
+  scfg.reduction.delta = true;
+  scfg.state_model.bytes = 64 * 1024;
+  auto proto = std::make_unique<RestoreTimedProtocol>(scfg);
+  RestoreTimedProtocol* p = proto.get();
+  Machine m(cfg, std::move(proto));
+  p->machine = &m;
+  m.set_cluster_of({0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3});
+  m.launch([](Rank& r) {
+    int iter = 0;
+    r.set_state_handlers([&iter](util::ByteWriter& w) { w.put(iter); },
+                         [&iter](util::ByteReader& rd) { iter = rd.get<int>(); });
+    if (r.restarted()) r.restore_app_state();
+    const mpi::Comm& w = r.world();
+    const int n = r.nranks();
+    for (; iter < 6;) {
+      mpi::Request rq = r.irecv((r.rank() - 1 + n) % n, 1, w);
+      r.isend((r.rank() + 1) % n, 1, Payload::make_synthetic(256, 7), w);
+      r.wait(rq);
+      r.compute(2e-2);
+      ++iter;
+      r.maybe_checkpoint();
+    }
+  });
+  m.inject_failure(0.1, 4);
+  mpi::RunResult res = m.run();
+  ASSERT_TRUE(res.completed) << "deadlocked=" << res.deadlocked;
+  ASSERT_EQ(p->rollbacks(), 1u);
+  EXPECT_GE(p->delta_chains, 1);
+  EXPECT_GE(p->local_reads, 1);
+  EXPECT_GE(p->rebuild_reads, 1);
+  ASSERT_EQ(p->respawns.size(), 3u);
+  for (sim::Time t : p->respawns) EXPECT_DOUBLE_EQ(t, p->expected_respawn);
+  // One count per landed read.
+  const ckpt::StagingStats& st = p->staging().stats();
+  EXPECT_EQ(st.restores_by_level,
+            (std::array<uint64_t, 3>{static_cast<uint64_t>(p->local_reads), 0,
+                                     0}));
+  EXPECT_EQ(st.rebuild_restores, static_cast<uint64_t>(p->rebuild_reads));
+}
+
+// Migration's rename on an enabled staging area: the entry moves to its new
+// epoch number with its residency, fragments and chain anchor; the PFS
+// frontier follows it; a drain still in flight under the old number aborts;
+// and a restore of the new number reads the moved copies.
+TEST(Staging, RenameEpochMovesTheEntryAndAbortsStaleDrains) {
+  MachineConfig cfg;
+  cfg.nranks = 4;
+  cfg.ranks_per_node = 1;
+  auto proto = std::make_unique<core::SpbcProtocol>(core::SpbcConfig{});
+  Machine m(cfg, std::move(proto));
+  m.set_cluster_of({0, 0, 1, 1});
+  ckpt::StagingConfig sc;
+  sc.level = ckpt::StorageLevel::kPfs;
+  sc.async = true;
+  sc.model.pfs_bw = 1.0e6;  // a 100 KB flush takes ~0.1 s
+  sc.redundancy.kind = ckpt::SchemeKind::kPartner;
+  ckpt::StagingArea area(sc);
+  area.attach(m);
+  m.engine().at(1e-3, [&] { area.write(0, 1, 100000); });
+  std::vector<ckpt::Fragment> frags_before;
+  m.engine().at(0.5, [&] {
+    // Epoch 1 reached every level; rename it 1 -> 4.
+    ASSERT_EQ(area.levels(0, 1), ckpt::kAtLocal | ckpt::kAtPartner | ckpt::kAtPfs);
+    ASSERT_EQ(area.pfs_frontier(0), 1u);
+    frags_before = *area.fragments(0, 1);
+    area.rename_epoch(0, 1, 4);
+    EXPECT_EQ(area.levels(0, 1), 0);
+    EXPECT_EQ(area.fragments(0, 1), nullptr);
+    EXPECT_EQ(area.levels(0, 4), ckpt::kAtLocal | ckpt::kAtPartner | ckpt::kAtPfs);
+    ASSERT_NE(area.fragments(0, 4), nullptr);
+    ASSERT_EQ(area.fragments(0, 4)->size(), frags_before.size());
+    for (size_t i = 0; i < frags_before.size(); ++i) {
+      EXPECT_EQ((*area.fragments(0, 4))[i].host_node, frags_before[i].host_node);
+      EXPECT_EQ((*area.fragments(0, 4))[i].live, frags_before[i].live);
+    }
+    // chain_base moved with it: epoch 4 anchors its own chain.
+    EXPECT_EQ(area.restore_chain(0, 4), (std::vector<uint64_t>{4}));
+    EXPECT_EQ(area.pfs_frontier(0), 4u);
+    // A second epoch whose flush is still queued when it is renamed 2 -> 6.
+    area.write(0, 2, 100000);
+  });
+  uint64_t aborted_before = 0;
+  m.engine().at(0.55, [&] {
+    ASSERT_EQ(area.levels(0, 2), ckpt::kAtLocal | ckpt::kAtPartner)
+        << "the flush must still be in flight";
+    aborted_before = area.stats().drains_aborted;
+    area.rename_epoch(0, 2, 6);
+  });
+  int restores = 0;
+  m.engine().at(1.0, [&] {
+    // The stale flush landed under epoch 2, found no entry and aborted: the
+    // renamed epoch never claims a PFS copy it does not have.
+    EXPECT_EQ(area.stats().drains_aborted, aborted_before + 1);
+    EXPECT_EQ(area.levels(0, 6), ckpt::kAtLocal | ckpt::kAtPartner);
+    EXPECT_EQ(area.pfs_frontier(0), 4u);
+    // The owner's node dies: both renamed epochs restore from the buddy copy
+    // that moved with them.
+    area.invalidate_node(0);
+    for (uint64_t e : {4u, 6u}) {
+      ASSERT_TRUE(area.recoverable(0, e));
+      area.execute_restore({0}, e, [&](bool ok) {
+        EXPECT_TRUE(ok);
+        ++restores;
+      });
+    }
+  });
+  EXPECT_TRUE(m.run().completed);
+  EXPECT_EQ(restores, 2);
+  EXPECT_EQ(area.stats().restores_by_level,
+            (std::array<uint64_t, 3>{0, 2, 0}));
 }
 
 }  // namespace
