@@ -41,6 +41,17 @@ int cross_domain_partner(const mpi::Machine& machine, int rank) {
 
 namespace {
 
+// The direct plans every scheme shares: one read of the whole snapshot.
+RestorePlan local_read(int rank, uint64_t bytes) {
+  return {RestorePlan::Source::kLocal, {{StorageLevel::kLocal, rank, bytes}}};
+}
+RestorePlan pfs_read_or_none(int rank, uint64_t epoch,
+                             const ResidencyView& view) {
+  if (!view.has_pfs(rank, epoch)) return {};
+  return {RestorePlan::Source::kPfs,
+          {{StorageLevel::kPfs, -1, view.snapshot_bytes(rank, epoch)}}};
+}
+
 // ---------------------------------------------------------------------------
 // kSingle: LOCAL only. The cheapest write path and the baseline the other
 // schemes are measured against; a node loss always costs a PFS read (or an
@@ -58,25 +69,17 @@ class SingleScheme : public RedundancyScheme {
                                const ResidencyView& view) const override {
     return view.has_local(rank, epoch);
   }
-  RestorePlan restore_plan(int rank, uint64_t epoch, const ResidencyView& view,
-                           const StorageCostModel& model) const override {
-    RestorePlan plan;
-    const uint64_t bytes = view.snapshot_bytes(rank, epoch);
-    if (view.has_local(rank, epoch)) {
-      plan.source = RestorePlan::Source::kLocal;
-      plan.direct_cost = model.read_time(StorageLevel::kLocal, bytes);
-    } else if (view.has_pfs(rank, epoch)) {
-      plan.source = RestorePlan::Source::kPfs;
-      plan.direct_cost = model.read_time(StorageLevel::kPfs, bytes);
-    }
-    return plan;
+  RestorePlan restore_plan(int rank, uint64_t epoch,
+                           const ResidencyView& view) const override {
+    if (view.has_local(rank, epoch))
+      return local_read(rank, view.snapshot_bytes(rank, epoch));
+    return pfs_read_or_none(rank, epoch, view);
   }
 };
 
 // ---------------------------------------------------------------------------
-// kPartner: one full copy on the cross-failure-domain buddy node — the
-// pre-refactor staging behavior expressed through the interface. Mapping,
-// costs and restore ordering (LOCAL < PARTNER < PFS) are unchanged.
+// kPartner: one full copy on the cross-failure-domain buddy node. Restores
+// read LOCAL, then the buddy's copy over the network, then the PFS.
 // ---------------------------------------------------------------------------
 class PartnerScheme : public RedundancyScheme {
  public:
@@ -116,30 +119,19 @@ class PartnerScheme : public RedundancyScheme {
     return false;
   }
 
-  RestorePlan restore_plan(int rank, uint64_t epoch, const ResidencyView& view,
-                           const StorageCostModel& model) const override {
-    RestorePlan plan;
+  RestorePlan restore_plan(int rank, uint64_t epoch,
+                           const ResidencyView& view) const override {
     const uint64_t bytes = view.snapshot_bytes(rank, epoch);
-    if (view.has_local(rank, epoch)) {
-      plan.source = RestorePlan::Source::kLocal;
-      plan.direct_cost = model.read_time(StorageLevel::kLocal, bytes);
-      return plan;
-    }
+    if (view.has_local(rank, epoch)) return local_read(rank, bytes);
     const std::vector<Fragment>* frags = view.fragments(rank, epoch);
     if (frags != nullptr) {
       for (const Fragment& f : *frags) {
-        if (f.live && !f.parity) {
-          plan.source = RestorePlan::Source::kRemoteCopy;
-          plan.direct_cost = model.read_time(StorageLevel::kPartner, bytes);
-          return plan;
-        }
+        if (f.live && !f.parity)
+          return {RestorePlan::Source::kRemoteCopy,
+                  {{StorageLevel::kPartner, f.host_rank, bytes}}};
       }
     }
-    if (view.has_pfs(rank, epoch)) {
-      plan.source = RestorePlan::Source::kPfs;
-      plan.direct_cost = model.read_time(StorageLevel::kPfs, bytes);
-    }
-    return plan;
+    return pfs_read_or_none(rank, epoch, view);
   }
 
   void on_topology_change() override {
@@ -294,24 +286,13 @@ class ReedSolomonScheme : public RedundancyScheme {
     return plan_rebuild(rank, epoch, view, nullptr);
   }
 
-  RestorePlan restore_plan(int rank, uint64_t epoch, const ResidencyView& view,
-                           const StorageCostModel& model) const override {
-    RestorePlan plan;
-    const uint64_t bytes = view.snapshot_bytes(rank, epoch);
-    if (view.has_local(rank, epoch)) {
-      plan.source = RestorePlan::Source::kLocal;
-      plan.direct_cost = model.read_time(StorageLevel::kLocal, bytes);
-      return plan;
-    }
-    if (plan_rebuild(rank, epoch, view, &plan.reads)) {
-      plan.source = RestorePlan::Source::kRebuild;
-      return plan;
-    }
-    if (view.has_pfs(rank, epoch)) {
-      plan.source = RestorePlan::Source::kPfs;
-      plan.direct_cost = model.read_time(StorageLevel::kPfs, bytes);
-    }
-    return plan;
+  RestorePlan restore_plan(int rank, uint64_t epoch,
+                           const ResidencyView& view) const override {
+    if (view.has_local(rank, epoch))
+      return local_read(rank, view.snapshot_bytes(rank, epoch));
+    RestorePlan plan{RestorePlan::Source::kRebuild, {}};
+    if (plan_rebuild(rank, epoch, view, &plan.reads)) return plan;
+    return pfs_read_or_none(rank, epoch, view);
   }
 
  private:
@@ -414,12 +395,14 @@ class ReedSolomonScheme : public RedundancyScheme {
         if (member == rank) continue;
         if (std::find(unknowns.begin(), unknowns.end(), p) != unknowns.end())
           continue;
-        reads->push_back(RestorePlan::Read{member, chunk});
+        reads->push_back(
+            RestorePlan::Read{StorageLevel::kPartner, member, chunk});
       }
-      for (int i = 0; i < u; ++i)
-        reads->push_back(RestorePlan::Read{
-            live_shares[static_cast<size_t>(i)].host_rank,
-            live_shares[static_cast<size_t>(i)].bytes});
+      for (int i = 0; i < u; ++i) {
+        const Share& s = live_shares[static_cast<size_t>(i)];
+        reads->push_back(
+            RestorePlan::Read{StorageLevel::kPartner, s.host_rank, s.bytes});
+      }
     }
     return true;
   }

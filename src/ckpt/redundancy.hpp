@@ -15,16 +15,15 @@
 //   * liveness — is epoch e of a rank reconstructible without reading the
 //     PFS, given the current residency (LOCAL copies, fragments, dead nodes);
 //   * rebuild — the cheapest live reconstruction: a direct read (LOCAL, a
-//     remote full copy, the PFS) or an event-driven erasure-code rebuild
-//     whose reads ride net::Network and therefore contend like real traffic.
+//     remote full copy, the PFS) or an erasure-code rebuild. A scheme picks
+//     the sources and lists the reads; staging prices and times them.
 //
-// The kPartner scheme reproduces the pre-refactor buddy-copy behavior
-// bit-identically (same mapping, same costs, same restore-source counts).
-// kReedSolomon is the one group-parity family: GF(256) Reed-Solomon
-// (util/gf256.hpp) over groups of k+m nodes, m parity shares of ceil(B/k)
-// bytes per snapshot — (m/k)x the partner bytes — tolerating any m
-// concurrent in-group node losses. XOR parity over G-node groups is its
-// RS(G-1, 1) setting. The liveness lattice is SINGLE < PARTNER < RS(k, m).
+// The kPartner scheme keeps the pre-refactor buddy mapping and restore
+// order (LOCAL < remote copy < PFS). kReedSolomon is the one group-parity
+// family: GF(256) Reed-Solomon (util/gf256.hpp) over groups of k+m nodes,
+// m parity shares of ceil(B/k) bytes per snapshot — (m/k)x the partner
+// bytes — tolerating any m concurrent in-group node losses. XOR parity over
+// G-node groups is its RS(G-1, 1) setting. The liveness lattice is SINGLE < PARTNER < RS(k, m).
 
 #include <cstdint>
 #include <memory>
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "ckpt/store.hpp"
-#include "sim/time.hpp"
 
 namespace spbc::mpi {
 class Machine;
@@ -98,7 +96,10 @@ struct PlacementPlan {
   std::vector<PlacementStep> steps;
 };
 
-/// How a restore gets the snapshot bytes back.
+/// How a restore gets the snapshot bytes back: a source and the reads that
+/// fetch it. A direct plan (LOCAL, remote copy, PFS) is one read of the
+/// whole snapshot; a rebuild reads every surviving member's folded
+/// contribution plus one parity share per lost member.
 struct RestorePlan {
   enum class Source : uint8_t {
     kNone,        // every copy is gone (caller falls back an epoch)
@@ -107,16 +108,15 @@ struct RestorePlan {
     kRebuild,     // erasure decode from surviving group fragments
     kPfs,         // parallel file system
   };
-  Source source = Source::kNone;
-  /// Read cost of a direct source (kLocal / kRemoteCopy / kPfs).
-  sim::Time direct_cost = 0;
-  /// kRebuild: network reads to schedule (surviving members' folded
-  /// contributions plus one parity share per lost member), all addressed to
-  /// the restoring rank's node.
+  /// One read, addressed to the restoring rank. `level` names the device:
+  /// kLocal reads the home node's device, kPartner reads `src_rank`'s node
+  /// over net::Network, kPfs reads the file system (`src_rank` is -1).
   struct Read {
+    StorageLevel level = StorageLevel::kNone;
     int src_rank = -1;
     uint64_t bytes = 0;
   };
+  Source source = Source::kNone;
   std::vector<Read> reads;
 };
 
@@ -157,8 +157,7 @@ class RedundancyScheme {
 
   /// Cheapest live reconstruction (Source::kNone when every copy is gone).
   virtual RestorePlan restore_plan(int rank, uint64_t epoch,
-                                   const ResidencyView& view,
-                                   const StorageCostModel& model) const = 0;
+                                   const ResidencyView& view) const = 0;
 
   /// The machine's PHYSICAL rank->node binding changed (spare hot-swap,
   /// shrunk restart). Schemes that memoize host choices re-derive them;

@@ -395,29 +395,7 @@ RestorePlan StagingArea::plan_restore(int rank, uint64_t epoch) const {
   if (!enabled()) return {};
   const Entry* e = find(rank, epoch);
   if (e == nullptr) return {};
-  return scheme_of(*e).restore_plan(rank, epoch, *this, cfg_.model);
-}
-
-void StagingArea::note_restore(RestorePlan::Source source) {
-  // Restores are orchestrated from serial (recovery) context, which runs
-  // alone: row 0 is safe for all of them.
-  StagingStats& st = stats_rows_[0];
-  switch (source) {
-    case RestorePlan::Source::kNone:
-      break;
-    case RestorePlan::Source::kLocal:
-      ++st.restores_by_level[0];
-      break;
-    case RestorePlan::Source::kRemoteCopy:
-      ++st.restores_by_level[1];
-      break;
-    case RestorePlan::Source::kRebuild:
-      ++st.rebuild_restores;
-      break;
-    case RestorePlan::Source::kPfs:
-      ++st.restores_by_level[2];
-      break;
-  }
+  return scheme_of(*e).restore_plan(rank, epoch, *this);
 }
 
 void StagingArea::execute_restore(const std::vector<int>& members,
@@ -430,9 +408,8 @@ void StagingArea::execute_restore(const std::vector<int>& members,
     return;
   }
   // Every element of every member's chain is read from its own cheapest
-  // source, overlapped; the pass succeeds only if all of them do. Recovery
-  // orchestration calls from serial context: direct reads complete as serial
-  // events and rebuilds bounce to serial context, so the shared counters are
+  // source, overlapped; the pass succeeds only if all of them do. Every
+  // element's outcome runs in serial context, so the shared counters are
   // race-free.
   std::vector<std::pair<int, uint64_t>> reads;
   for (int r : members)
@@ -458,58 +435,66 @@ void StagingArea::do_restore(int rank, uint64_t epoch,
   // so silently-lost fragments are discovered here at the latest — the plan
   // below only ever reads genuinely live copies.
   audit_for_restore(rank, epoch);
-  RestorePlan plan = plan_restore(rank, epoch);
+  const RestorePlan plan = plan_restore(rank, epoch);
   if (plan.source == RestorePlan::Source::kNone) {
     done(false);
     return;
   }
-  if (plan.source != RestorePlan::Source::kRebuild) {
-    machine_->engine().after(plan.direct_cost,
-                             [this, source = plan.source, done] {
-                               note_restore(source);
-                               done(true);
-                             });
-    return;
-  }
   SPBC_ASSERT(!plan.reads.empty());
+  const bool rebuild = plan.source == RestorePlan::Source::kRebuild;
+  // A direct plan's one read names its level; index = StorageLevel - kLocal.
+  const size_t level_idx = static_cast<size_t>(plan.reads.front().level) - 1;
   uint64_t total = 0;
   for (const RestorePlan::Read& rd : plan.reads) total += rd.bytes;
-  auto remaining = std::make_shared<int>(static_cast<int>(plan.reads.size()));
+  auto remaining = std::make_shared<size_t>(plan.reads.size());
   auto failed = std::make_shared<bool>(false);
   for (const RestorePlan::Read& rd : plan.reads) {
-    const int snode = machine_->node_of(rd.src_rank);
-    const uint64_t sgen = node_gen(snode);
-    // Rebuild reads are real transfers: they contend with application and
-    // drain traffic on the survivors' NICs and on the restoring node. All
-    // arrivals land on the restoring rank's shard, so the remaining/failed
-    // bookkeeping is race-free; the completion itself bounces to serial
-    // context — a retry submits from other clusters' channel rows and
-    // `done` resumes recovery orchestration.
-    machine_->network().submit(
-        net::Transfer{rd.src_rank, rank, rd.bytes},
-        [this, rank, epoch, done, snode, sgen, remaining, failed, total,
-         budget] {
-          if (node_gen(snode) != sgen) *failed = true;
-          if (--*remaining != 0) return;
-          const bool f = *failed;
-          machine_->engine().run_serial([this, rank, epoch, done, f, total,
-                                         budget] {
-            if (f) {
-              // A source died mid-rebuild: re-plan from what still survives
-              // (another fragment set, or the PFS), within a bounded budget.
-              if (budget == 0) {
-                done(false);
-                return;
-              }
-              ++stats_rows_[0].rebuild_retries;
-              do_restore(rank, epoch, done, budget - 1);
-              return;
-            }
-            note_restore(RestorePlan::Source::kRebuild);
-            stats_rows_[0].rebuild_bytes_read += total;
-            done(true);
-          });
-        });
+    // A read from a node's storage fails if that node died before it
+    // landed; the PFS outlives every failure.
+    const int snode =
+        rd.level == StorageLevel::kPfs ? -1 : machine_->node_of(rd.src_rank);
+    const uint64_t sgen = snode < 0 ? 0 : node_gen(snode);
+    // One landing handler for every read. An element's reads all land in
+    // one context (serial, or the restoring rank's shard for network
+    // reads), so remaining/failed are race-free. The outcome runs in serial
+    // context, which runs alone: a re-plan may read any node, row 0 of the
+    // stats is safe and `done` resumes recovery orchestration.
+    auto land = [this, rank, epoch, done, snode, sgen, remaining, failed,
+                 rebuild, level_idx, total, budget] {
+      if (snode >= 0 && node_gen(snode) != sgen) *failed = true;
+      if (--*remaining != 0) return;
+      machine_->engine().run_serial([this, rank, epoch, done, rebuild,
+                                     level_idx, total, budget,
+                                     f = *failed] {
+        StagingStats& st = stats_rows_[0];
+        if (f) {
+          // A source died mid-read: re-plan from what still survives
+          // (another copy, a rebuild, the PFS), within a bounded budget.
+          if (budget == 0) {
+            done(false);
+            return;
+          }
+          ++st.restore_retries;
+          do_restore(rank, epoch, done, budget - 1);
+          return;
+        }
+        if (rebuild) {
+          ++st.rebuild_restores;
+          st.rebuild_bytes_read += total;
+        } else {
+          ++st.restores_by_level[level_idx];
+        }
+        done(true);
+      });
+    };
+    // Cross-node reads ride the network and contend with application and
+    // drain traffic; LOCAL and PFS reads take their device time.
+    if (rd.level == StorageLevel::kPartner)
+      machine_->network().submit(net::Transfer{rd.src_rank, rank, rd.bytes},
+                                 std::move(land));
+    else
+      machine_->engine().after(cfg_.model.read_time(rd.level, rd.bytes),
+                               std::move(land));
   }
 }
 
@@ -791,7 +776,7 @@ StagingStats StagingArea::stats() const {
       out.restores_by_level[i] += s.restores_by_level[i];
     out.rebuild_restores += s.rebuild_restores;
     out.rebuild_bytes_read += s.rebuild_bytes_read;
-    out.rebuild_retries += s.rebuild_retries;
+    out.restore_retries += s.restore_retries;
     out.epoch_fallbacks += s.epoch_fallbacks;
     out.scrub_waves += s.scrub_waves;
     out.scrub_probes += s.scrub_probes;

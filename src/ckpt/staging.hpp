@@ -129,16 +129,18 @@ struct StagingStats {
   /// node died with a landed fragment (proactive re-protection).
   uint64_t reprotections = 0;
   /// Restore reads served per direct level; index = StorageLevel - kLocal.
-  /// A read counts when it lands (one per chain element), also when another
-  /// read's failure later abandoned its recovery pass: the read happened.
+  /// A read counts when it lands from a live source (one per chain
+  /// element), also when another read's failure later abandoned its
+  /// recovery pass: the read happened.
   std::array<uint64_t, 3> restores_by_level{};
   /// Rebuilds completed by a parity group (no PFS read; counted when the
-  /// last fragment lands, like a direct read), the network bytes those
-  /// rebuilds streamed, and rebuilds re-planned after a source node died
-  /// mid-read.
+  /// last fragment lands, like a direct read) and the network bytes those
+  /// rebuilds streamed.
   uint64_t rebuild_restores = 0;
   uint64_t rebuild_bytes_read = 0;
-  uint64_t rebuild_retries = 0;
+  /// Restore reads of any source (LOCAL, remote copy, rebuild) re-planned
+  /// because a node they read from died before they landed.
+  uint64_t restore_retries = 0;
   /// Recoveries that had to fall below the committed epoch because every
   /// copy of it was destroyed.
   uint64_t epoch_fallbacks = 0;
@@ -236,12 +238,13 @@ class StagingArea : public ResidencyView {
 
   /// Reads every member's snapshot of `epoch` back for a restart: each
   /// element of each member's chain (the base and every delta of a delta
-  /// epoch) from its own cheapest live source, all overlapped. Direct reads
-  /// (LOCAL / remote copy / PFS) complete after their device time; RS
-  /// rebuild reads are submitted to net::Network (they contend with real
-  /// traffic) and checked against source-node storage generations, and a
-  /// source death mid-read re-plans from the surviving fragments (bounded
-  /// retries). Each read counts in the stats when it lands. `done(all_ok)`
+  /// epoch) from its own cheapest live source, all overlapped. Every read
+  /// takes one path: reads from another node (a remote copy, an RS
+  /// rebuild's fragments) are submitted to net::Network and contend with
+  /// real traffic, LOCAL and PFS reads take their device time. A read from
+  /// a node's storage fails when that node died before it landed, and the
+  /// element re-plans from what survives (bounded retries). Each element
+  /// counts in the stats when its last read lands. `done(all_ok)`
   /// fires once, when the last read landed; all_ok=false means some element
   /// lost every reconstruction path and the caller must fall back an epoch.
   /// A disabled area or epoch 0 has nothing to read and calls `done(true)`
@@ -374,11 +377,9 @@ class StagingArea : public ResidencyView {
   /// the rest of the chain from the cheapest level that still holds a copy
   /// (usually LOCAL), or count the chain aborted when nothing survives.
   void retry_from_surviving(int rank, uint64_t epoch);
-  /// One chain element's read (see execute_restore).
+  /// One chain element's reads (see execute_restore).
   void do_restore(int rank, uint64_t epoch, std::function<void(bool)> done,
                   int budget);
-  /// Counts a landed read under the source that served it.
-  void note_restore(RestorePlan::Source source);
   /// One chain element's scheme-level recoverability (PFS copy or the
   /// encoding scheme can reconstruct it without one).
   bool element_recoverable(const Entry& e, int rank, uint64_t epoch) const;

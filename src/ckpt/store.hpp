@@ -56,7 +56,10 @@ enum class StorageLevel : uint8_t {
 
 struct StorageCostModel {
   double local_bw = 1.0e9;     // bytes/s per node
-  double partner_bw = 0.8e9;   // effective, includes the network copy
+  /// Effective buddy-copy bandwidth, network copy included. Remote-copy
+  /// restore reads and fragment placements ride net::Network, so its only
+  /// reader is the control plane's redundancy-hop cost.
+  double partner_bw = 0.8e9;
   double pfs_bw = 50.0e6;      // per-process share of PFS bandwidth
   sim::Time base_latency = sim::msec(2.0);    // PARTNER/PFS setup cost
   sim::Time local_latency = sim::usec(50.0);  // node-local device latency —

@@ -105,9 +105,6 @@ void SpbcProtocol::attach(mpi::Machine& machine) {
 const SenderLog& SpbcProtocol::log_of(int rank) const {
   return logs_.at(static_cast<size_t>(rank));
 }
-SenderLog& SpbcProtocol::log_of_mut(int rank) {
-  return logs_.at(static_cast<size_t>(rank));
-}
 const Replayer& SpbcProtocol::replayer_of(int rank) const {
   return replayers_.at(static_cast<size_t>(rank));
 }

@@ -170,7 +170,6 @@ class SpbcProtocol : public mpi::ProtocolHooks {
 
   // ---- introspection ----------------------------------------------------
   const SenderLog& log_of(int rank) const;
-  SenderLog& log_of_mut(int rank);
   const Replayer& replayer_of(int rank) const;
   const ckpt::Store& store() const { return store_; }
   /// The rank's synthetic evolving state: block versions and hashes, its

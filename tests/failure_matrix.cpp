@@ -18,9 +18,9 @@ namespace spbc::testing {
 
 namespace {
 
-// Event schedule (virtual seconds). Mid-drain / mid-rebuild cases use a
-// 100 MB snapshot so the placement / rebuild transfers are long enough to
-// lose a node mid-flight; the other timings use small payloads.
+// Event schedule (virtual seconds). Mid-drain / mid-rebuild / mid-restore
+// cases use a 100 MB snapshot so the placement / restore reads are long
+// enough to lose a node mid-flight; the other timings use small payloads.
 constexpr double kEpoch1At = 0.01;
 constexpr double kEpoch2At = 0.5;
 constexpr uint64_t kBigBytes = 100000000;
@@ -61,6 +61,8 @@ const char* timing_name(FailureCase::Timing t) {
       return "spare-swap";
     case FailureCase::Timing::kMidDeltaChain:
       return "mid-delta-chain";
+    case FailureCase::Timing::kMidRestore:
+      return "mid-restore";
   }
   return "?";
 }
@@ -117,10 +119,11 @@ FailureCase sample_case(uint64_t seed) {
   c.nclusters = 2 + static_cast<int>(
                         rng.next_bounded(static_cast<uint32_t>(c.nodes - 1)));
 
-  const uint32_t timing = rng.next_bounded(7);
+  const uint32_t timing = rng.next_bounded(8);
   c.timing = static_cast<FailureCase::Timing>(timing);
   c.bytes = (c.timing == FailureCase::Timing::kMidDrain ||
-             c.timing == FailureCase::Timing::kMidRebuild)
+             c.timing == FailureCase::Timing::kMidRebuild ||
+             c.timing == FailureCase::Timing::kMidRestore)
                 ? kBigBytes
                 : 256 + 64 * rng.next_bounded(120);
 
@@ -566,6 +569,7 @@ CaseResult run_case(const FailureCase& c) {
     case FailureCase::Timing::kMidScrub:
     case FailureCase::Timing::kSpareSwap:
     case FailureCase::Timing::kMidDeltaChain:
+    case FailureCase::Timing::kMidRestore:
       kill_at = kEpoch2At + local_write + 1.5;
       break;
     case FailureCase::Timing::kMidDrain:
@@ -783,10 +787,86 @@ CaseResult run_case(const FailureCase& c) {
     });
   }
 
+  // ---- mid-restore checks (mid-restore timing) ---------------------------
+  // Every rank restores epoch 2 on its own; 0.1 ms in, the node serving one
+  // direct read dies. A read that touched it must fail and re-plan once, and
+  // the re-plan succeeds from a live source or reports that none is left.
+  // After the run the counters must hold exactly the landed live reads: the
+  // LOCAL reads of surviving nodes, one count per successful restore, one
+  // retry per restore that read from the dead node.
+  ckpt::StagingStats restore_before;
+  uint64_t live_local_plans = 0, touched_plans = 0, restores_ok = 0;
+  if (c.timing == FailureCase::Timing::kMidRestore) {
+    auto doomed = std::make_shared<int>(-1);
+    m.engine().at(check_at, [&, doomed, outstanding] {
+      std::vector<ckpt::RestorePlan> plans;
+      std::vector<int> local_nodes, remote_nodes;
+      for (int r = 0; r < c.nodes; ++r) {
+        check_distance(r, 2);
+        plans.push_back(area.plan_restore(r, 2));
+        const ckpt::RestorePlan& p = plans.back();
+        if (p.source == ckpt::RestorePlan::Source::kLocal)
+          local_nodes.push_back(m.node_of(r));
+        if (p.source == ckpt::RestorePlan::Source::kRemoteCopy)
+          remote_nodes.push_back(m.node_of(p.reads.front().src_rank));
+      }
+      // Settled losses always leave a survivor reading LOCAL.
+      const std::vector<int>& pool =
+          remote_nodes.empty() ? local_nodes : remote_nodes;
+      if (pool.empty()) {
+        run.fail("no direct restore read to lose mid-read");
+        return;
+      }
+      *doomed = pool[rng.next_bounded(static_cast<uint32_t>(pool.size()))];
+      restore_before = area.stats();
+      for (int r = 0; r < c.nodes; ++r) {
+        const ckpt::RestorePlan& p = plans[static_cast<size_t>(r)];
+        bool touched = false;
+        for (const ckpt::RestorePlan::Read& rd : p.reads)
+          if (rd.level != ckpt::StorageLevel::kPfs &&
+              m.node_of(rd.src_rank) == *doomed)
+            touched = true;
+        if (touched) ++touched_plans;
+        if (p.source == ckpt::RestorePlan::Source::kLocal && !touched)
+          ++live_local_plans;
+        const bool planned = p.source != ckpt::RestorePlan::Source::kNone;
+        ++*outstanding;
+        area.execute_restore({r}, 2, [&, r, touched, planned,
+                                      outstanding](bool ok) {
+          --*outstanding;
+          const std::string who = " (rank " + std::to_string(r) + ")";
+          if (ok) ++restores_ok;
+          if (!ok && planned && !touched)
+            run.fail("restore failed although none of its sources died" + who);
+          if (!ok && area.has_pfs(r, 2))
+            run.fail("restore failed with a PFS copy present" + who);
+          // A failure is decided when the re-plan finds no source, in this
+          // very event: a live source now means the restore gave up early.
+          if (!ok && area.plan_restore(r, 2).source !=
+                         ckpt::RestorePlan::Source::kNone)
+            run.fail("restore failed although a live source remains" + who);
+          if (ok && area.scheme().recoverable_without_pfs(r, 2, area) &&
+              !area.has_local(r, 2)) {
+            std::vector<uint8_t> rebuilt;
+            if (!shadow.reconstruct(r, 2, &rebuilt) ||
+                checksum(rebuilt) != shadow.original_checksum(r, 2))
+              run.fail("restored bytes differ from the original snapshot" +
+                       who);
+          }
+        });
+      }
+    });
+    m.engine().at(check_at + 1e-4, [&, doomed] {
+      if (*doomed >= 0) area.invalidate_node(*doomed);
+    });
+  }
+
   // ---- invariant checks --------------------------------------------------
-  // (Mid-scrub and mid-delta-chain cases run their own checks above.)
+  // (Mid-scrub, mid-delta-chain and mid-restore cases run their own checks
+  // above.)
   if (c.timing != FailureCase::Timing::kMidScrub &&
-      c.timing != FailureCase::Timing::kMidDeltaChain)
+      c.timing != FailureCase::Timing::kMidDeltaChain &&
+      c.timing != FailureCase::Timing::kMidRestore)
   m.engine().at(check_at, [&, outstanding] {
     const uint64_t probe_epoch =
         c.timing == FailureCase::Timing::kPreDrain ? 1 : 2;
@@ -968,6 +1048,21 @@ CaseResult run_case(const FailureCase& c) {
 
   mpi::RunResult rr = m.run();
   if (!rr.completed) run.fail("case run did not complete");
+  if (c.timing == FailureCase::Timing::kMidRestore) {
+    const ckpt::StagingStats st = area.stats();
+    const ckpt::StagingStats& b = restore_before;
+    uint64_t counted = st.rebuild_restores - b.rebuild_restores;
+    for (size_t l = 0; l < st.restores_by_level.size(); ++l)
+      counted += st.restores_by_level[l] - b.restores_by_level[l];
+    if (st.restores_by_level[0] - b.restores_by_level[0] != live_local_plans)
+      run.fail("LOCAL restore count is not the LOCAL reads of live nodes");
+    if (counted != restores_ok)
+      run.fail("restore counts " + std::to_string(counted) +
+               " != successful restores " + std::to_string(restores_ok));
+    if (st.restore_retries - b.restore_retries != touched_plans)
+      run.fail("restore retries != restores that read from the dead node (" +
+               std::to_string(touched_plans) + ")");
+  }
   if (*outstanding != 0)
     run.fail("execute_restore never completed for " +
              std::to_string(*outstanding) + " victims");

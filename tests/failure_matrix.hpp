@@ -86,6 +86,13 @@ struct FailureCase {
     /// of inventing data, and that the epoch-1 fallback target then still
     /// restores whenever its own elements survive.
     kMidDeltaChain,
+    /// Mid-restore bucket: the losses settle, then every rank restores
+    /// epoch 2 on its own (survivors from LOCAL) and the node serving one
+    /// direct read — a remote copy when one is read, else a survivor's
+    /// LOCAL copy — dies while the reads are in flight. Asserts that each
+    /// restore re-plans from a live source or reports failure, and that no
+    /// read from the dead node is counted.
+    kMidRestore,
   };
   Timing timing = Timing::kSettled;
   bool flush_pfs = false;  // fast PFS: the frontier covers every epoch

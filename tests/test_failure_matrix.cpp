@@ -157,22 +157,30 @@ TEST(FailureMatrix, PinnedHostileCorners) {
   }
 }
 
-// The CI sweep must actually sample every hostile bucket: scan the seed
-// range CI uses (SPBC_FM_SEED=1, 300 cases) and assert each Hostile value
-// appears. Sampling only — no cases are run — so this stays cheap and fails
-// the moment a sampler change starves a bucket.
+// The CI sweep must actually sample every hostile and every timing bucket:
+// scan the seed range CI uses (SPBC_FM_SEED=1, 300 cases) and assert each
+// Hostile and each Timing value appears. Sampling only — no cases are run —
+// so this stays cheap and fails the moment a sampler change starves a
+// bucket.
 TEST(FailureMatrix, SweepCoversEveryHostileBucket) {
   const uint64_t base_seed = env_u64("SPBC_FM_SEED", 1);
   const uint64_t cases = std::max<uint64_t>(env_u64("SPBC_FM_CASES", 48), 300);
-  std::array<uint64_t, 6> hits{};
+  std::array<uint64_t, 6> hostile_hits{};
+  std::array<uint64_t, 8> timing_hits{};
   for (uint64_t i = 0; i < cases; ++i) {
     testing::FailureCase c = testing::sample_case(base_seed + i);
-    ++hits[static_cast<size_t>(c.hostile)];
+    ++hostile_hits[static_cast<size_t>(c.hostile)];
+    ++timing_hits[static_cast<size_t>(c.timing)];
   }
-  for (size_t b = 0; b < hits.size(); ++b)
-    EXPECT_GT(hits[b], 0u)
+  for (size_t b = 0; b < hostile_hits.size(); ++b)
+    EXPECT_GT(hostile_hits[b], 0u)
         << "hostile bucket '"
         << testing::hostile_name(static_cast<testing::FailureCase::Hostile>(b))
+        << "' never sampled in " << cases << " cases from seed " << base_seed;
+  for (size_t b = 0; b < timing_hits.size(); ++b)
+    EXPECT_GT(timing_hits[b], 0u)
+        << "timing bucket '"
+        << testing::timing_name(static_cast<testing::FailureCase::Timing>(b))
         << "' never sampled in " << cases << " cases from seed " << base_seed;
 }
 

@@ -292,7 +292,7 @@ TEST(Redundancy, KillDuringRebuildRetriesFromSurvivingFragment) {
   ASSERT_TRUE(restored);
   EXPECT_TRUE(ok_result);
   const ckpt::StagingStats& st = area.stats();
-  EXPECT_GE(st.rebuild_retries, 1u);
+  EXPECT_GE(st.restore_retries, 1u);
   EXPECT_EQ(st.rebuild_restores, 0u);  // the retry landed on the PFS instead
   EXPECT_EQ(st.restores_by_level[2], 1u);
 }

@@ -506,9 +506,8 @@ TEST(Staging, GcLogsReclaimsMeasuredBytes) {
 // One restore pass over a three-member cluster under RS(4, 2) on six
 // single-rank nodes: rank 0 reads one full capture from LOCAL, rank 1 reads
 // a two-element delta chain from LOCAL, and rank 2, whose node died, rebuilds
-// from its group. Rank 0's read is the slowest by far. With
-// `lose_sources_mid_read` two of the rebuild's source nodes die while its
-// reads are on the wire, which leaves rank 2 no reconstruction path.
+// from its group. Rank 0's read is the slowest by far. The nodes in
+// `lost_mid_read` die 0.1 ms into the pass, while every read is in flight.
 struct PassResult {
   int calls = 0;
   bool ok = false;
@@ -518,7 +517,7 @@ struct PassResult {
   ckpt::StagingStats at_issue, midway, after;
 };
 
-PassResult restore_three_member_pass(bool lose_sources_mid_read) {
+PassResult restore_three_member_pass(const std::vector<int>& lost_mid_read) {
   MachineConfig cfg;
   cfg.nranks = 6;
   cfg.ranks_per_node = 1;
@@ -544,12 +543,12 @@ PassResult restore_three_member_pass(bool lose_sources_mid_read) {
   const sim::Time t0 = 1.0;
   m.engine().at(t0, [&] {
     area.invalidate_node(2);
-    const ckpt::RestorePlan direct = area.plan_restore(0, 2);
-    ASSERT_EQ(direct.source, ckpt::RestorePlan::Source::kLocal);
+    ASSERT_EQ(area.plan_restore(0, 2).source,
+              ckpt::RestorePlan::Source::kLocal);
     ASSERT_EQ(area.restore_chain(1, 2), (std::vector<uint64_t>{1, 2}));
     ASSERT_EQ(area.plan_restore(2, 2).source,
               ckpt::RestorePlan::Source::kRebuild);
-    res.slowest = direct.direct_cost;
+    res.slowest = sc.model.read_time(ckpt::StorageLevel::kLocal, 200000000);
     res.issued = m.engine().now();
     area.execute_restore({0, 1, 2}, 2, [&](bool ok) {
       ++res.calls;
@@ -558,12 +557,9 @@ PassResult restore_three_member_pass(bool lose_sources_mid_read) {
     });
     res.at_issue = area.stats();
   });
-  if (lose_sources_mid_read) {
-    m.engine().at(t0 + 1e-4, [&] {
-      area.invalidate_node(3);
-      area.invalidate_node(4);
-    });
-  }
+  m.engine().at(t0 + 1e-4, [&] {
+    for (int node : lost_mid_read) area.invalidate_node(node);
+  });
   // Every read but rank 0's has landed by now (the rebuild streams ~1 MB
   // per source).
   m.engine().at(t0 + 0.15, [&] { res.midway = area.stats(); });
@@ -576,7 +572,7 @@ PassResult restore_three_member_pass(bool lose_sources_mid_read) {
 // counts when it lands: nothing at issue, the chain's two LOCAL reads and the
 // rebuild before rank 0's read, all four by the end.
 TEST(Staging, RestorePassCountsEachReadWhenItLands) {
-  const PassResult res = restore_three_member_pass(false);
+  const PassResult res = restore_three_member_pass({});
   EXPECT_EQ(res.calls, 1);
   EXPECT_TRUE(res.ok);
   EXPECT_DOUBLE_EQ(res.landed, res.issued + res.slowest);
@@ -586,7 +582,7 @@ TEST(Staging, RestorePassCountsEachReadWhenItLands) {
   EXPECT_EQ(res.midway.rebuild_restores, 1u);
   EXPECT_EQ(res.after.restores_by_level, (std::array<uint64_t, 3>{3, 0, 0}));
   EXPECT_EQ(res.after.rebuild_restores, 1u);
-  EXPECT_EQ(res.after.rebuild_retries, 0u);
+  EXPECT_EQ(res.after.restore_retries, 0u);
 }
 
 // Two rebuild sources die mid-read: the retry finds three of six symbols
@@ -594,13 +590,28 @@ TEST(Staging, RestorePassCountsEachReadWhenItLands) {
 // must fall back an epoch. It still reports once, after its last read, and
 // the direct reads that landed count, as a landed rebuild would.
 TEST(Staging, AbandonedRestorePassCountsTheReadsThatLanded) {
-  const PassResult res = restore_three_member_pass(true);
+  const PassResult res = restore_three_member_pass({3, 4});
   EXPECT_EQ(res.calls, 1);
   EXPECT_FALSE(res.ok);
   EXPECT_DOUBLE_EQ(res.landed, res.issued + res.slowest);
   EXPECT_EQ(res.after.restores_by_level, (std::array<uint64_t, 3>{3, 0, 0}));
   EXPECT_EQ(res.after.rebuild_restores, 0u);
-  EXPECT_EQ(res.after.rebuild_retries, 1u);
+  EXPECT_EQ(res.after.restore_retries, 1u);
+}
+
+// Rank 0's node dies 0.1 ms into its 0.2 s LOCAL read. That read lands from
+// dead storage, so it fails, is not counted, and rank 0 re-plans as an
+// RS(4, 2) rebuild. Rank 2's rebuild read from node 0 as well and re-plans
+// too. The pass succeeds once both rebuilds land, after rank 0's LOCAL read
+// would have.
+TEST(Staging, ReadWhoseSourceDiedFailsAndReplans) {
+  const PassResult res = restore_three_member_pass({0});
+  EXPECT_EQ(res.calls, 1);
+  EXPECT_TRUE(res.ok);
+  EXPECT_GT(res.landed, res.issued + res.slowest);
+  EXPECT_EQ(res.after.restores_by_level, (std::array<uint64_t, 3>{2, 0, 0}));
+  EXPECT_EQ(res.after.rebuild_restores, 2u);
+  EXPECT_EQ(res.after.restore_retries, 2u);
 }
 
 // Records when the failed cluster respawns and what its restore pass read,
@@ -625,7 +636,9 @@ class RestoreTimedProtocol : public core::SpbcProtocol {
         } else {
           EXPECT_EQ(plan.source, ckpt::RestorePlan::Source::kLocal);
           ++local_reads;
-          slowest = std::max(slowest, plan.direct_cost);
+          const ckpt::RestorePlan::Read& rd = plan.reads.front();
+          slowest = std::max(
+              slowest, staging().config().model.read_time(rd.level, rd.bytes));
         }
       }
     }
