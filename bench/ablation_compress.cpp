@@ -1,6 +1,7 @@
-// Ablation: checkpoint data reduction (DESIGN.md §15) — content-addressed
-// block deltas and stage-boundary LZ/RLE compression, stacked, at equal
-// redundancy scheme and checkpoint interval.
+// Ablation: checkpoint data reduction (DESIGN.md §15) — block deltas (the
+// state image diffed by block version, the rest of the capture by content
+// hash) and stage-boundary LZ/RLE compression, stacked, at equal redundancy
+// scheme and checkpoint interval.
 //
 // Every run carries the synthetic evolving state model (a per-rank buffer
 // whose blocks mutate deterministically each epoch), so the reduction layer

@@ -75,7 +75,7 @@ struct BenchOpts {
   // Checkpoint data-reduction knobs (ablation_compress; DESIGN.md §15):
   // --compress: stage-boundary LZ/RLE codec applied once at LOCAL capture.
   bool compress = false;
-  // --delta-blocks: content-addressed delta-capture block size in bytes
+  // --delta-blocks: delta-capture block size in bytes
   // (0 = delta encoding off; captures stay full).
   int delta_blocks = 0;
   // --full-stride: delta-chain length bound including the full capture

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -143,10 +144,9 @@ std::vector<uint64_t> hash_blocks(std::span<const unsigned char> bytes,
   return hashes;
 }
 
-StateImage::StateImage(const StateModelConfig& cfg, int rank, uint32_t hash_block)
+StateImage::StateImage(const StateModelConfig& cfg, int rank)
     : cfg_(cfg),
       rank_(rank),
-      hash_block_(hash_block),
       versions_((cfg.bytes + state_block(cfg) - 1) / state_block(cfg), 0) {}
 
 void StateImage::write(uint64_t off, uint64_t len, unsigned char* dst) const {
@@ -175,46 +175,38 @@ std::vector<unsigned char> StateImage::synthesize() const {
   return bytes;
 }
 
-void StateImage::rehash(uint64_t h, unsigned char* buf) {
-  const uint64_t off = h * hash_block_;
-  const uint64_t len = std::min<uint64_t>(hash_block_, size() - off);
-  write(off, len, buf);
-  hashes_[h] = hash_block(buf, len);
+void StateImage::evolve(uint64_t epoch) {
+  for_each_rewrite(cfg_, rank_, epoch, [&](uint64_t b) { versions_[b] = epoch; });
 }
 
-void StateImage::evolve(uint64_t epoch) {
-  const uint64_t sb = state_block(cfg_);
-  const uint64_t hb = hash_block_;
-  std::vector<uint64_t> dirty;  // hash blocks the rewrites touch
-  for_each_rewrite(cfg_, rank_, epoch, [&](uint64_t b) {
-    versions_[b] = epoch;
-    if (hb == 0) return;
-    // A state block may span several hash blocks (or share one with other
-    // rewrites) when the state and delta block sizes differ.
-    const uint64_t end = std::min((b + 1) * sb, size());
-    for (uint64_t h = b * sb / hb; h * hb < end; ++h) dirty.push_back(h);
-  });
-  if (hb == 0) return;
-  std::vector<unsigned char> buf(hb);
-  if (hashes_.empty()) {
-    hashes_.resize((size() + hb - 1) / hb);
-    for (uint64_t h = 0; h < hashes_.size(); ++h) rehash(h, buf.data());
-    return;
+std::vector<uint32_t> StateImage::changed_blocks(std::span<const uint64_t> prev,
+                                                 uint32_t block_bytes) const {
+  const uint64_t bb = block_bytes;
+  std::vector<uint32_t> changed;
+  if (prev.size() != versions_.size()) {
+    changed.resize((size() + bb - 1) / bb);
+    std::iota(changed.begin(), changed.end(), 0u);
+    return changed;
   }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (uint64_t h : dirty) rehash(h, buf.data());
+  // A state block may span several capture blocks, or share one with its
+  // neighbours, when the state and delta block sizes differ. State blocks
+  // come in ascending order, so the blocks they cover do too.
+  const uint64_t sb = state_block(cfg_);
+  for (uint64_t b = 0; b < versions_.size(); ++b) {
+    if (versions_[b] == prev[b]) continue;
+    const uint64_t last = (std::min((b + 1) * sb, size()) - 1) / bb;
+    for (uint64_t c = b * sb / bb; c <= last; ++c)
+      if (changed.empty() || changed.back() < c) changed.push_back(static_cast<uint32_t>(c));
+  }
+  return changed;
 }
 
 void StateImage::restore(std::span<const uint64_t> versions,
                          std::span<const unsigned char> decoded) {
   SPBC_ASSERT(versions.size() == versions_.size() && decoded.size() == size());
   versions_.assign(versions.begin(), versions.end());
-  // Compare a hash block at a time, so each chunk synthesized for the check
-  // is also the one hashed.
-  const uint64_t chunk = hash_block_ ? hash_block_ : state_block(cfg_);
+  const uint64_t chunk = state_block(cfg_);
   std::vector<unsigned char> buf(chunk);
-  if (hash_block_ != 0) hashes_.resize((size() + chunk - 1) / chunk);
   for (uint64_t off = 0; off < size(); off += chunk) {
     const uint64_t len = std::min<uint64_t>(chunk, size() - off);
     write(off, len, buf.data());
@@ -222,7 +214,6 @@ void StateImage::restore(std::span<const uint64_t> versions,
                     "restored state image of rank "
                         << rank_ << " differs from its synthesis at bytes ["
                         << off << ", " << off + len << ")");
-    if (hash_block_ != 0) hashes_[off / chunk] = hash_block(buf.data(), len);
   }
 }
 

@@ -8,11 +8,12 @@
 // Two reductions stack (both off by default — the raw path is bit-for-bit
 // the pre-reduction pipeline):
 //
-//   * Content-addressed block deltas: a capture is split into fixed-size
-//     blocks, each block hashed, and only blocks whose hash changed
-//     since the previous epoch's capture are stored. Restore walks the
-//     base-plus-deltas chain; a configurable full-capture stride bounds the
-//     chain so retention (and restore reads) can't grow without bound.
+//   * Block deltas: a capture is split into fixed-size blocks, and only the
+//     blocks that changed since the previous epoch's capture are stored. A
+//     state image's blocks are diffed by version, the rest of the capture
+//     by content hash. Restore walks the base-plus-deltas chain; a
+//     configurable full-capture stride bounds the chain so retention (and
+//     restore reads) can't grow without bound.
 //   * Stage-boundary compression: the deterministic LZ/RLE codec
 //     (util/codec.hpp) runs once at LOCAL, and PARTNER copies, redundancy
 //     shares and PFS flushes all ship the compressed bytes (SCR's
@@ -28,13 +29,13 @@
 namespace spbc::ckpt {
 
 struct ReductionConfig {
-  /// Content-addressed block-level delta encoding between consecutive
-  /// epochs. A capture whose predecessor (epoch - 1) is still stored and
-  /// whose chain is shorter than `full_stride` stores only its changed
-  /// blocks; everything else is a full capture.
+  /// Block-level delta encoding between consecutive epochs. A capture
+  /// whose predecessor (epoch - 1) is still stored and whose chain is
+  /// shorter than `full_stride` stores only its changed blocks; everything
+  /// else is a full capture.
   bool delta = false;
-  /// Delta granularity: capture bytes are hashed and diffed in blocks of
-  /// this size (the last block may be short).
+  /// Delta granularity: captures are diffed in blocks of this size (the
+  /// last block may be short).
   uint32_t block_bytes = 4096;
   /// Upper bound on chain length, full capture included: every
   /// `full_stride`-th epoch is a full capture even when deltas are small, so
@@ -48,9 +49,6 @@ struct ReductionConfig {
   bool compress = false;
 
   bool enabled() const { return delta || compress; }
-  /// Granularity at which captures are hashed: the delta block size when
-  /// delta encoding is on, else 0 (captures are not hashed).
-  uint32_t hash_block() const { return delta ? (block_bytes ? block_bytes : 4096) : 0; }
 };
 
 /// Per-rank synthetic evolving application state, AMG/miniFE-style: a buffer
@@ -94,28 +92,27 @@ std::vector<uint64_t> hash_blocks(std::span<const unsigned char> bytes,
                                   uint32_t block_bytes);
 
 /// A rank's synthetic state image, kept as metadata instead of bytes: per
-/// state block the epoch that last rewrote it (0 = make_state's content),
-/// and per hash block the content hash at the capture's delta granularity.
+/// state block the epoch that last rewrote it (0 = make_state's content).
 /// Every block's bytes are a pure function of (seed, rank, version, block),
 /// so write() synthesizes any range on demand with fill_synth_block and the
 /// image holds O(blocks) memory however large it is. Its bytes always equal
-/// make_state followed by evolve_state over the same epochs. A capture
-/// refers to the image (Snapshot::image) and the store synthesizes only what
-/// it stores (DESIGN.md §15).
+/// make_state followed by evolve_state over the same epochs, and two images
+/// of one rank hold equal bytes wherever their versions agree, so a capture
+/// diffs the image by version without synthesizing it. A capture refers to
+/// the image (Snapshot::image) and the store synthesizes only what it
+/// stores (DESIGN.md §15).
 class StateImage {
  public:
   StateImage() = default;
-  /// The rank's epoch-0 image, hashed at `hash_block` bytes per block once
-  /// evolve() first runs; 0 keeps no hashes. Synthesizes nothing.
-  StateImage(const StateModelConfig& cfg, int rank, uint32_t hash_block);
+  /// The rank's epoch-0 image. Synthesizes nothing.
+  StateImage(const StateModelConfig& cfg, int rank);
 
   /// Advances to `epoch` as evolve_state does: the rewritten blocks take
-  /// version `epoch`, and the hash blocks they touch are synthesized and
-  /// rehashed (every hash block on the first call).
+  /// version `epoch`. Synthesizes nothing.
   void evolve(uint64_t epoch);
   /// Rolls back to a stored capture: adopts its block `versions`, then
-  /// synthesizes the image, asserts that it equals `decoded` (the image
-  /// region the capture decoded to) and rehashes it.
+  /// synthesizes the image and asserts that it equals `decoded` (the image
+  /// region the capture decoded to).
   void restore(std::span<const uint64_t> versions,
                std::span<const unsigned char> decoded);
 
@@ -125,19 +122,18 @@ class StateImage {
   /// The whole image, synthesized.
   std::vector<unsigned char> synthesize() const;
   const std::vector<uint64_t>& versions() const { return versions_; }
-  /// Equal to hash_blocks(synthesize(), hash_block) once evolve() or
-  /// restore() has run; empty before, and without a hash block.
-  const std::vector<uint64_t>& hashes() const { return hashes_; }
+  /// Ascending indices of the `block_bytes` blocks of the image (the last
+  /// may be short) whose bytes differ from those of an image of this rank
+  /// at `prev` versions: the blocks that overlap a state block whose
+  /// version moved. Every block when `prev` holds no version per state
+  /// block.
+  std::vector<uint32_t> changed_blocks(std::span<const uint64_t> prev,
+                                       uint32_t block_bytes) const;
 
  private:
-  /// Synthesizes hash block `h` into `buf` and stores its hash.
-  void rehash(uint64_t h, unsigned char* buf);
-
   StateModelConfig cfg_{};
   int rank_ = 0;
-  uint32_t hash_block_ = 0;
   std::vector<uint64_t> versions_;
-  std::vector<uint64_t> hashes_;
 };
 
 }  // namespace spbc::ckpt

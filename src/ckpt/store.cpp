@@ -42,7 +42,7 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
   if (image != nullptr) {
     s.image_versions = image->versions();
     // The image stays a separate segment only where its blocks are whole
-    // capture blocks with known hashes; anywhere else it joins the tail.
+    // capture blocks, diffed by version; anywhere else it joins the tail.
     if (!reduction_.delta || image->size() % bb != 0) {
       snap.bytes.insert(snap.bytes.begin(), image->size(), 0);
       image->write(0, image->size(), snap.bytes.data());
@@ -50,6 +50,7 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
     }
   }
   const uint64_t image_size = image ? image->size() : 0;
+  const uint32_t image_blocks = static_cast<uint32_t>(image_size / bb);
   const std::span<const unsigned char> tail = snap.bytes;
 
   SaveInfo info;
@@ -79,14 +80,8 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
   bool have_payload = false;
   if (reduction_.delta) {
     s.block_bytes = bb;
-    // The image's hashes come with it; only the tail's blocks are hashed.
-    SPBC_ASSERT_MSG(!image || image->hashes().size() == image_size / bb,
-                    "state image of rank " << rank << " is not hashed at "
-                                           << bb << "-byte blocks");
-    s.block_hashes.reserve(nblocks);
-    if (image) s.block_hashes.assign(image->hashes().begin(), image->hashes().end());
-    const std::vector<uint64_t> tail_hashes = hash_blocks(tail, bb);
-    s.block_hashes.insert(s.block_hashes.end(), tail_hashes.begin(), tail_hashes.end());
+    // Only the tail's blocks are hashed: the image's are diffed by version.
+    s.block_hashes = hash_blocks(tail, bb);
     // Delta eligibility: the immediately-preceding epoch is still stored at
     // the same granularity, and appending to its chain stays within the
     // full-capture stride. A replaced same-epoch snapshot re-diffs against
@@ -99,9 +94,16 @@ SaveInfo Store::save(int rank, Snapshot snap, bool force_full) {
     if (prev != nullptr &&
         (reduction_.full_stride == 0 ||
          snap.epoch - prev->chain_base < reduction_.full_stride)) {
+      if (image) s.changed = image->changed_blocks(prev->image_versions, bb);
+      // The predecessor hashed its blocks from `first` on (past its own
+      // image's, when that rode by reference); block b is compared with
+      // the predecessor's block b.
       const size_t prev_n = prev->block_hashes.size();
-      for (uint32_t b = 0; b < nblocks; ++b) {
-        if (b < prev_n && prev->block_hashes[b] == s.block_hashes[b]) continue;
+      const uint64_t first = (prev->raw_size + bb - 1) / bb - prev_n;
+      for (uint32_t b = image_blocks; b < nblocks; ++b) {
+        if (b >= first && b - first < prev_n &&
+            prev->block_hashes[b - first] == s.block_hashes[b - image_blocks])
+          continue;
         s.changed.push_back(b);
       }
       if (s.changed.size() < nblocks) {

@@ -25,9 +25,10 @@
 // mark) so protocols can bound it.
 //
 // Data reduction (ReductionConfig; DESIGN.md §15): the store owns the
-// encoded representation. With delta encoding on, save() hashes the capture
-// in fixed-size blocks against the previous epoch's hash index and stores
-// only the changed blocks; with compression on, the stored payload runs
+// encoded representation. With delta encoding on, save() diffs the capture
+// in fixed-size blocks against the previous epoch's (a state image by block
+// version, the rest by content hash) and stores only the changed blocks;
+// with compression on, the stored payload runs
 // through the deterministic LZ/RLE codec once here, and every downstream
 // consumer (staging fragments, PFS flushes, the control plane's Daly terms)
 // sees the post-reduction size. materialize() reconstructs the logical bytes
@@ -72,10 +73,10 @@ struct StorageCostModel {
 
 /// A capture as the protocol hands it to Store::save. Its logical bytes are
 /// the synthesized `image` (none when null) followed by `bytes`: a rank's
-/// state image rides by reference with its per-block hashes, so save()
-/// synthesizes only the image blocks it stores and rehashes none of them
-/// when it can diff the image block by block. The image must stay valid for
-/// the save() call only; the store keeps its block versions, not the image.
+/// state image rides by reference, so save() synthesizes only the image
+/// blocks it stores and hashes none of them when it can diff the image by
+/// block version. The image must stay valid for the save() call only; the
+/// store keeps its block versions, not the image.
 struct Snapshot {
   sim::Time taken_at = 0;
   uint64_t epoch = 0;  // checkpoint wave number
@@ -111,12 +112,15 @@ struct StoredSnapshot {
   /// Delta payload layout: enc decodes to the concatenation of the blocks in
   /// `changed` (ascending), each block_bytes long except a short tail block.
   std::vector<uint32_t> changed;
-  /// Per-block hash index of the FULL logical image — the content-addressed
-  /// baseline the next epoch diffs against. Present whenever delta encoding
-  /// is on (full captures included).
+  /// Per-block hashes of the blocks not diffed by version — the baseline
+  /// the next epoch diffs them against. They cover the runtime tail, from
+  /// block raw_size / block_bytes - block_hashes.size() on, when the image
+  /// rode by reference, and every block otherwise. Present whenever delta
+  /// encoding is on (full captures included).
   std::vector<uint64_t> block_hashes;
   /// StateImage::versions() of the capture's image (empty without one):
-  /// restore rebuilds the image from them and checks the decoded bytes.
+  /// the next epoch diffs the image by them, and restore rebuilds the image
+  /// from them and checks the decoded bytes.
   std::vector<uint64_t> image_versions;
   std::vector<unsigned char> enc;
 
@@ -154,11 +158,11 @@ class Store {
 
   /// Saves `snap` under (rank, snap.epoch), replacing a same-epoch snapshot.
   /// Applies the configured reduction: delta-encodes against the previous
-  /// epoch's hash index when eligible, then compresses. When delta encoding
-  /// is on and a referenced image's size is a multiple of the block size,
-  /// its hashes are taken as they are and its stored blocks are synthesized
+  /// epoch when eligible, then compresses. When delta encoding is on and a
+  /// referenced image's size is a multiple of the block size, its blocks
+  /// are diffed by version, and the stored ones are synthesized once,
   /// straight into a reused per-thread payload buffer; otherwise it is
-  /// synthesized in front of `bytes` first. The stored form is the same
+  /// synthesized in front of `bytes` first and hashed with them. The stored form is the same
   /// either way. `force_full` pins a full capture regardless of
   /// eligibility — migration boundary/pin epochs must be renameable, and a
   /// renamed delta would orphan its chain.

@@ -89,8 +89,7 @@ void SpbcProtocol::attach(mpi::Machine& machine) {
   synth_state_.assign(static_cast<size_t>(n), {});
   if (cfg_.state_model.bytes > 0) {
     for (int r = 0; r < n; ++r)
-      synth_state_[static_cast<size_t>(r)] =
-          ckpt::StateImage(cfg_.state_model, r, cfg_.reduction.hash_block());
+      synth_state_[static_cast<size_t>(r)] = ckpt::StateImage(cfg_.state_model, r);
   }
   replayers_.resize(static_cast<size_t>(n));
   facade_.assign(static_cast<size_t>(n), {});
@@ -349,9 +348,9 @@ void SpbcProtocol::run_coordinated_checkpoint(mpi::Rank& rank) {
     // and identical delta chains. It leads the capture, raw (its length is
     // fixed by the state model): at offset 0 its blocks stay aligned from
     // epoch to epoch, so the growing log and runtime state behind it cannot
-    // shift them and unchanged blocks hash equal (DESIGN.md §15). The
-    // capture refers to the image, which holds block versions and hashes,
-    // not bytes; the store synthesizes only what it stores.
+    // shift them and the store diffs them by version (DESIGN.md §15). The
+    // capture refers to the image, which holds block versions, not bytes;
+    // the store synthesizes only what it stores.
     ckpt::StateImage& state = synth_state_[static_cast<size_t>(me)];
     state.evolve(epoch);
     snap.image = &state;
@@ -816,8 +815,7 @@ void SpbcProtocol::restore_rank(int r, uint64_t epoch) {
     cs = CkptLocal{};
     cs.last_cut = machine_->engine().now();
     if (cfg_.state_model.bytes > 0)
-      synth_state_[static_cast<size_t>(r)] =
-          ckpt::StateImage(cfg_.state_model, r, cfg_.reduction.hash_block());
+      synth_state_[static_cast<size_t>(r)] = ckpt::StateImage(cfg_.state_model, r);
     return;
   }
   // Decode the stored form: roll the delta chain forward from its full base

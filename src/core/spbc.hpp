@@ -99,7 +99,7 @@ struct SpbcConfig {
   uint64_t snapshot_pad_bytes = 0;
 
   /// Checkpoint data reduction (ckpt/reduction.hpp; DESIGN.md §15):
-  /// content-addressed block deltas between consecutive epochs and/or
+  /// block deltas between consecutive epochs and/or
   /// deterministic LZ/RLE compression, applied once in the store — staging
   /// fragments, PFS flushes and the control plane's Daly C_level terms all
   /// see the post-reduction bytes. Both off by default (the raw path is
@@ -172,8 +172,8 @@ class SpbcProtocol : public mpi::ProtocolHooks {
   const SenderLog& log_of(int rank) const;
   const Replayer& replayer_of(int rank) const;
   const ckpt::Store& store() const { return store_; }
-  /// The rank's synthetic evolving state: block versions and hashes, its
-  /// bytes synthesized on demand (empty when state_model is off). As of its
+  /// The rank's synthetic evolving state: block versions, its bytes
+  /// synthesized on demand (empty when state_model is off). As of its
   /// latest cut, or as restored by its latest rollback.
   const ckpt::StateImage& synthetic_state(int rank) const {
     return synth_state_[static_cast<size_t>(rank)];

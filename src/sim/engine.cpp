@@ -532,4 +532,10 @@ Engine::Stats Engine::stats() const {
   return s;
 }
 
+size_t Engine::stack_resident_bytes() const {
+  size_t bytes = 0;
+  for (const auto& sh : shards_) bytes += sh->pool->resident_bytes();
+  return bytes;
+}
+
 }  // namespace spbc::sim

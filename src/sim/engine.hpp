@@ -173,6 +173,10 @@ class Engine {
     size_t stacks_allocated = 0;  // distinct stacks ever allocated
   };
   Stats stats() const;
+  /// Resident bytes of every shard's fiber stacks, live and pooled: the
+  /// pages fibers have touched (StackPool::resident_bytes). A mincore scan
+  /// of the stack slabs, so it stays out of stats().
+  size_t stack_resident_bytes() const;
 
  private:
   struct ExecShard {

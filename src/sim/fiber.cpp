@@ -1,6 +1,7 @@
 #include "sim/fiber.hpp"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include "util/assert.hpp"
 
@@ -121,6 +122,19 @@ void StackPool::release(unsigned char* stack) {
   SPBC_ASSERT(live_ > 0);
   --live_;
   free_.push_back(stack);
+}
+
+size_t StackPool::resident_bytes() const {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t slab_bytes = stack_size_ * kStacksPerSlab;
+  std::vector<unsigned char> vec((slab_bytes + page - 1) / page);
+  size_t pages = 0;
+  for (unsigned char* slab : slabs_) {
+    SPBC_ASSERT_MSG(mincore(slab, slab_bytes, vec.data()) == 0,
+                    "mincore over a fiber stack slab failed");
+    for (unsigned char v : vec) pages += v & 1;
+  }
+  return pages * page;
 }
 
 // ---------------------------------------------------------------------------

@@ -96,6 +96,9 @@ class StackPool {
   size_t peak_live() const { return peak_live_; }
   /// Distinct stacks ever allocated (live + pooled): how well reuse works.
   size_t allocated() const { return allocated_; }
+  /// Bytes of the pool's slabs resident in memory (mincore): the pages the
+  /// deepest call chain of any fiber on each stack touched.
+  size_t resident_bytes() const;
 
  private:
   size_t stack_size_;

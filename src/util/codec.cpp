@@ -89,6 +89,10 @@ unsigned char* encode_buffer(size_t bytes) {
   return buf.get();
 }
 
+/// Per-thread match table: 32 KiB on the caller's stack would remain resident
+/// in every rank fiber that ever compressed (DESIGN.md §12).
+thread_local std::unique_ptr<uint32_t[]> t_table(new uint32_t[1u << kHashBits]);
+
 /// Adds a 255-coded length continuation to `len`; false when the stream
 /// ends before the terminating byte.
 bool get_len(const unsigned char* enc, size_t n, size_t& ip, size_t& len) {
@@ -109,8 +113,8 @@ std::vector<unsigned char> lz_compress(const unsigned char* data, size_t n) {
   // and n literals. A match token never costs more than the bytes it covers.
   unsigned char* const out = encode_buffer(n + n / 255 + 16);
   unsigned char* op = out;
-  uint32_t table[1u << kHashBits];
-  std::memset(table, 0xff, sizeof(table));  // 0xffffffff = empty slot
+  uint32_t* const table = t_table.get();
+  std::memset(table, 0xff, sizeof(uint32_t) << kHashBits);  // 0xffffffff = empty slot
   size_t lit_start = 0;
   size_t pos = 0;
   // The last kMinMatch-1 bytes can never start a match (hash4 reads 4 bytes

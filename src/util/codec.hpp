@@ -5,9 +5,9 @@
 // match finder, 64 KiB window, minimum match 4). Long constant runs — the
 // dominant shape of slowly-evolving HPC state — degenerate into
 // self-overlapping matches, so the codec doubles as an RLE. No entropy
-// stage, no external dependencies, and no state between calls beyond a
-// reused per-thread scratch buffer: the output is a pure function of the
-// input bytes, which is what the checkpoint
+// stage, no external dependencies, and no state between calls beyond
+// reused per-thread scratch (the output buffer and the match table): the
+// output is a pure function of the input bytes, which is what the checkpoint
 // pipeline's determinism discipline requires (the same logical snapshot must
 // encode to the same fragment bytes on every shard/thread layout, or scrub
 // digests and the shadow-codec oracle would disagree across runs).

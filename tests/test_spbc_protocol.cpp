@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -252,9 +255,8 @@ TEST(SpbcProtocol, StagingSettingsReachStagingAndControlPlane) {
 }
 
 // Records what each rollback restored, and checks at every respawn that the
-// rank's state image carries the hashes of its bytes: restored from a
-// capture they are rehashed at once, rolled back to sigma_0 they wait for
-// the next cut.
+// rank's state image carries the block versions its restored capture
+// recorded: a capture's image_versions, or all 0 after a rollback to sigma_0.
 class RestoreProbe : public core::SpbcProtocol {
  public:
   using SpbcProtocol::SpbcProtocol;
@@ -265,21 +267,21 @@ class RestoreProbe : public core::SpbcProtocol {
     // A rollback to sigma_0 respawns the rank as a fresh start.
     if (starts[r]++ == 0) return;
     const uint64_t epoch = snapshot_epoch(r);
-    const ckpt::StateImage& st = synthetic_state(r);
+    const std::vector<uint64_t>& v = synthetic_state(r).versions();
     if (!restarted) {
       ++to_epoch0;
-      if (!st.hashes().empty()) ++stale_after_restore;
+      if (std::any_of(v.begin(), v.end(), [](uint64_t x) { return x != 0; }))
+        ++wrong_versions;
       return;
     }
     if (!store().at_epoch(r, epoch).full()) ++to_delta;
-    if (st.hashes() != ckpt::hash_blocks(st.synthesize(), config().reduction.hash_block()))
-      ++stale_after_restore;
+    if (v != store().at_epoch(r, epoch).image_versions) ++wrong_versions;
   }
 
   std::map<int, int> starts;
   int to_epoch0 = 0;
   int to_delta = 0;
-  int stale_after_restore = 0;
+  int wrong_versions = 0;
 };
 
 struct ProbeRun {
@@ -312,14 +314,13 @@ ProbeRun run_probe(const core::SpbcConfig& scfg,
   return out;
 }
 
-// The state image keeps its block hashes equal to its bytes through every
-// cut, every restore to a delta epoch and every restore to sigma_0 (where
-// the next cut hashes it whole), so the capture can hand them to the store
-// instead of rehashing the image; and
-// restored runs still end on the failure-free checksums. State blocks of
-// 384 bytes straddle the 256-byte delta blocks, so one rewrite dirties
-// several hashes.
-TEST(SpbcProtocol, StateImageHashesSurviveRestores) {
+// The state image comes back from every restore to a delta epoch with the
+// block versions its capture recorded, and from every restore to sigma_0
+// with all versions 0, so the next cut diffs it against its predecessor by
+// version; and restored runs still end on the failure-free checksums. State
+// blocks of 384 bytes straddle the 256-byte delta blocks, so one rewrite
+// dirties several capture blocks.
+TEST(SpbcProtocol, StateImageVersionsSurviveRestores) {
   core::SpbcConfig scfg;
   scfg.checkpoint_every = 2;
   scfg.storage = ckpt::StorageLevel::kPfs;
@@ -341,13 +342,33 @@ TEST(SpbcProtocol, StateImageHashesSurviveRestores) {
   const RestoreProbe& p = *fr.probe;
   EXPECT_GT(p.to_epoch0, 0);
   EXPECT_GT(p.to_delta, 0);
-  EXPECT_EQ(p.stale_after_restore, 0);
-  for (int r = 0; r < 16; ++r) {
-    const ckpt::StateImage& st = p.synthetic_state(r);
-    EXPECT_EQ(st.hashes(), ckpt::hash_blocks(st.synthesize(), scfg.reduction.block_bytes))
-        << "rank " << r;
-  }
+  EXPECT_EQ(p.wrong_versions, 0);
   EXPECT_EQ(fr.checksums, ff.checksums);
+}
+
+// A rank fiber that checkpoints with delta encoding and compression on keeps
+// its stack shallow: the encoder's match table and every other large scratch
+// buffer live per thread or on the heap, never in a fiber's frame.
+TEST(SpbcProtocol, CompressingFibersTouchAtMostTwoStackPages) {
+#if SPBC_ASAN || SPBC_TSAN
+  GTEST_SKIP() << "sanitizer instrumentation inflates stack frames";
+#endif
+  core::SpbcConfig scfg;
+  scfg.checkpoint_every = 2;
+  scfg.reduction.delta = true;
+  scfg.reduction.block_bytes = 1024;
+  scfg.reduction.compress = true;
+  scfg.state_model.bytes = 64 * 1024;
+  scfg.state_model.block_bytes = 1024;
+  const ProbeRun run = run_probe(scfg, {});
+  const sim::Engine& engine = run.machine->engine();
+  const size_t stacks = engine.stats().stacks_allocated;
+  ASSERT_GE(stacks, 16u);
+  ASSERT_GT(run.probe->store().delta_snapshots(), 0u);
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_LE(engine.stack_resident_bytes(), 2 * page * stacks)
+      << engine.stack_resident_bytes() / page << " resident pages over " << stacks
+      << " stacks";
 }
 
 }  // namespace
