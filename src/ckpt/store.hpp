@@ -113,9 +113,9 @@ struct StoredSnapshot {
   /// `changed` (ascending), each block_bytes long except a short tail block.
   std::vector<uint32_t> changed;
   /// Per-block hashes of the blocks not diffed by version — the baseline
-  /// the next epoch diffs them against. They cover the runtime tail, from
-  /// block raw_size / block_bytes - block_hashes.size() on, when the image
-  /// rode by reference, and every block otherwise. Present whenever delta
+  /// the next epoch diffs them against. They cover the runtime tail (the
+  /// last block_hashes.size() blocks) when the image rode by reference,
+  /// and every block otherwise. Present whenever delta
   /// encoding is on (full captures included).
   std::vector<uint64_t> block_hashes;
   /// StateImage::versions() of the capture's image (empty without one):
